@@ -1,20 +1,24 @@
-"""Hot trial-sampling kernels with a numba fast path and a numpy fallback.
+"""Hot trial-sampling kernel: one chunked numpy core for counts and records.
 
 The per-trial random stream is counter-based: every (cycle, slot, draw)
-triple is hashed independently with a splitmix64-style mixer, so the counts
-are bit-identical no matter how trials are partitioned across workers or
-which backend executes them. Uniform doubles come from the top 53 bits of
-the hash, which both backends convert identically.
+triple is hashed independently with a splitmix64 chain (cycle, then slot,
+then draw), so the results are bit-identical however the cycles are
+partitioned or in whatever order the triples are evaluated. Uniform doubles
+come from the top 53 bits of the hash.
 
-Backend selection: the ``DLCZSIM_BACKEND`` environment variable may be set
-to ``numba``, ``numpy``, or ``auto`` (default). ``auto`` takes numba when it
-imports, numpy otherwise. ``benchmarks/bench_kernels.py`` compares the two.
+``herald_batches`` is the only sampler. For a batch of whole cycles it
+mixes each cycle key once, broadcasts it against precomputed slot keys,
+selects herald candidates by comparing the raw draw-0 hash with an integer
+threshold, resolves the storage-blocking windows by walking next-candidate
+pointers for all cycles of the batch in step, and draws the readout of
+each accepted herald. ``counts_kernel`` reduces its batches;
+``records_kernel`` expands them to one row per executed trial.
 """
 
 from __future__ import annotations
 
-import os
-from bisect import bisect_right
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,26 +30,13 @@ _SLOT_KEY = np.uint64(0x9FB21C651E98DF25)
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 _INV_2_53 = 2.0 ** -53
 
-_requested = os.environ.get("DLCZSIM_BACKEND", "auto").lower()
-if _requested not in ("auto", "numba", "numpy"):
-    raise RuntimeError(
-        f"DLCZSIM_BACKEND must be 'auto', 'numba', or 'numpy', got {_requested!r}")
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-    if _requested == "numba":
-        raise RuntimeError("DLCZSIM_BACKEND=numba but numba is not importable")
-
-    def njit(*args, **kwargs):  # pragma: no cover - decorator stub
-        def wrap(fn):
-            return fn
-        return wrap
-
-BACKEND = "numba" if (HAVE_NUMBA and _requested != "numpy") else "numpy"
+# Write slots per batch (48 cycles of 4000): enough cycles for the
+# acceptance walk to amortize its per-step overhead, and a fixed bound on
+# the candidates, hence on the working set. The slot mixes run on
+# MIX_SLOTS at a time so the two hash buffers stay in a 2 MB L2. Both are
+# measured optima for the dense and the sparse regime together.
+CHUNK_SLOTS = 196_608
+MIX_SLOTS = 65_536
 
 
 def mix64(z: int) -> int:
@@ -64,15 +55,26 @@ def derive_stream(master_seed: int, *tags: int) -> int:
     return h
 
 
-def _mix_np_inplace(z):
-    # same finalizer as the jitted path; in-place to halve memory traffic
+def _mix_inplace(z, tmp):
+    # same finalizer as mix64; ``tmp`` (same shape) holds the shifted copy
     z += _GOLD
-    z ^= z >> np.uint64(30)
+    np.right_shift(z, np.uint64(30), out=tmp)
+    z ^= tmp
     z *= _MIX1
-    z ^= z >> np.uint64(27)
+    np.right_shift(z, np.uint64(27), out=tmp)
+    z ^= tmp
     z *= _MIX2
-    z ^= z >> np.uint64(31)
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
     return z
+
+
+def _cycle_hashes(master_seed: int, cycles):
+    """First link of the chain: the mixed key of each cycle."""
+    with np.errstate(over="ignore"):
+        h = np.asarray(cycles, dtype=np.uint64) * _CYCLE_KEY
+        h ^= np.uint64(master_seed)
+        return _mix_inplace(h, np.empty_like(h))
 
 
 def trial_uniforms_numpy(master_seed: int, cycles, slots, draw: int):
@@ -80,290 +82,252 @@ def trial_uniforms_numpy(master_seed: int, cycles, slots, draw: int):
     c = np.atleast_1d(np.asarray(cycles, dtype=np.uint64))
     s = np.atleast_1d(np.asarray(slots, dtype=np.uint64))
     with np.errstate(over="ignore"):
-        h = c * _CYCLE_KEY
-        h ^= np.uint64(master_seed)
-        _mix_np_inplace(h)
+        h = _cycle_hashes(master_seed, c)
         h ^= s * _SLOT_KEY
-        _mix_np_inplace(h)
+        tmp = np.empty_like(h)
+        _mix_inplace(h, tmp)
         h ^= np.uint64(draw)
-        _mix_np_inplace(h)
+        _mix_inplace(h, tmp)
     h >>= np.uint64(11)
     return h.astype(np.float64) * _INV_2_53
 
 
-@njit(cache=True, nogil=True)
-def _trial_uniform_nb(master_seed, cycle, slot, draw):  # pragma: no cover - jitted
-    h = master_seed ^ (cycle * _CYCLE_KEY)
-    h = h + _GOLD
-    h = (h ^ (h >> np.uint64(30))) * _MIX1
-    h = (h ^ (h >> np.uint64(27))) * _MIX2
-    h = h ^ (h >> np.uint64(31))
-    h = h ^ (slot * _SLOT_KEY)
-    h = h + _GOLD
-    h = (h ^ (h >> np.uint64(30))) * _MIX1
-    h = (h ^ (h >> np.uint64(27))) * _MIX2
-    h = h ^ (h >> np.uint64(31))
-    h = h ^ draw
-    h = h + _GOLD
-    h = (h ^ (h >> np.uint64(30))) * _MIX1
-    h = (h ^ (h >> np.uint64(27))) * _MIX2
-    h = h ^ (h >> np.uint64(31))
-    return np.float64(h >> np.uint64(11)) * _INV_2_53
+def hash_threshold(p: float) -> int:
+    """Integer bound ``t`` with ``h < t`` exactly when ``u < p``.
 
-
-@njit(cache=True, nogil=True)
-def _counts_kernel_nb(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
-                      a13, a14, a23, a24, p_noise, skip_slots):  # pragma: no cover - jitted
-    c13 = 0; c14 = 0; c23 = 0; c24 = 0
-    s1 = 0; s2 = 0
-    n_trials = 0
-    n_bg = 0
-    half_herald = p_herald * 0.5
-    half_noise = p_noise * 0.5
-    for cycle in range(cycle_lo, cycle_hi):
-        cyc = np.uint64(cycle)
-        blocked_until = -1
-        for slot in range(n_slots):
-            if slot <= blocked_until:
-                continue
-            n_trials += 1
-            u0 = _trial_uniform_nb(master_seed, cyc, np.uint64(slot), np.uint64(0))
-            if u0 >= p_herald:
-                continue
-            if u0 < half_herald:
-                s1 += 1
-                b3 = a13
-                b4 = a14
-                d1 = True
-            else:
-                s2 += 1
-                b3 = a23
-                b4 = a24
-                d1 = False
-            if skip_slots > 0:
-                blocked_until = slot + skip_slots
-            u1 = _trial_uniform_nb(master_seed, cyc, np.uint64(slot), np.uint64(1))
-            if u1 < b3:
-                if d1:
-                    c13 += 1
-                else:
-                    c23 += 1
-            elif u1 < b3 + b4:
-                if d1:
-                    c14 += 1
-                else:
-                    c24 += 1
-            else:
-                u2 = _trial_uniform_nb(master_seed, cyc, np.uint64(slot), np.uint64(2))
-                if u2 < p_noise:
-                    n_bg += 1
-                    if u2 < half_noise:
-                        if d1:
-                            c13 += 1
-                        else:
-                            c23 += 1
-                    else:
-                        if d1:
-                            c14 += 1
-                        else:
-                            c24 += 1
-    return c13, c14, c23, c24, s1, s2, n_trials, n_bg
-
-
-def _accept_heralds(cand: np.ndarray, skip_slots: int) -> np.ndarray:
-    """Sequentially drop herald candidates that fall in a blocked window."""
-    if skip_slots <= 0 or cand.size == 0:
-        return cand
-    keep = np.empty(cand.size, dtype=bool)
-    blocked_until = -1
-    for i in range(cand.size):
-        s = int(cand[i])
-        ok = s > blocked_until
-        keep[i] = ok
-        if ok:
-            blocked_until = s + skip_slots
-    return cand[keep]
-
-
-def _accept_heralds_chunk(cand_flat, cand_slot, n_cycles, n_slots,
-                          skip_slots):
-    """Greedy blocking-window acceptance over a chunk of cycles.
-
-    ``cand_flat`` are flat (cycle-major) indices of herald candidates in
-    ascending order, ``cand_slot`` their slot numbers. Returns the accepted
-    flat indices and the number of blocked write slots. The loop runs once
-    per accepted herald (a bisect jump to the end of each blocking window),
-    so dense candidate streams stay cheap.
+    ``u = (h >> 11) * 2**-53`` is the uniform a 64-bit hash ``h`` stands
+    for. ``p * 2**53`` is exact in binary floating point, so
+    ``u < p <=> (h >> 11) < ceil(p * 2**53) <=> h < ceil(p * 2**53) << 11``.
+    The bound is ``2**64`` (every hash) once ``p`` exceeds the largest
+    uniform, and 0 for ``p <= 0`` or NaN.
     """
-    bounds = np.searchsorted(cand_flat,
-                             np.arange(n_cycles + 1, dtype=np.int64) * n_slots)
-    slots_list = cand_slot.tolist()
-    accepted_pos = []
-    n_blocked = 0
-    last = n_slots - 1
-    for c in range(n_cycles):
-        i = int(bounds[c])
-        hi = int(bounds[c + 1])
-        while i < hi:
-            s = slots_list[i]
-            accepted_pos.append(i)
-            end = s + skip_slots
-            n_blocked += (end if end < last else last) - s
-            i = bisect_right(slots_list, end, i + 1, hi)
-    if not accepted_pos:
-        return np.empty(0, dtype=np.int64), n_blocked
-    return cand_flat[np.asarray(accepted_pos, dtype=np.int64)], n_blocked
+    if not p > 0.0:
+        return 0
+    if p >= 1.0:
+        return 1 << 64
+    return math.ceil(p * 2.0 ** 53) << 11
 
 
-def _counts_chunk_numpy(master_seed, cycle_lo, n_cycles, n_slots, p_herald,
-                        a13, a14, a23, a24, p_noise, skip_slots):
-    flat_cycles = (np.repeat(np.arange(n_cycles, dtype=np.uint64), n_slots)
-                   + np.uint64(cycle_lo))
-    flat_slots = np.tile(np.arange(n_slots, dtype=np.uint64), n_cycles)
-    u0 = trial_uniforms_numpy(master_seed, flat_cycles, flat_slots, 0)
-    cand_flat = np.nonzero(u0 < p_herald)[0]
+def _below(h, threshold: int):
+    """Boolean mask ``h < threshold`` for a bound from ``hash_threshold``."""
+    if threshold > _U64_MASK:
+        return np.ones(h.shape, dtype=bool)
+    return h < np.uint64(threshold)
 
-    if skip_slots > 0 and cand_flat.size:
-        cand_slot = (cand_flat % n_slots).astype(np.int64)
-        heralds, n_blocked = _accept_heralds_chunk(
-            cand_flat, cand_slot, n_cycles, n_slots, skip_slots)
+
+def _accept(cand, is_cand, n_slots: int, skip_slots: int):
+    """Positions in ``cand`` of the heralds the storage windows let through.
+
+    ``cand`` holds the ascending flat (cycle-major) indices of the herald
+    candidates of whole cycles, ``is_cand`` the mask they come from. In a
+    cycle the first candidate is accepted and blocks the next
+    ``skip_slots`` slots; each later accepted one is the first candidate
+    past the previous window, its ``nxt``. One lane per cycle walks its
+    ``nxt`` chain and all lanes step together, so the loop runs once per
+    herald of the busiest cycle, whatever the number of cycles.
+    """
+    n = cand.size
+    size = is_cand.size
+    ends = np.searchsorted(cand, np.arange(1, size // n_slots + 1) * n_slots)
+    counts = np.diff(ends, prepend=0)
+    # first candidate past each window: a binary search is cheaper for few
+    # candidates, a prefix count from about one candidate in eight slots
+    if 8 * n < size:
+        nxt = np.searchsorted(cand, cand + skip_slots, side="right")
     else:
-        heralds, n_blocked = cand_flat, 0
-    n_trials = n_cycles * n_slots - n_blocked
+        nxt = np.cumsum(is_cand, dtype=np.int32)[
+            np.minimum(cand + skip_slots, size - 1)]
+    # a chain that leaves its cycle ends: n marks the end of a lane
+    nxt = np.where(nxt < np.repeat(ends, counts), nxt, n)
+    keep = np.zeros(n, dtype=bool)
+    lane = (ends - counts)[counts > 0]
+    while lane.size:
+        keep[lane] = True
+        lane = nxt[lane]
+        lane = lane[lane < n]
+    return np.flatnonzero(keep)
 
-    if heralds.size == 0:
-        return 0, 0, 0, 0, 0, 0, n_trials, 0
 
-    h_cycles = flat_cycles[heralds]
-    h_slots = flat_slots[heralds]
-    is_d1 = u0[heralds] < p_herald * 0.5
-    u1 = trial_uniforms_numpy(master_seed, h_cycles, h_slots, 1)
+class HeraldBatch(NamedTuple):
+    """Accepted heralds of cycles ``[cycle_lo, cycle_lo + n_cycles)``.
+
+    ``flat`` is the ascending index ``(cycle - cycle_lo) * n_slots + slot``
+    of each herald; ``herald`` is 1/2 for D1/D2, ``readout`` 0/3/4 for
+    none/D3/D4, ``background`` marks readouts drawn from the noise floor.
+    ``n_blocked`` counts the write slots the storage windows skipped.
+    """
+
+    cycle_lo: int
+    n_cycles: int
+    flat: np.ndarray
+    herald: np.ndarray
+    readout: np.ndarray
+    background: np.ndarray
+    n_blocked: int
+
+
+def _draw0_hashes(master_seed, cycle_lo, out, slot_keys, tmp):
+    """Draw-0 hashes of cycle ``cycle_lo + i`` into row ``i`` of ``out``.
+
+    Each cycle key is mixed once and broadcast against the slot keys. The
+    two slot-level mixes run a few cycles at a time, as many as ``tmp``
+    holds, so the piece being mixed and ``tmp`` stay in cache.
+    """
+    n_cycles, n_slots = out.shape
+    cycle_h = _cycle_hashes(master_seed,
+                            np.arange(cycle_lo, cycle_lo + n_cycles))
+    rows = max(1, tmp.size // max(n_slots, 1))
+    for r in range(0, n_cycles, rows):
+        part = out[r:r + rows]
+        np.bitwise_xor(cycle_h[r:r + rows, None], slot_keys, out=part)
+        part = part.reshape(-1)
+        t = tmp[:part.size]
+        _mix_inplace(part, t)
+        _mix_inplace(part, t)  # draw 0: the draw xor is a no-op
+    return out.reshape(-1)
+
+
+def _readouts(master_seed, cycles, slots, is_d1, a13, a14, a23, a24,
+              p_noise):
+    """Readout code (0/3/4) and background flag of each herald."""
+    readout = np.zeros(is_d1.size, dtype=np.uint8)
+    background = np.zeros(is_d1.size, dtype=bool)
+    if not is_d1.size:
+        return readout, background
+    u1 = trial_uniforms_numpy(master_seed, cycles, slots, 1)
     b3 = np.where(is_d1, a13, a23)
     b4 = np.where(is_d1, a14, a24)
     hit3 = u1 < b3
     hit4 = ~hit3 & (u1 < b3 + b4)
-    miss = ~hit3 & ~hit4
-
-    n_bg = 0
-    if p_noise > 0.0 and np.any(miss):
-        u2 = trial_uniforms_numpy(master_seed, h_cycles[miss], h_slots[miss],
-                                  2)
+    readout[hit3] = 3
+    readout[hit4] = 4
+    miss = np.flatnonzero(~hit3 & ~hit4)
+    if p_noise > 0.0 and miss.size:
+        u2 = trial_uniforms_numpy(master_seed, cycles[miss], slots[miss], 2)
         bg = u2 < p_noise
-        n_bg = int(np.sum(bg))
         bg3 = bg & (u2 < p_noise * 0.5)
-        bg4 = bg & ~bg3
-        miss_pos = np.nonzero(miss)[0]
-        hit3 = hit3.copy()
-        hit4 = hit4.copy()
-        hit3[miss_pos[bg3]] = True
-        hit4[miss_pos[bg4]] = True
-
-    c13 = int(np.sum(hit3 & is_d1))
-    c23 = int(np.sum(hit3 & ~is_d1))
-    c14 = int(np.sum(hit4 & is_d1))
-    c24 = int(np.sum(hit4 & ~is_d1))
-    s1 = int(np.sum(is_d1))
-    s2 = int(heralds.size - s1)
-    return c13, c14, c23, c24, s1, s2, n_trials, n_bg
+        readout[miss[bg3]] = 3
+        readout[miss[bg & ~bg3]] = 4
+        background[miss[bg]] = True
+    return readout, background
 
 
-def _counts_kernel_numpy(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
-                         a13, a14, a23, a24, p_noise, skip_slots):
-    totals = np.zeros(8, dtype=np.int64)
-    # ~64k slots per chunk keeps the hash intermediates cache-resident
-    # while amortizing the per-call overhead (measured optimum)
-    chunk = max(1, 64_000 // max(n_slots, 1))
-    for lo in range(cycle_lo, cycle_hi, chunk):
-        n_cycles = min(lo + chunk, cycle_hi) - lo
-        out = _counts_chunk_numpy(master_seed, lo, n_cycles, n_slots,
-                                  p_herald, a13, a14, a23, a24, p_noise,
-                                  skip_slots)
-        totals += np.asarray(out, dtype=np.int64)
-    return tuple(int(v) for v in totals)
+def herald_batches(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
+                   a13, a14, a23, a24, p_noise, skip_slots, *,
+                   chunk_slots=CHUNK_SLOTS):
+    """Yield one ``HeraldBatch`` per batch of whole cycles, together about
+    ``chunk_slots`` slots (at least one cycle).
+
+    Per executed trial: draw 0 heralds when ``u0 < p_herald`` (D1 when
+    ``u0 < p_herald/2``); a herald blocks the next ``skip_slots`` slots of
+    its cycle. Draw 1 picks the correlated readout, D3 with probability
+    ``a13``/``a23`` and D4 with ``a14``/``a24`` given D1/D2; when it misses,
+    draw 2 gives a background click with probability ``p_noise``, split
+    evenly between D3 and D4. Blocked slots consume no draws.
+
+    The working set is fixed by ``chunk_slots``: the batch's hashes plus
+    arrays of at most one entry per candidate, whatever the number of
+    cycles or the herald probability.
+    """
+    n_slots = int(n_slots)
+    skip_slots = int(skip_slots)
+    step = max(1, chunk_slots // max(n_slots, 1))
+    slot_keys = np.arange(n_slots, dtype=np.uint64) * _SLOT_KEY
+    t_herald = hash_threshold(p_herald)
+    t_d1 = hash_threshold(p_herald * 0.5)
+    buf = np.empty((min(step, max(cycle_hi - cycle_lo, 0)), n_slots),
+                   dtype=np.uint64)
+    tmp = np.empty(min(max(1, MIX_SLOTS // max(n_slots, 1)), buf.shape[0])
+                   * n_slots, dtype=np.uint64)
+
+    def batch(lo, n_cycles):
+        h = _draw0_hashes(master_seed, lo, buf[:n_cycles], slot_keys, tmp)
+        is_cand = _below(h, t_herald)
+        flat = np.flatnonzero(is_cand)
+        n_blocked = 0
+        if skip_slots > 0 and flat.size:
+            if flat.size > 1:
+                flat = flat[_accept(flat, is_cand, n_slots, skip_slots)]
+            n_blocked = int(np.minimum(skip_slots,
+                                       n_slots - 1 - flat % n_slots).sum())
+        is_d1 = _below(h[flat], t_d1)
+        readout, background = _readouts(
+            master_seed, flat // n_slots + lo, flat % n_slots, is_d1,
+            a13, a14, a23, a24, p_noise)
+        return HeraldBatch(lo, n_cycles, flat,
+                           np.where(is_d1, np.uint8(1), np.uint8(2)),
+                           readout, background, n_blocked)
+
+    for lo in range(cycle_lo, cycle_hi, step):
+        yield batch(lo, min(lo + step, cycle_hi) - lo)
 
 
 def counts_kernel(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
-                  a13, a14, a23, a24, p_noise, skip_slots, backend=None):
+                  a13, a14, a23, a24, p_noise, skip_slots, *,
+                  chunk_slots=CHUNK_SLOTS):
     """Accumulate coincidence counts for a contiguous range of cycles.
 
-    Returns ``(c13, c14, c23, c24, s1, s2, n_trials, n_background)``. The
-    two backends draw from the same counter-based stream and agree bit for
-    bit.
+    Returns ``(c13, c14, c23, c24, s1, s2, n_trials, n_background)``.
     """
-    chosen = backend or BACKEND
-    if chosen == "numba":
-        out = _counts_kernel_nb(np.uint64(master_seed), cycle_lo, cycle_hi,
-                                n_slots, p_herald, a13, a14, a23, a24,
-                                p_noise, skip_slots)
-        return tuple(int(v) for v in out)
-    if chosen == "numpy":
-        return _counts_kernel_numpy(master_seed, cycle_lo, cycle_hi, n_slots,
-                                    p_herald, a13, a14, a23, a24, p_noise,
-                                    skip_slots)
-    raise ValueError(f"unknown backend {chosen!r}")
+    # bincount bins (herald - 1) * 5 + readout: 3, 4 are c13, c14 and
+    # 8, 9 are c23, c24; bins 0-4 and 5-9 sum to s1 and s2
+    bins = np.zeros(10, dtype=np.int64)
+    n_blocked = 0
+    n_bg = 0
+    for b in herald_batches(master_seed, cycle_lo, cycle_hi, n_slots,
+                            p_herald, a13, a14, a23, a24, p_noise,
+                            skip_slots, chunk_slots=chunk_slots):
+        bins += np.bincount((b.herald - 1) * 5 + b.readout, minlength=10)
+        n_blocked += b.n_blocked
+        n_bg += int(np.count_nonzero(b.background))
+    n_trials = max(cycle_hi - cycle_lo, 0) * n_slots - n_blocked
+    return (int(bins[3]), int(bins[4]), int(bins[8]), int(bins[9]),
+            int(bins[:5].sum()), int(bins[5:].sum()), int(n_trials), n_bg)
 
 
 def records_kernel(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
-                   a13, a14, a23, a24, p_noise, skip_slots):
-    """Per-trial event arrays for a range of cycles (numpy only; dump path).
+                   a13, a14, a23, a24, p_noise, skip_slots, *,
+                   chunk_slots=CHUNK_SLOTS):
+    """Per-trial event arrays for a range of cycles (the dump path).
 
     Returns arrays (cycle, slot, herald, readout, background) covering every
     executed trial in order. ``herald`` is 0/1/2 for none/D1/D2, ``readout``
-    0/3/4 for none/D3/D4. Consistent with ``counts_kernel`` by construction:
-    both consume the same per-(cycle, slot, draw) stream.
+    0/3/4 for none/D3/D4. They expand the batches ``counts_kernel`` reduces,
+    so the two agree by construction.
     """
-    cyc_out = []
-    slot_out = []
-    her_out = []
-    read_out = []
-    bg_out = []
-    for cycle in range(cycle_lo, cycle_hi):
-        slots = np.arange(n_slots, dtype=np.uint64)
-        cycles = np.full(n_slots, cycle, dtype=np.uint64)
-        u0 = trial_uniforms_numpy(master_seed, cycles, slots, 0)
-        cand = np.nonzero(u0 < p_herald)[0]
-        heralds = _accept_heralds(cand, skip_slots)
-
-        executed = np.ones(n_slots, dtype=bool)
-        if skip_slots > 0:
-            for s in heralds:
-                executed[int(s) + 1:int(s) + 1 + skip_slots] = False
-
-        herald_code = np.zeros(n_slots, dtype=np.uint8)
-        herald_code[heralds] = np.where(u0[heralds] < p_herald * 0.5, 1, 2)
-        readout_code = np.zeros(n_slots, dtype=np.uint8)
-        bg_flag = np.zeros(n_slots, dtype=bool)
-
-        if heralds.size:
-            is_d1 = herald_code[heralds] == 1
-            u1 = trial_uniforms_numpy(master_seed,
-                                      np.full(heralds.size, cycle, dtype=np.uint64),
-                                      heralds.astype(np.uint64), 1)
-            b3 = np.where(is_d1, a13, a23)
-            b4 = np.where(is_d1, a14, a24)
-            hit3 = u1 < b3
-            hit4 = ~hit3 & (u1 < b3 + b4)
-            readout_code[heralds[hit3]] = 3
-            readout_code[heralds[hit4]] = 4
-            miss = ~hit3 & ~hit4
-            if p_noise > 0.0 and np.any(miss):
-                midx = heralds[miss]
-                u2 = trial_uniforms_numpy(master_seed,
-                                          np.full(midx.size, cycle, dtype=np.uint64),
-                                          midx.astype(np.uint64), 2)
-                bg = u2 < p_noise
-                bg3 = bg & (u2 < p_noise * 0.5)
-                readout_code[midx[bg3]] = 3
-                readout_code[midx[bg & ~bg3]] = 4
-                bg_flag[midx[bg]] = True
-
-        keep = np.nonzero(executed)[0]
-        cyc_out.append(np.full(keep.size, cycle, dtype=np.int64))
-        slot_out.append(keep.astype(np.int64))
-        her_out.append(herald_code[keep])
-        read_out.append(readout_code[keep])
-        bg_out.append(bg_flag[keep])
-
-    return (np.concatenate(cyc_out), np.concatenate(slot_out),
-            np.concatenate(her_out), np.concatenate(read_out),
-            np.concatenate(bg_out))
+    # one empty array each fixes the dtypes when there are no cycles
+    cyc_out = [np.empty(0, dtype=np.int64)]
+    slot_out = [np.empty(0, dtype=np.int64)]
+    her_out = [np.empty(0, dtype=np.uint8)]
+    read_out = [np.empty(0, dtype=np.uint8)]
+    bg_out = [np.empty(0, dtype=bool)]
+    for b in herald_batches(master_seed, cycle_lo, cycle_hi, n_slots,
+                            p_herald, a13, a14, a23, a24, p_noise,
+                            skip_slots, chunk_slots=chunk_slots):
+        size = b.n_cycles * n_slots
+        if skip_slots > 0 and b.flat.size:
+            # the windows [flat + 1, stop) never overlap or touch, so a +1/-1
+            # edge array summed up marks exactly the blocked slots
+            stop = np.minimum(b.flat + (skip_slots + 1),
+                              (b.flat // n_slots + 1) * n_slots)
+            open_ = stop > b.flat + 1
+            edges = np.zeros(size + 1, dtype=np.int8)
+            edges[b.flat[open_] + 1] = 1
+            edges[stop[open_]] = -1
+            executed = np.flatnonzero(np.cumsum(edges[:size]) == 0)
+        else:
+            executed = np.arange(size)
+        at = np.searchsorted(executed, b.flat)
+        her = np.zeros(executed.size, dtype=np.uint8)
+        read = np.zeros(executed.size, dtype=np.uint8)
+        bg = np.zeros(executed.size, dtype=bool)
+        her[at] = b.herald
+        read[at] = b.readout
+        bg[at] = b.background
+        cyc_out.append(executed // n_slots + b.cycle_lo)
+        slot_out.append(executed % n_slots)
+        her_out.append(her)
+        read_out.append(read)
+        bg_out.append(bg)
+    return tuple(np.concatenate(parts)
+                 for parts in (cyc_out, slot_out, her_out, read_out, bg_out))

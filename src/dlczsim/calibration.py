@@ -17,7 +17,6 @@ from importlib import resources
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import FitConvergenceError
 from .model import DecayModel, SourceParams, TSIRELSON_BOUND, retrieval_efficiency
@@ -66,6 +65,8 @@ def fit_decay(points: Sequence[DataPoint], max_nfev: int = 400) -> DecayFit:
     closed-form amplitude before the joint refinement; this keeps the fit
     deterministic and start-point independent.
     """
+    from scipy.optimize import least_squares  # 0.5 s to import: only fits pay
+
     points = list(points)
     if len(points) < 3:
         raise ValueError("need at least three calibration points")
@@ -136,6 +137,8 @@ def fit_bell_model(points: Sequence[DataPoint], dm: DecayModel,
     point sits at zero delay only the mixing parameter is identifiable; the
     decay constants are then reported unconstrained at their defaults.
     """
+    from scipy.optimize import least_squares
+
     points = list(points)
     if not points:
         raise ValueError("need at least one calibration point")

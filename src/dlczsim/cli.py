@@ -26,6 +26,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
+# Upper bound on --workers: each worker is a thread, and the kernel gains
+# nothing from more threads than cores.
+MAX_WORKERS = 64
+
 
 def _fmt(x) -> str:
     if isinstance(x, float):
@@ -68,11 +72,18 @@ def _parse_grid_ms(args) -> list:
     return ts
 
 
+def _check_workers(args) -> None:
+    if not 1 <= args.workers <= MAX_WORKERS:
+        raise ValueError(f"--workers must lie in [1, {MAX_WORKERS}], "
+                         f"got {args.workers}")
+
+
 def _cycles_for_trials(cfg_seq, trials: int) -> int:
     return max(1, math.ceil(trials / cfg_seq.trials_per_run))
 
 
 def cmd_efficiency(args) -> int:
+    _check_workers(args)
     cfg = load_config(args.config, args.seed)
     ts_ms = _parse_grid_ms(args)
     if args.montecarlo and args.trials < 1:
@@ -110,6 +121,7 @@ def cmd_efficiency(args) -> int:
 
 
 def cmd_bell(args) -> int:
+    _check_workers(args)
     cfg = load_config(args.config, args.seed)
     ts_ms = _parse_grid_ms(args)
     if args.mode == "montecarlo" and args.trials < 1:
@@ -240,6 +252,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_workers(args)
     cfg = load_config(args.config, args.seed)
     if args.seconds <= 0:
         raise ValueError("--seconds must be positive")

@@ -9,8 +9,9 @@ exposes. Storage times spanning several trial periods block the subsequent
 write slots.
 
 Sampling is counter-based and deterministic: identical seed and
-configuration give bit-identical counts for any worker count and either
-kernel backend.
+configuration give bit-identical counts for any worker count. Counts and
+click records come from the same chunked numpy sampler in ``_kernels``;
+worker threads only split the cycle range between them.
 """
 
 from __future__ import annotations

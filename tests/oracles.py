@@ -1,13 +1,17 @@
 """Independent reference implementations used to freeze expected values.
 
 These stay deliberately separate from the package code paths: the density
-matrix is built explicitly and projected with explicit operators, and the
-scalar formulas are evaluated in 50-digit decimal arithmetic.
+matrix is built explicitly and projected with explicit operators, the
+scalar formulas are evaluated in 50-digit decimal arithmetic, and the trial
+sampler hashes one (cycle, slot, draw) triple at a time in plain Python,
+sharing only the pinned ``mix64`` finalizer with the package.
 """
 
 from decimal import Decimal, getcontext
 
 import numpy as np
+
+from dlczsim._kernels import mix64
 
 getcontext().prec = 50
 
@@ -63,3 +67,64 @@ def joint_projection_oracle(p: float, theta_s_deg: float, theta_as_deg: float,
             proj = np.kron(polarizer_projector(ds), polarizer_projector(da))
             out.append(float(np.real(np.trace(rho @ proj))))
     return tuple(out)  # (W13, W14, W23, W24)
+
+
+# --- scalar trial sampler -------------------------------------------------
+# One (cycle, slot, draw) hash at a time and one slot at a time, blocking
+# write slots sequentially after each herald: the trial semantics written as
+# the plain loop the vectorized kernel must reproduce bit for bit.
+
+_U64 = (1 << 64) - 1
+_CYCLE_KEY = 0xA24BAED4963EE407
+_SLOT_KEY = 0x9FB21C651E98DF25
+
+
+def trial_uniform_oracle(master_seed: int, cycle: int, slot: int,
+                         draw: int) -> float:
+    """Uniform of one (cycle, slot, draw) triple from the splitmix64 chain."""
+    h = mix64(((cycle * _CYCLE_KEY) & _U64) ^ master_seed)
+    h = mix64(h ^ ((slot * _SLOT_KEY) & _U64))
+    h = mix64(h ^ draw)
+    return (h >> 11) * 2.0 ** -53
+
+
+def trial_records_oracle(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
+                         a13, a14, a23, a24, p_noise, skip_slots) -> list:
+    """(cycle, slot, herald, readout, background) of every executed trial."""
+    rows = []
+    for cycle in range(cycle_lo, cycle_hi):
+        blocked_until = -1
+        for slot in range(n_slots):
+            if slot <= blocked_until:
+                continue
+            u0 = trial_uniform_oracle(master_seed, cycle, slot, 0)
+            if u0 >= p_herald:
+                rows.append((cycle, slot, 0, 0, False))
+                continue
+            d1 = u0 < p_herald * 0.5
+            b3, b4 = (a13, a14) if d1 else (a23, a24)
+            if skip_slots > 0:
+                blocked_until = slot + skip_slots
+            u1 = trial_uniform_oracle(master_seed, cycle, slot, 1)
+            readout, background = 0, False
+            if u1 < b3:
+                readout = 3
+            elif u1 < b3 + b4:
+                readout = 4
+            else:
+                u2 = trial_uniform_oracle(master_seed, cycle, slot, 2)
+                if u2 < p_noise:
+                    background = True
+                    readout = 3 if u2 < p_noise * 0.5 else 4
+            rows.append((cycle, slot, 1 if d1 else 2, readout, background))
+    return rows
+
+
+def counts_from_rows(rows) -> tuple:
+    """(c13, c14, c23, c24, s1, s2, n_trials, n_background) of trial rows."""
+    def n(herald, readout):
+        return sum(1 for r in rows if r[2] == herald and r[3] == readout)
+
+    return (n(1, 3), n(1, 4), n(2, 3), n(2, 4),
+            sum(1 for r in rows if r[2] == 1), sum(1 for r in rows if r[2] == 2),
+            len(rows), sum(1 for r in rows if r[4]))

@@ -1,8 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import pytest
 
+import dlczsim
+from dlczsim import cli, montecarlo
 from dlczsim.cli import main
 
 IDEAL_CONFIG = """\
@@ -274,3 +280,49 @@ class TestConfigStrictness:
     def test_missing_config_file(self, capsys):
         rc, _, err = run(capsys, "bell", "--config", "/nonexistent.ini")
         assert rc == 2
+
+
+class TestWorkersBound:
+    COMMANDS = {
+        "efficiency": ["efficiency", "--montecarlo", "--t-ms", "0"],
+        "bell": ["bell", "--mode", "montecarlo", "--t-ms", "0"],
+        "simulate": ["simulate"],
+    }
+
+    @pytest.mark.parametrize("workers", ["0", "-3", str(cli.MAX_WORKERS + 1),
+                                         "100000"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_out_of_range_exits_2_before_any_work(self, command, workers,
+                                                  tmp_path, capsys,
+                                                  monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started despite a bad --workers")
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(montecarlo, "run_trials", refuse)
+        monkeypatch.setattr(cli, "load_config", refuse)
+        threads = threading.active_count()
+        out = tmp_path / "out.csv"
+        argv = self.COMMANDS[command] + ["--workers", workers,
+                                         "--out", str(out)]
+        if command == "simulate":
+            argv += ["--dump", str(tmp_path / "dump.csv")]
+        rc, _, err = run(capsys, *argv)
+        assert rc == 2
+        assert "--workers" in err
+        assert list(tmp_path.iterdir()) == []
+        assert threading.active_count() == threads
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.optimize costs about half a second and 50 MB; only the fits
+    # need it, so importing the CLI must not pull it in
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dlczsim.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dlczsim.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "False"

@@ -1,35 +1,12 @@
-import os
-import subprocess
-import sys
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dlczsim import _kernels
-
-
-def test_resolved_backend_is_sane():
-    assert _kernels.BACKEND in ("numba", "numpy")
-
-
-def _backend_in_subprocess(value):
-    env = dict(os.environ, DLCZSIM_BACKEND=value)
-    return subprocess.run(
-        [sys.executable, "-c",
-         "from dlczsim import _kernels; print(_kernels.BACKEND)"],
-        capture_output=True, text=True, env=env)
-
-
-def test_env_flag_selects_numpy_fallback():
-    proc = _backend_in_subprocess("numpy")
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "numpy"
-
-
-def test_env_flag_rejects_unknown_value():
-    proc = _backend_in_subprocess("bogus")
-    assert proc.returncode != 0
-    assert "DLCZSIM_BACKEND" in proc.stderr
+from oracles import counts_from_rows, trial_records_oracle, trial_uniform_oracle
 
 
 def test_mix64_reference_values():
@@ -56,32 +33,23 @@ def test_uniforms_in_unit_interval_and_roughly_uniform():
     assert abs(np.corrcoef(u, v)[0, 1]) < 0.01
 
 
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
-def test_backends_bit_identical_counts():
-    cases = [
-        dict(p_herald=0.003, a13=0.05, a14=0.002, a23=0.002, a24=0.05,
-             p_noise=1e-4, skip_slots=0),
-        dict(p_herald=0.2, a13=0.3, a14=0.1, a23=0.1, a24=0.3,
-             p_noise=0.01, skip_slots=0),
-        dict(p_herald=0.05, a13=0.2, a14=0.05, a23=0.05, a24=0.2,
-             p_noise=1e-3, skip_slots=7),
-        dict(p_herald=0.0, a13=0.0, a14=0.0, a23=0.0, a24=0.0,
-             p_noise=0.0, skip_slots=3),
-    ]
-    for seed in (0, 1, 123456789):
-        for kw in cases:
-            a = _kernels.counts_kernel(seed, 0, 30, 1000, backend="numba", **kw)
-            b = _kernels.counts_kernel(seed, 0, 30, 1000, backend="numpy", **kw)
-            assert a == b
+def test_vectorized_uniforms_match_scalar_chain():
+    cycles = np.array([0, 1, 7, 2 ** 40, 2 ** 64 - 1], dtype=np.uint64)
+    slots = np.array([0, 3999, 5, 17, 2 ** 63], dtype=np.uint64)
+    for seed in (0, 12345, 2 ** 64 - 1):
+        for draw in (0, 1, 2):
+            u = _kernels.trial_uniforms_numpy(seed, cycles, slots, draw)
+            assert u.tolist() == [
+                trial_uniform_oracle(seed, int(c), int(s), draw)
+                for c, s in zip(cycles, slots)]
 
 
 def test_counts_partition_invariance():
     # splitting the cycle range must not change the merged totals
     kw = dict(n_slots=500, p_herald=0.1, a13=0.2, a14=0.05, a23=0.05,
               a24=0.2, p_noise=1e-3, skip_slots=2)
-    whole = np.asarray(_kernels.counts_kernel(77, 0, 40, backend="numpy", **kw))
-    parts = sum(np.asarray(_kernels.counts_kernel(77, lo, hi,
-                                                  backend="numpy", **kw))
+    whole = np.asarray(_kernels.counts_kernel(77, 0, 40, **kw))
+    parts = sum(np.asarray(_kernels.counts_kernel(77, lo, hi, **kw))
                 for lo, hi in ((0, 13), (13, 21), (21, 40)))
     assert np.array_equal(whole, parts)
 
@@ -89,7 +57,7 @@ def test_counts_partition_invariance():
 def test_records_consistent_with_counts():
     kw = dict(p_herald=0.08, a13=0.25, a14=0.05, a23=0.05, a24=0.25,
               p_noise=5e-3, skip_slots=4)
-    counts = _kernels.counts_kernel(55, 0, 25, 800, backend="numpy", **kw)
+    counts = _kernels.counts_kernel(55, 0, 25, 800, **kw)
     cyc, slot, her, read, bg = _kernels.records_kernel(55, 0, 25, 800, **kw)
     c13 = int(np.sum((her == 1) & (read == 3)))
     c14 = int(np.sum((her == 1) & (read == 4)))
@@ -113,3 +81,179 @@ def test_blocked_slots_never_execute():
         for hs in heralded:
             blocked = s[(s > hs) & (s <= hs + 5)]
             assert blocked.size == 0
+
+
+def test_empty_cycle_range_and_empty_cycles():
+    kw = dict(p_herald=0.3, a13=0.2, a14=0.1, a23=0.1, a24=0.2,
+              p_noise=0.1, skip_slots=3)
+    assert _kernels.counts_kernel(1, 5, 5, 100, **kw) == (0,) * 8
+    assert _kernels.counts_kernel(1, 0, 4, 0, **kw) == (0,) * 8
+    for n_slots, lo, hi in ((100, 5, 5), (0, 0, 4)):
+        rec = _kernels.records_kernel(1, lo, hi, n_slots, **kw)
+        assert [a.size for a in rec] == [0] * 5
+        assert [a.dtype for a in rec] == [np.int64, np.int64, np.uint8,
+                                          np.uint8, np.bool_]
+
+
+# --- the core against the scalar oracle -------------------------------------
+
+probability = st.one_of(st.sampled_from([0.0, 1.0]),
+                        st.floats(0.0, 1.0, allow_nan=False))
+
+kernel_inputs = st.fixed_dictionaries(dict(
+    master_seed=st.integers(0, 2 ** 64 - 1),
+    cycle_lo=st.integers(0, 2 ** 40),
+    n_cycles=st.integers(0, 4),
+    n_slots=st.integers(1, 40),
+    p_herald=probability,
+    a13=probability, a14=probability, a23=probability, a24=probability,
+    p_noise=probability,
+    skip_slots=st.integers(0, 12),
+    chunk_slots=st.integers(1, 120),
+))
+
+
+def _split_inputs(kw):
+    kw = dict(kw)
+    lo = kw.pop("cycle_lo")
+    hi = lo + kw.pop("n_cycles")
+    chunk = kw.pop("chunk_slots")
+    seed = kw.pop("master_seed")
+    n_slots = kw.pop("n_slots")
+    return (seed, lo, hi, n_slots), kw, chunk
+
+
+def _rows(records):
+    cyc, slot, her, read, bg = records
+    return list(zip(cyc.tolist(), slot.tolist(), her.tolist(), read.tolist(),
+                    bg.tolist()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_inputs)
+def test_core_matches_scalar_oracle(kw):
+    pos, kw, chunk = _split_inputs(kw)
+    rows = trial_records_oracle(*pos, **kw)
+    assert _rows(_kernels.records_kernel(*pos, **kw,
+                                         chunk_slots=chunk)) == rows
+    assert _kernels.counts_kernel(*pos, **kw,
+                                  chunk_slots=chunk) == counts_from_rows(rows)
+
+
+def test_core_mixes_in_pieces_like_oracle(monkeypatch):
+    # batches of 6 cycles, slot mixes 2 cycles at a time
+    monkeypatch.setattr(_kernels, "MIX_SLOTS", 25)
+    args = (31, 5, 12, 10)
+    kw = dict(p_herald=0.4, a13=0.3, a14=0.2, a23=0.1, a24=0.5, p_noise=0.3,
+              skip_slots=2)
+    rows = trial_records_oracle(*args, **kw)
+    assert _rows(_kernels.records_kernel(*args, **kw, chunk_slots=60)) == rows
+    assert _kernels.counts_kernel(*args, **kw,
+                                  chunk_slots=60) == counts_from_rows(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_inputs, st.lists(st.integers(0, 4), max_size=3))
+def test_core_partition_invariance(kw, cuts):
+    (seed, lo, hi, n_slots), kw, chunk = _split_inputs(kw)
+    edges = [lo] + sorted(min(lo + c, hi) for c in cuts) + [hi]
+    whole_counts = _kernels.counts_kernel(seed, lo, hi, n_slots, **kw)
+    whole_rows = _rows(_kernels.records_kernel(seed, lo, hi, n_slots, **kw))
+    counts = np.zeros(8, dtype=np.int64)
+    rows = []
+    for a, b in zip(edges, edges[1:]):
+        counts += _kernels.counts_kernel(seed, a, b, n_slots, **kw,
+                                         chunk_slots=chunk)
+        rows += _rows(_kernels.records_kernel(seed, a, b, n_slots, **kw,
+                                              chunk_slots=chunk))
+    assert tuple(counts.tolist()) == whole_counts
+    assert rows == whole_rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_inputs)
+def test_core_records_reduce_to_counts(kw):
+    pos, kw, chunk = _split_inputs(kw)
+    rows = _rows(_kernels.records_kernel(*pos, **kw, chunk_slots=chunk))
+    assert counts_from_rows(rows) == _kernels.counts_kernel(
+        *pos, **kw, chunk_slots=chunk)
+    # a readout needs a herald, and background flags a readout
+    assert all(r[2] > 0 for r in rows if r[3] > 0)
+    assert all(r[3] > 0 for r in rows if r[4])
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_inputs)
+def test_core_blocked_slots_never_execute(kw):
+    (seed, lo, hi, n_slots), kw, chunk = _split_inputs(kw)
+    skip = kw["skip_slots"]
+    rows = _rows(_kernels.records_kernel(seed, lo, hi, n_slots, **kw,
+                                         chunk_slots=chunk))
+    executed = {(r[0], r[1]) for r in rows}
+    blocked = {(r[0], s) for r in rows if r[2] > 0
+               for s in range(r[1] + 1, min(r[1] + skip, n_slots - 1) + 1)}
+    # exactly the slots outside every herald's window run, once each
+    assert len(executed) == len(rows)
+    assert executed.isdisjoint(blocked)
+    assert len(executed) + len(blocked) == (hi - lo) * n_slots
+
+
+# --- integer herald threshold -----------------------------------------------
+
+def _boundary_probabilities():
+    ps = [0.0, 1.0]
+    for k in (1, 2, 3, 1000, 2 ** 52 - 1, 2 ** 52, 2 ** 52 + 1, 2 ** 53 - 1):
+        ps.append(k * 2.0 ** -53)
+    ps += [0.003, 0.49, 0.5 * 0.9 / 0.91]
+    out = []
+    for p in ps:
+        out += [np.nextafter(p, -np.inf), p, np.nextafter(p, np.inf)]
+    return sorted(set(float(p) for p in out))
+
+
+@pytest.mark.parametrize("p", _boundary_probabilities())
+def test_hash_threshold_is_exact(p):
+    t = _kernels.hash_threshold(p)
+    k = math.ceil(min(max(p, 0.0), 1.0) * 2.0 ** 53)
+    hashes = {0, 1, 2 ** 11 - 1, 2 ** 11, 2 ** 64 - 1, 2 ** 64 - 2 ** 11}
+    for m in (k - 1, k, k + 1):
+        for low in (0, 1, 2 ** 11 - 1):
+            if 0 <= m < 2 ** 53:
+                hashes.add((m << 11) | low)
+    hashes = sorted(hashes)
+    want = [(h >> 11) * 2.0 ** -53 < p for h in hashes]
+    assert [h < t for h in hashes] == want
+    got = _kernels._below(np.array(hashes, dtype=np.uint64), t)
+    assert got.tolist() == want
+
+
+def test_hash_threshold_edges():
+    assert _kernels.hash_threshold(0.0) == 0
+    assert _kernels.hash_threshold(-1.0) == 0
+    assert _kernels.hash_threshold(float("nan")) == 0
+    assert _kernels.hash_threshold(1.0) == 2 ** 64
+    assert _kernels.hash_threshold(2.0 ** -53) == 2 ** 11
+    assert _kernels.hash_threshold(5e-324) == 2 ** 11
+
+
+# --- bounded working set ----------------------------------------------------
+
+WORKING_SET_LIMIT = 8 * 2 ** 20  # bytes
+
+
+def _peak_bytes(n_cycles):
+    kw = dict(p_herald=0.5, a13=0.4, a14=0.1, a23=0.1, a24=0.4,
+              p_noise=1e-3, skip_slots=5)
+    tracemalloc.start()
+    try:
+        _kernels.counts_kernel(3, 0, n_cycles, 4000, **kw)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_counts_working_set_is_bounded():
+    small = _peak_bytes(50)
+    large = _peak_bytes(500)
+    assert large <= 1.1 * small
+    assert large < WORKING_SET_LIMIT
