@@ -7,9 +7,9 @@ partitioned or in whatever order the triples are evaluated. Uniform doubles
 come from the top 53 bits of the hash.
 
 ``herald_batches`` is the only sampler. For a batch of whole cycles it
-mixes each cycle key once, broadcasts it against precomputed slot keys,
-selects herald candidates by comparing the raw draw-0 hash with an integer
-threshold, resolves the storage-blocking windows by walking next-candidate
+draws the draw-0 uniforms of every slot with one ``trial_uniforms_numpy``
+call, which mixes each cycle key once and broadcasts it against the slot
+keys, resolves the storage-blocking windows by walking next-candidate
 pointers for all cycles of the batch in step, and draws the readout of
 each accepted herald. ``counts_kernel`` reduces its batches;
 ``records_kernel`` expands them to one row per executed trial.
@@ -17,7 +17,6 @@ each accepted herald. ``counts_kernel`` reduces its batches;
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -33,8 +32,8 @@ _INV_2_53 = 2.0 ** -53
 # Write slots per batch (48 cycles of 4000): enough cycles for the
 # acceptance walk to amortize its per-step overhead, and a fixed bound on
 # the candidates, hence on the working set. The slot mixes run on
-# MIX_SLOTS at a time so the two hash buffers stay in a 2 MB L2. Both are
-# measured optima for the dense and the sparse regime together.
+# MIX_SLOTS at a time so the piece and its shift buffer stay in a 2 MB L2.
+# Both are measured optima for the dense and the sparse regime together.
 CHUNK_SLOTS = 196_608
 MIX_SLOTS = 65_536
 
@@ -69,50 +68,35 @@ def _mix_inplace(z, tmp):
     return z
 
 
-def _cycle_hashes(master_seed: int, cycles):
-    """First link of the chain: the mixed key of each cycle."""
-    with np.errstate(over="ignore"):
-        h = np.asarray(cycles, dtype=np.uint64) * _CYCLE_KEY
-        h ^= np.uint64(master_seed)
-        return _mix_inplace(h, np.empty_like(h))
-
-
 def trial_uniforms_numpy(master_seed: int, cycles, slots, draw: int):
-    """Vectorized per-(cycle, slot) uniforms for one draw index."""
+    """Vectorized per-(cycle, slot) uniforms for one draw index.
+
+    ``cycles`` and ``slots`` broadcast against each other: a column of
+    cycles against a row of slots gives one row of uniforms per cycle, and
+    each cycle key is mixed once however many slots it meets. The slot
+    mixes run ``MIX_SLOTS`` elements at a time, so the piece being mixed
+    and its shift buffer stay in cache.
+    """
     c = np.atleast_1d(np.asarray(cycles, dtype=np.uint64))
     s = np.atleast_1d(np.asarray(slots, dtype=np.uint64))
     with np.errstate(over="ignore"):
-        h = _cycle_hashes(master_seed, c)
-        h ^= s * _SLOT_KEY
-        tmp = np.empty_like(h)
-        _mix_inplace(h, tmp)
-        h ^= np.uint64(draw)
-        _mix_inplace(h, tmp)
-    h >>= np.uint64(11)
-    return h.astype(np.float64) * _INV_2_53
-
-
-def hash_threshold(p: float) -> int:
-    """Integer bound ``t`` with ``h < t`` exactly when ``u < p``.
-
-    ``u = (h >> 11) * 2**-53`` is the uniform a 64-bit hash ``h`` stands
-    for. ``p * 2**53`` is exact in binary floating point, so
-    ``u < p <=> (h >> 11) < ceil(p * 2**53) <=> h < ceil(p * 2**53) << 11``.
-    The bound is ``2**64`` (every hash) once ``p`` exceeds the largest
-    uniform, and 0 for ``p <= 0`` or NaN.
-    """
-    if not p > 0.0:
-        return 0
-    if p >= 1.0:
-        return 1 << 64
-    return math.ceil(p * 2.0 ** 53) << 11
-
-
-def _below(h, threshold: int):
-    """Boolean mask ``h < threshold`` for a bound from ``hash_threshold``."""
-    if threshold > _U64_MASK:
-        return np.ones(h.shape, dtype=bool)
-    return h < np.uint64(threshold)
+        cycle_h = c * _CYCLE_KEY
+        cycle_h ^= np.uint64(master_seed)
+        _mix_inplace(cycle_h, np.empty_like(cycle_h))
+        h = cycle_h ^ (s * _SLOT_KEY)
+        flat = h.reshape(-1)
+        tmp = np.empty(min(flat.size, MIX_SLOTS), dtype=np.uint64)
+        for i in range(0, flat.size, MIX_SLOTS):
+            part = flat[i:i + MIX_SLOTS]
+            t = tmp[:part.size]
+            _mix_inplace(part, t)
+            if draw:
+                part ^= np.uint64(draw)
+            _mix_inplace(part, t)
+            part >>= np.uint64(11)
+            # each uniform replaces its hash in place
+            np.multiply(part, _INV_2_53, out=part.view(np.float64))
+    return h.view(np.float64)
 
 
 def _accept(cand, is_cand, n_slots: int, skip_slots: int):
@@ -166,27 +150,6 @@ class HeraldBatch(NamedTuple):
     n_blocked: int
 
 
-def _draw0_hashes(master_seed, cycle_lo, out, slot_keys, tmp):
-    """Draw-0 hashes of cycle ``cycle_lo + i`` into row ``i`` of ``out``.
-
-    Each cycle key is mixed once and broadcast against the slot keys. The
-    two slot-level mixes run a few cycles at a time, as many as ``tmp``
-    holds, so the piece being mixed and ``tmp`` stay in cache.
-    """
-    n_cycles, n_slots = out.shape
-    cycle_h = _cycle_hashes(master_seed,
-                            np.arange(cycle_lo, cycle_lo + n_cycles))
-    rows = max(1, tmp.size // max(n_slots, 1))
-    for r in range(0, n_cycles, rows):
-        part = out[r:r + rows]
-        np.bitwise_xor(cycle_h[r:r + rows, None], slot_keys, out=part)
-        part = part.reshape(-1)
-        t = tmp[:part.size]
-        _mix_inplace(part, t)
-        _mix_inplace(part, t)  # draw 0: the draw xor is a no-op
-    return out.reshape(-1)
-
-
 def _readouts(master_seed, cycles, slots, is_d1, a13, a14, a23, a24,
               p_noise):
     """Readout code (0/3/4) and background flag of each herald."""
@@ -213,10 +176,9 @@ def _readouts(master_seed, cycles, slots, is_d1, a13, a14, a23, a24,
 
 
 def herald_batches(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
-                   a13, a14, a23, a24, p_noise, skip_slots, *,
-                   chunk_slots=CHUNK_SLOTS):
+                   a13, a14, a23, a24, p_noise, skip_slots):
     """Yield one ``HeraldBatch`` per batch of whole cycles, together about
-    ``chunk_slots`` slots (at least one cycle).
+    ``CHUNK_SLOTS`` slots (at least one cycle).
 
     Per executed trial: draw 0 heralds when ``u0 < p_herald`` (D1 when
     ``u0 < p_herald/2``); a herald blocks the next ``skip_slots`` slots of
@@ -225,24 +187,19 @@ def herald_batches(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
     draw 2 gives a background click with probability ``p_noise``, split
     evenly between D3 and D4. Blocked slots consume no draws.
 
-    The working set is fixed by ``chunk_slots``: the batch's hashes plus
-    arrays of at most one entry per candidate, whatever the number of
-    cycles or the herald probability.
+    The working set is fixed by ``CHUNK_SLOTS``: the batch's uniforms and
+    candidate mask plus arrays of at most one entry per candidate, whatever
+    the number of cycles or the herald probability.
     """
     n_slots = int(n_slots)
     skip_slots = int(skip_slots)
-    step = max(1, chunk_slots // max(n_slots, 1))
-    slot_keys = np.arange(n_slots, dtype=np.uint64) * _SLOT_KEY
-    t_herald = hash_threshold(p_herald)
-    t_d1 = hash_threshold(p_herald * 0.5)
-    buf = np.empty((min(step, max(cycle_hi - cycle_lo, 0)), n_slots),
-                   dtype=np.uint64)
-    tmp = np.empty(min(max(1, MIX_SLOTS // max(n_slots, 1)), buf.shape[0])
-                   * n_slots, dtype=np.uint64)
+    step = max(1, CHUNK_SLOTS // max(n_slots, 1))
+    slots = np.arange(n_slots)
 
     def batch(lo, n_cycles):
-        h = _draw0_hashes(master_seed, lo, buf[:n_cycles], slot_keys, tmp)
-        is_cand = _below(h, t_herald)
+        cycles = np.arange(lo, lo + n_cycles)
+        u = trial_uniforms_numpy(master_seed, cycles[:, None], slots, 0)
+        is_cand = (u < p_herald).reshape(-1)
         flat = np.flatnonzero(is_cand)
         n_blocked = 0
         if skip_slots > 0 and flat.size:
@@ -250,7 +207,7 @@ def herald_batches(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
                 flat = flat[_accept(flat, is_cand, n_slots, skip_slots)]
             n_blocked = int(np.minimum(skip_slots,
                                        n_slots - 1 - flat % n_slots).sum())
-        is_d1 = _below(h[flat], t_d1)
+        is_d1 = u.reshape(-1)[flat] < p_herald * 0.5
         readout, background = _readouts(
             master_seed, flat // n_slots + lo, flat % n_slots, is_d1,
             a13, a14, a23, a24, p_noise)
@@ -263,8 +220,7 @@ def herald_batches(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
 
 
 def counts_kernel(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
-                  a13, a14, a23, a24, p_noise, skip_slots, *,
-                  chunk_slots=CHUNK_SLOTS):
+                  a13, a14, a23, a24, p_noise, skip_slots):
     """Accumulate coincidence counts for a contiguous range of cycles.
 
     Returns ``(c13, c14, c23, c24, s1, s2, n_trials, n_background)``.
@@ -276,7 +232,7 @@ def counts_kernel(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
     n_bg = 0
     for b in herald_batches(master_seed, cycle_lo, cycle_hi, n_slots,
                             p_herald, a13, a14, a23, a24, p_noise,
-                            skip_slots, chunk_slots=chunk_slots):
+                            skip_slots):
         bins += np.bincount((b.herald - 1) * 5 + b.readout, minlength=10)
         n_blocked += b.n_blocked
         n_bg += int(np.count_nonzero(b.background))
@@ -286,8 +242,7 @@ def counts_kernel(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
 
 
 def records_kernel(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
-                   a13, a14, a23, a24, p_noise, skip_slots, *,
-                   chunk_slots=CHUNK_SLOTS):
+                   a13, a14, a23, a24, p_noise, skip_slots):
     """Per-trial event arrays for a range of cycles (the dump path).
 
     Returns arrays (cycle, slot, herald, readout, background) covering every
@@ -303,7 +258,7 @@ def records_kernel(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
     bg_out = [np.empty(0, dtype=bool)]
     for b in herald_batches(master_seed, cycle_lo, cycle_hi, n_slots,
                             p_herald, a13, a14, a23, a24, p_noise,
-                            skip_slots, chunk_slots=chunk_slots):
+                            skip_slots):
         size = b.n_cycles * n_slots
         if skip_slots > 0 and b.flat.size:
             # the windows [flat + 1, stop) never overlap or touch, so a +1/-1

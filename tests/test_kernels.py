@@ -1,5 +1,6 @@
-import math
+import contextlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -110,17 +111,26 @@ kernel_inputs = st.fixed_dictionaries(dict(
     p_noise=probability,
     skip_slots=st.integers(0, 12),
     chunk_slots=st.integers(1, 120),
+    mix_slots=st.integers(1, 50),
 ))
+
+
+@contextlib.contextmanager
+def _batch_sizes(chunk_slots, mix_slots):
+    # small batches and mix pieces, so a few cycles span several of each
+    with mock.patch.object(_kernels, "CHUNK_SLOTS", chunk_slots), \
+            mock.patch.object(_kernels, "MIX_SLOTS", mix_slots):
+        yield
 
 
 def _split_inputs(kw):
     kw = dict(kw)
     lo = kw.pop("cycle_lo")
     hi = lo + kw.pop("n_cycles")
-    chunk = kw.pop("chunk_slots")
+    sizes = _batch_sizes(kw.pop("chunk_slots"), kw.pop("mix_slots"))
     seed = kw.pop("master_seed")
     n_slots = kw.pop("n_slots")
-    return (seed, lo, hi, n_slots), kw, chunk
+    return (seed, lo, hi, n_slots), kw, sizes
 
 
 def _rows(records):
@@ -132,40 +142,37 @@ def _rows(records):
 @settings(max_examples=150, deadline=None)
 @given(kernel_inputs)
 def test_core_matches_scalar_oracle(kw):
-    pos, kw, chunk = _split_inputs(kw)
+    pos, kw, sizes = _split_inputs(kw)
     rows = trial_records_oracle(*pos, **kw)
-    assert _rows(_kernels.records_kernel(*pos, **kw,
-                                         chunk_slots=chunk)) == rows
-    assert _kernels.counts_kernel(*pos, **kw,
-                                  chunk_slots=chunk) == counts_from_rows(rows)
+    with sizes:
+        assert _rows(_kernels.records_kernel(*pos, **kw)) == rows
+        assert _kernels.counts_kernel(*pos, **kw) == counts_from_rows(rows)
 
 
-def test_core_mixes_in_pieces_like_oracle(monkeypatch):
-    # batches of 6 cycles, slot mixes 2 cycles at a time
-    monkeypatch.setattr(_kernels, "MIX_SLOTS", 25)
+def test_core_mixes_in_pieces_like_oracle():
+    # batches of 6 cycles, slot mixes 25 slots at a time across cycle ends
     args = (31, 5, 12, 10)
     kw = dict(p_herald=0.4, a13=0.3, a14=0.2, a23=0.1, a24=0.5, p_noise=0.3,
               skip_slots=2)
     rows = trial_records_oracle(*args, **kw)
-    assert _rows(_kernels.records_kernel(*args, **kw, chunk_slots=60)) == rows
-    assert _kernels.counts_kernel(*args, **kw,
-                                  chunk_slots=60) == counts_from_rows(rows)
+    with _batch_sizes(60, 25):
+        assert _rows(_kernels.records_kernel(*args, **kw)) == rows
+        assert _kernels.counts_kernel(*args, **kw) == counts_from_rows(rows)
 
 
 @settings(max_examples=60, deadline=None)
 @given(kernel_inputs, st.lists(st.integers(0, 4), max_size=3))
 def test_core_partition_invariance(kw, cuts):
-    (seed, lo, hi, n_slots), kw, chunk = _split_inputs(kw)
+    (seed, lo, hi, n_slots), kw, sizes = _split_inputs(kw)
     edges = [lo] + sorted(min(lo + c, hi) for c in cuts) + [hi]
     whole_counts = _kernels.counts_kernel(seed, lo, hi, n_slots, **kw)
     whole_rows = _rows(_kernels.records_kernel(seed, lo, hi, n_slots, **kw))
     counts = np.zeros(8, dtype=np.int64)
     rows = []
-    for a, b in zip(edges, edges[1:]):
-        counts += _kernels.counts_kernel(seed, a, b, n_slots, **kw,
-                                         chunk_slots=chunk)
-        rows += _rows(_kernels.records_kernel(seed, a, b, n_slots, **kw,
-                                              chunk_slots=chunk))
+    with sizes:
+        for a, b in zip(edges, edges[1:]):
+            counts += _kernels.counts_kernel(seed, a, b, n_slots, **kw)
+            rows += _rows(_kernels.records_kernel(seed, a, b, n_slots, **kw))
     assert tuple(counts.tolist()) == whole_counts
     assert rows == whole_rows
 
@@ -173,10 +180,10 @@ def test_core_partition_invariance(kw, cuts):
 @settings(max_examples=60, deadline=None)
 @given(kernel_inputs)
 def test_core_records_reduce_to_counts(kw):
-    pos, kw, chunk = _split_inputs(kw)
-    rows = _rows(_kernels.records_kernel(*pos, **kw, chunk_slots=chunk))
-    assert counts_from_rows(rows) == _kernels.counts_kernel(
-        *pos, **kw, chunk_slots=chunk)
+    pos, kw, sizes = _split_inputs(kw)
+    with sizes:
+        rows = _rows(_kernels.records_kernel(*pos, **kw))
+        assert counts_from_rows(rows) == _kernels.counts_kernel(*pos, **kw)
     # a readout needs a herald, and background flags a readout
     assert all(r[2] > 0 for r in rows if r[3] > 0)
     assert all(r[3] > 0 for r in rows if r[4])
@@ -185,10 +192,10 @@ def test_core_records_reduce_to_counts(kw):
 @settings(max_examples=60, deadline=None)
 @given(kernel_inputs)
 def test_core_blocked_slots_never_execute(kw):
-    (seed, lo, hi, n_slots), kw, chunk = _split_inputs(kw)
+    (seed, lo, hi, n_slots), kw, sizes = _split_inputs(kw)
     skip = kw["skip_slots"]
-    rows = _rows(_kernels.records_kernel(seed, lo, hi, n_slots, **kw,
-                                         chunk_slots=chunk))
+    with sizes:
+        rows = _rows(_kernels.records_kernel(seed, lo, hi, n_slots, **kw))
     executed = {(r[0], r[1]) for r in rows}
     blocked = {(r[0], s) for r in rows if r[2] > 0
                for s in range(r[1] + 1, min(r[1] + skip, n_slots - 1) + 1)}
@@ -198,42 +205,34 @@ def test_core_blocked_slots_never_execute(kw):
     assert len(executed) + len(blocked) == (hi - lo) * n_slots
 
 
-# --- integer herald threshold -----------------------------------------------
+# --- herald decisions at the comparison boundary ---------------------------
+
+EDGE = (21, 3, 7)  # seed, cycle, slot of the uniform the boundary sits on
+U_EDGE = trial_uniform_oracle(*EDGE, 0)
+
 
 def _boundary_probabilities():
-    ps = [0.0, 1.0]
-    for k in (1, 2, 3, 1000, 2 ** 52 - 1, 2 ** 52, 2 ** 52 + 1, 2 ** 53 - 1):
-        ps.append(k * 2.0 ** -53)
-    ps += [0.003, 0.49, 0.5 * 0.9 / 0.91]
+    # p at the uniform decides herald against none, 2 * p at it D1 against
+    # D2; k * 2**-53 are the values a uniform can take
+    ps = [0.0, 1.0, U_EDGE, 2.0 * U_EDGE]
+    ps += [k * 2.0 ** -53 for k in (1, 2, 2 ** 52, 2 ** 53 - 1)]
     out = []
     for p in ps:
         out += [np.nextafter(p, -np.inf), p, np.nextafter(p, np.inf)]
-    return sorted(set(float(p) for p in out))
+    return sorted({float(p) for p in out})
 
 
 @pytest.mark.parametrize("p", _boundary_probabilities())
-def test_hash_threshold_is_exact(p):
-    t = _kernels.hash_threshold(p)
-    k = math.ceil(min(max(p, 0.0), 1.0) * 2.0 ** 53)
-    hashes = {0, 1, 2 ** 11 - 1, 2 ** 11, 2 ** 64 - 1, 2 ** 64 - 2 ** 11}
-    for m in (k - 1, k, k + 1):
-        for low in (0, 1, 2 ** 11 - 1):
-            if 0 <= m < 2 ** 53:
-                hashes.add((m << 11) | low)
-    hashes = sorted(hashes)
-    want = [(h >> 11) * 2.0 ** -53 < p for h in hashes]
-    assert [h < t for h in hashes] == want
-    got = _kernels._below(np.array(hashes, dtype=np.uint64), t)
-    assert got.tolist() == want
-
-
-def test_hash_threshold_edges():
-    assert _kernels.hash_threshold(0.0) == 0
-    assert _kernels.hash_threshold(-1.0) == 0
-    assert _kernels.hash_threshold(float("nan")) == 0
-    assert _kernels.hash_threshold(1.0) == 2 ** 64
-    assert _kernels.hash_threshold(2.0 ** -53) == 2 ** 11
-    assert _kernels.hash_threshold(5e-324) == 2 ** 11
+def test_herald_decision_at_the_boundary(p):
+    seed, cycle, slot = EDGE
+    args = (seed, cycle, cycle + 1, 16)
+    kw = dict(p_herald=p, a13=0.3, a14=0.2, a23=0.1, a24=0.5, p_noise=0.2,
+              skip_slots=0)
+    rows = trial_records_oracle(*args, **kw)
+    assert _rows(_kernels.records_kernel(*args, **kw)) == rows
+    assert _kernels.counts_kernel(*args, **kw) == counts_from_rows(rows)
+    herald = 0 if not U_EDGE < p else 1 if U_EDGE < p * 0.5 else 2
+    assert rows[slot][:3] == (cycle, slot, herald)
 
 
 # --- bounded working set ----------------------------------------------------
