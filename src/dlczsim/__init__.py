@@ -31,9 +31,10 @@ from .montecarlo import (
     SeedSpec,
     SequenceConfig,
     TrialRunResult,
+    bell_sweep,
     bootstrap_errors,
+    retrieval_sweep,
     run_trials,
-    sweep_storage_time,
     write_record_dump,
 )
 from .repeater import (

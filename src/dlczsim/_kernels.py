@@ -219,26 +219,44 @@ def herald_batches(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
         yield batch(lo, min(lo + step, cycle_hi) - lo)
 
 
+def _bins(herald, readout):
+    """Heralded trials binned by ``(herald - 1) * 5 + readout``.
+
+    Bins 3, 4 are c13, c14 and 8, 9 are c23, c24; bins 0-4 and 5-9 sum to
+    s1 and s2. Trials without a herald (code 0) fall outside the bins.
+    """
+    return np.bincount(herald.astype(np.intp) * 5 + readout, minlength=15)[5:]
+
+
+def _tally(bins, n_trials, n_bg):
+    return (int(bins[3]), int(bins[4]), int(bins[8]), int(bins[9]),
+            int(bins[:5].sum()), int(bins[5:].sum()), int(n_trials),
+            int(n_bg))
+
+
 def counts_kernel(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
                   a13, a14, a23, a24, p_noise, skip_slots):
     """Accumulate coincidence counts for a contiguous range of cycles.
 
     Returns ``(c13, c14, c23, c24, s1, s2, n_trials, n_background)``.
     """
-    # bincount bins (herald - 1) * 5 + readout: 3, 4 are c13, c14 and
-    # 8, 9 are c23, c24; bins 0-4 and 5-9 sum to s1 and s2
     bins = np.zeros(10, dtype=np.int64)
     n_blocked = 0
     n_bg = 0
     for b in herald_batches(master_seed, cycle_lo, cycle_hi, n_slots,
                             p_herald, a13, a14, a23, a24, p_noise,
                             skip_slots):
-        bins += np.bincount((b.herald - 1) * 5 + b.readout, minlength=10)
+        bins += _bins(b.herald, b.readout)
         n_blocked += b.n_blocked
-        n_bg += int(np.count_nonzero(b.background))
+        n_bg += np.count_nonzero(b.background)
     n_trials = max(cycle_hi - cycle_lo, 0) * n_slots - n_blocked
-    return (int(bins[3]), int(bins[4]), int(bins[8]), int(bins[9]),
-            int(bins[:5].sum()), int(bins[5:].sum()), int(n_trials), n_bg)
+    return _tally(bins, n_trials, n_bg)
+
+
+def records_counts(herald, readout, background):
+    """``counts_kernel``'s tuple tallied from ``records_kernel`` rows."""
+    return _tally(_bins(herald, readout), herald.size,
+                  np.count_nonzero(background))
 
 
 def records_kernel(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,

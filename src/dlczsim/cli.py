@@ -6,7 +6,8 @@ the same invocation always produces byte-identical files. Configuration is
 validated in full before any output file is opened.
 
 Exit codes: 0 success, 2 validation/usage error, 3 numerical failure
-(fit non-convergence or a fully collapsed rate curve).
+(fit non-convergence, a fully collapsed rate curve, or a Monte Carlo
+storage time without the counts its estimator needs).
 """
 
 from __future__ import annotations
@@ -89,27 +90,20 @@ def cmd_efficiency(args) -> int:
     if args.montecarlo and args.trials < 1:
         raise ValueError("--trials must be >= 1 in Monte Carlo mode")
 
-    rows = []
-    for i, t_ms in enumerate(ts_ms):
-        t = t_ms * 1e-3
-        row = [t_ms * 1e3, model.retrieval_efficiency(t, cfg.decay)]
-        if args.montecarlo:
-            # The retrieval estimator is defined for ideal polarization
-            # correlations at zero analysis angles; efficiency runs sample
-            # only whether the excitation is retrieved and detected.
-            sp = dataclasses.replace(cfg.source, werner_p0=1.0)
-            res = montecarlo.run_trials(
-                cfg.sequence.with_storage_time(t), sp, cfg.decay,
-                cfg.write_eta, cfg.read_eta, model.MeasurementSettings(0, 0),
-                _cycles_for_trials(cfg.sequence, args.trials),
-                cfg.seed.child(0, i), n_workers=args.workers)
-            try:
-                est = model.estimate_intrinsic_retrieval(res.counts,
-                                                         cfg.read_eta)
-                row += [est.qubit.value, est.qubit.error]
-            except InsufficientStatisticsError:
-                row += [math.nan, math.nan]
-        rows.append(row)
+    rows = [[t_ms * 1e3, model.retrieval_efficiency(t_ms * 1e-3, cfg.decay)]
+            for t_ms in ts_ms]
+    if args.montecarlo:
+        # The retrieval estimator is defined for ideal polarization
+        # correlations at zero analysis angles; efficiency runs sample
+        # only whether the excitation is retrieved and detected.
+        sp = dataclasses.replace(cfg.source, werner_p0=1.0)
+        ests = montecarlo.retrieval_sweep(
+            [t_ms * 1e-3 for t_ms in ts_ms], cfg.sequence, sp, cfg.decay,
+            cfg.write_eta, cfg.read_eta,
+            _cycles_for_trials(cfg.sequence, args.trials), cfg.seed.child(0),
+            n_workers=args.workers)
+        for row, est in zip(rows, ests):
+            row += [est.qubit.value, est.qubit.error]
 
     header = ["t_us", "R_model"] + (["R_mc", "R_mc_err"] if args.montecarlo else [])
     if args.format == "json":
@@ -127,30 +121,18 @@ def cmd_bell(args) -> int:
     if args.mode == "montecarlo" and args.trials < 1:
         raise ValueError("--trials must be >= 1 in Monte Carlo mode")
 
-    rows = []
-    for i, t_ms in enumerate(ts_ms):
-        t = t_ms * 1e-3
-        if args.mode == "analytic":
-            s = model.expected_bell(cfg.source, cfg.decay, t, cfg.read_eta)
-            rows.append([t_ms * 1e3, s, 0.0])
-            continue
-        counts = []
-        for j, setting in enumerate(model.CANONICAL_SETTINGS):
-            res = montecarlo.run_trials(
-                cfg.sequence.with_storage_time(t), cfg.source, cfg.decay,
-                cfg.write_eta, cfg.read_eta, setting,
-                _cycles_for_trials(cfg.sequence, args.trials),
-                cfg.seed.child(1, i, j), n_workers=args.workers)
-            counts.append(res.counts)
-        try:
-            e_vals = [model.correlation_E(c) for c in counts]
-        except InsufficientStatisticsError as exc:
-            raise FitConvergenceError(
-                f"no coincidences at t = {t_ms} ms; increase --trials") from exc
-        s = model.bell_parameter(*e_vals)
-        errs = montecarlo.bootstrap_errors(counts, args.resamples,
-                                           cfg.seed.child(1, i, 9))
-        rows.append([t_ms * 1e3, s, errs.s_bell])
+    if args.mode == "analytic":
+        rows = [[t_ms * 1e3, model.expected_bell(cfg.source, cfg.decay,
+                                                 t_ms * 1e-3, cfg.read_eta),
+                 0.0] for t_ms in ts_ms]
+    else:
+        ests = montecarlo.bell_sweep(
+            [t_ms * 1e-3 for t_ms in ts_ms], cfg.sequence, cfg.source,
+            cfg.decay, cfg.write_eta, cfg.read_eta,
+            _cycles_for_trials(cfg.sequence, args.trials), cfg.seed.child(1),
+            n_resamples=args.resamples, n_workers=args.workers)
+        rows = [[t_ms * 1e3, est.value, est.error]
+                for t_ms, est in zip(ts_ms, ests)]
 
     header = ["t_us", "S", "S_err"]
     if args.format == "json":
@@ -384,7 +366,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FitConvergenceError as exc:
+    except (FitConvergenceError, InsufficientStatisticsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:

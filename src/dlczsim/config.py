@@ -38,9 +38,6 @@ _SCHEMA = {
         "prep_ms": float,
         "run_ms": float,
         "write_ns": float,
-        "read_ns": float,
-        "clean_ns": float,
-        "post_read_gap_ns": float,
         "trial_period_ns": float,
         "storage_us": float,
     },
@@ -53,7 +50,6 @@ _SCHEMA = {
         "chi": float,
         "l_att_km": float,
         "r0": float,
-        "r0_compare": float,
         "fiber_speed_m_per_s": float,
         "link_convention": str,
         "pr_exponent": str,
@@ -83,13 +79,12 @@ def _defaults() -> dict:
         "detection.read": dict(det),
         "sequence": {
             "prep_ms": 42.0, "run_ms": 8.0, "write_ns": 300.0,
-            "read_ns": 300.0, "clean_ns": 200.0, "post_read_gap_ns": 1300.0,
             "trial_period_ns": 2000.0, "storage_us": 1.0,
         },
         "repeater": {
             "nest_level": 4, "mode_count": 1000, "memory_lifetime_s": 16.0,
             "eta_td": 0.90, "eta_fc": 0.33, "chi": 0.02, "l_att_km": 22.0,
-            "r0": 0.77, "r0_compare": 0.58, "fiber_speed_m_per_s": 2.0e8,
+            "r0": 0.77, "fiber_speed_m_per_s": 2.0e8,
             "link_convention": "L_over_n",
             "pr_exponent": "total_elapsed_time",
         },
@@ -107,7 +102,6 @@ class RunConfig:
     detection_read: DetectionChain
     sequence: SequenceConfig
     repeater: RepeaterParams
-    repeater_r0_compare: float
     seed: SeedSpec
 
     @property
@@ -191,9 +185,6 @@ def load_config(path=None, seed_override=None) -> RunConfig:
             prep_duration=seq["prep_ms"] * 1e-3,
             run_duration=seq["run_ms"] * 1e-3,
             write_pulse=seq["write_ns"] * 1e-9,
-            read_pulse=seq["read_ns"] * 1e-9,
-            clean_pulse=seq["clean_ns"] * 1e-9,
-            post_read_gap=seq["post_read_gap_ns"] * 1e-9,
             trial_period=seq["trial_period_ns"] * 1e-9,
             storage_time=seq["storage_us"] * 1e-6),
         repeater=RepeaterParams(
@@ -204,6 +195,5 @@ def load_config(path=None, seed_override=None) -> RunConfig:
             fiber_speed=rep["fiber_speed_m_per_s"],
             link_convention=rep["link_convention"],
             pr_exponent=rep["pr_exponent"]),
-        repeater_r0_compare=rep["r0_compare"],
         seed=SeedSpec(cfg["output"]["seed"]),
     )

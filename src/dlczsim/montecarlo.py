@@ -41,6 +41,13 @@ from .model import (
 )
 
 
+def _floor_snapped(ratio: float) -> int:
+    r = round(ratio)
+    if abs(ratio - r) <= 1e-9 * max(r, 1):
+        return int(r)
+    return int(ratio)
+
+
 @dataclass(frozen=True)
 class SequenceConfig:
     """Timing constants of the cyclic experimental state machine (seconds)."""
@@ -48,15 +55,11 @@ class SequenceConfig:
     prep_duration: float = 42e-3
     run_duration: float = 8e-3
     write_pulse: float = 300e-9
-    read_pulse: float = 300e-9
-    clean_pulse: float = 200e-9
-    post_read_gap: float = 1300e-9
     trial_period: float = 2000e-9
     storage_time: float = 1e-6
 
     def __post_init__(self) -> None:
         for name in ("prep_duration", "run_duration", "write_pulse",
-                     "read_pulse", "clean_pulse", "post_read_gap",
                      "trial_period"):
             if not (getattr(self, name) > 0.0):
                 raise ValueError(f"{name} must be positive")
@@ -73,11 +76,7 @@ class SequenceConfig:
         run with a 2000 ns period yields exactly 4000 slots despite binary
         rounding of the durations.
         """
-        n = self.run_duration / self.trial_period
-        r = round(n)
-        if abs(n - r) <= 1e-9 * max(r, 1):
-            return int(r)
-        return int(n)
+        return _floor_snapped(self.run_duration / self.trial_period)
 
     @property
     def cycle_duration(self) -> float:
@@ -86,11 +85,7 @@ class SequenceConfig:
     @property
     def herald_skip_slots(self) -> int:
         """Write slots blocked after a herald while the excitation is stored."""
-        n = self.storage_time / self.trial_period
-        r = round(n)
-        if abs(n - r) <= 1e-9 * max(r, 1):
-            return int(r)
-        return int(n)
+        return _floor_snapped(self.storage_time / self.trial_period)
 
     def with_storage_time(self, t: float) -> "SequenceConfig":
         return replace(self, storage_time=t)
@@ -192,42 +187,41 @@ def run_trials(cfg: SequenceConfig, sp: SourceParams, dm: DecayModel,
 
     The returned counts satisfy the CoincidenceCounts invariants by
     construction. ``n_workers`` only partitions cycles across threads; the
-    result is identical for any value.
+    result is identical for any value. A recorded run samples all cycles
+    once in the calling thread and tallies its counts from the rows.
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
-    n_slots, p_herald, a13, a14, a23, a24, p_noise, skip = _kernel_args(
-        cfg, sp, dm, write_eta, read_eta, settings)
-
-    chunks = _cycle_chunks(n_cycles, n_workers)
-
-    def work(chunk):
-        lo, hi = chunk
-        return _kernels.counts_kernel(seed.master_seed, lo, hi, n_slots,
-                                      p_herald, a13, a14, a23, a24, p_noise,
-                                      skip)
-
-    if len(chunks) > 1 and n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(work, chunks))
-    else:
-        parts = [work(c) for c in chunks]
-
-    agg = np.sum(np.asarray(parts, dtype=np.int64), axis=0)
-    c13, c14, c23, c24, s1, s2, n_trials, n_bg = (int(v) for v in agg)
-    counts = CoincidenceCounts(c13, c14, c23, c24, s1, s2, n_trials)
-    n_blocked = n_cycles * n_slots - n_trials
+    args = _kernel_args(cfg, sp, dm, write_eta, read_eta, settings)
+    n_slots = args[0]
 
     records = None
     if collect_records:
         cyc, slot, her, read, bg = _kernels.records_kernel(
-            seed.master_seed, 0, n_cycles, n_slots, p_herald, a13, a14, a23,
-            a24, p_noise, skip)
+            seed.master_seed, 0, n_cycles, *args)
+        parts = [_kernels.records_counts(her, read, bg)]
         period_ns = int(round(cfg.trial_period * 1e9))
         cycle_ns = int(round(cfg.cycle_duration * 1e9))
         prep_ns = int(round(cfg.prep_duration * 1e9))
         t_ns = cyc * cycle_ns + prep_ns + slot * period_ns
         records = (cyc, slot, her, read, bg, t_ns)
+    else:
+        chunks = _cycle_chunks(n_cycles, n_workers)
+
+        def work(chunk):
+            lo, hi = chunk
+            return _kernels.counts_kernel(seed.master_seed, lo, hi, *args)
+
+        if len(chunks) > 1 and n_workers > 1:
+            with ThreadPoolExecutor(max_workers=n_workers) as pool:
+                parts = list(pool.map(work, chunks))
+        else:
+            parts = [work(c) for c in chunks]
+
+    agg = np.sum(np.asarray(parts, dtype=np.int64), axis=0)
+    c13, c14, c23, c24, s1, s2, n_trials, n_bg = (int(v) for v in agg)
+    counts = CoincidenceCounts(c13, c14, c23, c24, s1, s2, n_trials)
+    n_blocked = n_cycles * n_slots - n_trials
 
     return TrialRunResult(counts=counts, n_cycles=n_cycles,
                           n_trials=n_trials, n_blocked_slots=n_blocked,
@@ -340,58 +334,68 @@ def bootstrap_errors(counts, n_resamples: int = 1000,
                            s_bell=float(np.std(s, ddof=1)))
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One storage time of a combined efficiency/Bell sweep."""
-
-    t: float
-    r_qu: Estimate
-    r_l: Estimate
-    r_r: Estimate
-    s_bell: float
-    s_err: float
-    retrieval_counts: CoincidenceCounts
-    bell_counts: tuple
-
-
-def sweep_storage_time(ts: Sequence[float], cfg: SequenceConfig,
-                       sp: SourceParams, dm: DecayModel, write_eta: float,
-                       read_eta: float, n_cycles: int, seed: SeedSpec, *,
-                       eta_td: Optional[float] = None,
-                       n_resamples: int = 500,
-                       n_workers: int = 1) -> list:
-    """Simulate retrieval and CHSH statistics over a grid of storage times.
-
-    Per storage time: one run at both analysis angles zero feeds the
-    retrieval estimators, and one run per canonical CHSH setting feeds the
-    Bell parameter. Runs draw from independent child seed streams keyed by
-    the grid position, so inserting or removing grid points does not
-    perturb other rows.
-    """
+def _grid(ts: Sequence[float]) -> list:
     ts = list(ts)
     if not ts:
         raise ValueError("storage-time grid is empty")
     if any(t < 0 for t in ts):
         raise ValueError("storage times must be >= 0")
-    eta = eta_td if eta_td is not None else read_eta
-    rows = []
-    for i, t in enumerate(ts):
+    return ts
+
+
+def retrieval_sweep(ts: Sequence[float], cfg: SequenceConfig,
+                    sp: SourceParams, dm: DecayModel, write_eta: float,
+                    read_eta: float, n_cycles: int, seed: SeedSpec, *,
+                    n_workers: int = 1) -> list:
+    """Intrinsic retrieval estimates over a grid of storage times (s).
+
+    Per storage time, one run at both analysis angles zero feeds
+    ``estimate_intrinsic_retrieval`` with ``read_eta`` divided out; point
+    ``i`` draws from ``seed.child(i)``, so a point's estimate depends only
+    on its storage time and position, and truncating the grid leaves the
+    remaining points unchanged. Returns one ``RetrievalEstimates`` per
+    point; raises ``InsufficientStatisticsError`` naming the storage time
+    of a point without heralds on D1 or on D2.
+    """
+    out = []
+    for i, t in enumerate(_grid(ts)):
+        res = run_trials(cfg.with_storage_time(t), sp, dm, write_eta,
+                         read_eta, MeasurementSettings(0.0, 0.0), n_cycles,
+                         seed.child(i), n_workers=n_workers)
+        try:
+            out.append(estimate_intrinsic_retrieval(res.counts, read_eta))
+        except InsufficientStatisticsError as exc:
+            raise InsufficientStatisticsError(
+                f"storage time {t:.6g} s: {exc}") from exc
+    return out
+
+
+def bell_sweep(ts: Sequence[float], cfg: SequenceConfig, sp: SourceParams,
+               dm: DecayModel, write_eta: float, read_eta: float,
+               n_cycles: int, seed: SeedSpec, *, n_resamples: int = 500,
+               n_workers: int = 1) -> list:
+    """CHSH Bell parameter over a grid of storage times (s).
+
+    Per storage time, one run per canonical CHSH setting; at point ``i``
+    setting ``j`` draws from ``seed.child(i, j)`` and the Poisson bootstrap
+    of the error from ``seed.child(i, 9)``, with the same truncation
+    property as ``retrieval_sweep``. Returns one ``Estimate`` of S per
+    point; raises ``InsufficientStatisticsError`` naming the storage time
+    of a point without coincidences in some setting, or whose bootstrap
+    exhausts its redraws.
+    """
+    out = []
+    for i, t in enumerate(_grid(ts)):
         cfg_t = cfg.with_storage_time(t)
-        ret = run_trials(cfg_t, sp, dm, write_eta, read_eta,
-                         MeasurementSettings(0.0, 0.0), n_cycles,
-                         seed.child(i, 0), n_workers=n_workers)
-        est = estimate_intrinsic_retrieval(ret.counts, eta)
-        bell_counts = []
-        for j, setting in enumerate(CANONICAL_SETTINGS):
-            res = run_trials(cfg_t, sp, dm, write_eta, read_eta, setting,
-                             n_cycles, seed.child(i, 1 + j),
-                             n_workers=n_workers)
-            bell_counts.append(res.counts)
-        e_vals = [correlation_E(c) for c in bell_counts]
-        s = bell_parameter(*e_vals)
-        errs = bootstrap_errors(bell_counts, n_resamples, seed.child(i, 9))
-        rows.append(SweepRow(t=t, r_qu=est.qubit, r_l=est.left, r_r=est.right,
-                             s_bell=s, s_err=errs.s_bell,
-                             retrieval_counts=ret.counts,
-                             bell_counts=tuple(bell_counts)))
-    return rows
+        counts = [run_trials(cfg_t, sp, dm, write_eta, read_eta, setting,
+                             n_cycles, seed.child(i, j),
+                             n_workers=n_workers).counts
+                  for j, setting in enumerate(CANONICAL_SETTINGS)]
+        try:
+            s = bell_parameter(*(correlation_E(c) for c in counts))
+            errs = bootstrap_errors(counts, n_resamples, seed.child(i, 9))
+        except InsufficientStatisticsError as exc:
+            raise InsufficientStatisticsError(
+                f"storage time {t:.6g} s: {exc}") from exc
+        out.append(Estimate(s, errs.s_bell))
+    return out

@@ -87,10 +87,6 @@ class ElementaryLink:
     t0: float                # expected elementary generation time, s
     reachable: bool
 
-    @property
-    def log_p0(self) -> float:
-        return math.log(self.p0) if self.p0 > 0 else -math.inf
-
 
 def link_length_km(p: RepeaterParams, total_km: float) -> float:
     return total_km / p.n_links

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import pytest
 import dlczsim
 from dlczsim import cli, montecarlo
 from dlczsim.cli import main
+from dlczsim.config import load_config
 
 IDEAL_CONFIG = """\
 [source]
@@ -105,6 +107,49 @@ class TestBell:
         rc, out, _ = run(capsys, "bell", "--t-ms", "0", "--mode", "analytic")
         s_an = float(out.splitlines()[1].split(",")[1])
         assert abs(s_mc - s_an) <= 3 * s_err
+
+
+class TestMonteCarloSweeps:
+    def test_values_are_the_library_sweeps(self, capsys):
+        ts_ms = (0.0, 0.5)
+        cfg = load_config(None, 21)
+        n_cycles = 10  # 40000 trials
+        rc, out, _ = run(capsys, "efficiency", "--montecarlo", "--t-ms",
+                         "0,0.5", "--trials", "40000", "--seed", "21",
+                         "--format", "json")
+        assert rc == 0
+        ests = montecarlo.retrieval_sweep(
+            [t * 1e-3 for t in ts_ms], cfg.sequence,
+            dataclasses.replace(cfg.source, werner_p0=1.0), cfg.decay,
+            cfg.write_eta, cfg.read_eta, n_cycles, cfg.seed.child(0))
+        assert [(r["R_mc"], r["R_mc_err"]) for r in json.loads(out)["rows"]] \
+            == [(e.qubit.value, e.qubit.error) for e in ests]
+
+        rc, out, _ = run(capsys, "bell", "--mode", "montecarlo", "--t-ms",
+                         "0,0.5", "--trials", "40000", "--seed", "21",
+                         "--resamples", "200", "--format", "json")
+        assert rc == 0
+        ests = montecarlo.bell_sweep(
+            [t * 1e-3 for t in ts_ms], cfg.sequence, cfg.source, cfg.decay,
+            cfg.write_eta, cfg.read_eta, n_cycles, cfg.seed.child(1),
+            n_resamples=200)
+        assert [(r["S"], r["S_err"]) for r in json.loads(out)["rows"]] \
+            == [tuple(e) for e in ests]
+
+    @pytest.mark.parametrize("argv", [
+        ["efficiency", "--montecarlo"],
+        ["bell", "--mode", "montecarlo"],
+    ])
+    def test_no_heralds_exits_3_without_output(self, argv, tmp_path,
+                                               capsys):
+        cfg = tmp_path / "off.ini"
+        cfg.write_text("[source]\nchi = 0.0\n")
+        out = tmp_path / "never.csv"
+        rc, _, err = run(capsys, *argv, "--t-ms", "0,0.54", "--trials",
+                         "4000", "--config", str(cfg), "--out", str(out))
+        assert rc == 3
+        assert "storage time 0 s" in err
+        assert not out.exists()
 
 
 class TestRepeater:
@@ -256,14 +301,19 @@ class TestSimulate:
 
 class TestConfigStrictness:
     def test_unknown_key_rejected_no_partial_output(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.ini"
-        cfg.write_text("[source]\nchi = 0.02\ntypo_key = 1\n")
-        out = tmp_path / "never.csv"
-        rc, _, err = run(capsys, "efficiency", "--config", str(cfg),
-                         "--out", str(out))
-        assert rc == 2
-        assert "typo_key" in err
-        assert not out.exists()
+        # the last four are keys of earlier versions that nothing read
+        for section, key in (("source", "typo_key"), ("sequence", "read_ns"),
+                             ("sequence", "clean_ns"),
+                             ("sequence", "post_read_gap_ns"),
+                             ("repeater", "r0_compare")):
+            cfg = tmp_path / "bad.ini"
+            cfg.write_text(f"[{section}]\n{key} = 1\n")
+            out = tmp_path / "never.csv"
+            rc, _, err = run(capsys, "efficiency", "--config", str(cfg),
+                             "--out", str(out))
+            assert rc == 2
+            assert key in err
+            assert not out.exists()
 
     def test_unknown_section_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"

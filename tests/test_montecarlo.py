@@ -20,9 +20,10 @@ from dlczsim.model import (
 from dlczsim.montecarlo import (
     SeedSpec,
     SequenceConfig,
+    bell_sweep,
     bootstrap_errors,
+    retrieval_sweep,
     run_trials,
-    sweep_storage_time,
     write_record_dump,
 )
 
@@ -193,22 +194,37 @@ class TestBootstrap:
 
 
 class TestSweep:
+    # ideal polarization so the retrieval estimator measures R(t)
+    IDEAL = SourceParams(chi=0.3, werner_p0=1.0, p_noise=0.0)
+
     def test_rows_track_decay_and_bell(self):
-        # ideal polarization so the retrieval estimator measures R(t)
-        sp = SourceParams(chi=0.3, werner_p0=1.0, p_noise=0.0)
-        rows = sweep_storage_time([0.0, 0.23e-3, 0.54e-3], CFG, sp, DM,
-                                  1.0, 0.5, 400, SeedSpec(50), eta_td=0.5,
-                                  n_resamples=200)
-        for row, want in zip(rows, (0.77, 0.671, 0.512)):
-            assert abs(row.r_qu.value - want) < 4 * row.r_qu.error
+        ests = retrieval_sweep([0.0, 0.23e-3, 0.54e-3], CFG, self.IDEAL, DM,
+                               1.0, 0.5, 400, SeedSpec(50))
+        for est, want in zip(ests, (0.77, 0.671, 0.512)):
+            assert abs(est.qubit.value - want) < 4 * est.qubit.error
         # with p = 1 the Bell parameter sits at the Tsirelson bound
-        assert rows[0].s_bell == pytest.approx(2 * math.sqrt(2),
-                                               abs=4 * rows[0].s_err + 0.05)
+        (s,) = bell_sweep([0.0], CFG, self.IDEAL, DM, 1.0, 0.5, 400,
+                          SeedSpec(50), n_resamples=200)
+        assert s.value == pytest.approx(2 * math.sqrt(2),
+                                        abs=4 * s.error + 0.05)
+
+    @pytest.mark.parametrize("sweep", [retrieval_sweep, bell_sweep])
+    def test_dropping_a_point_keeps_the_others(self, sweep):
+        ts = [0.0, 0.1e-3, 0.3e-3]
+        args = (CFG, calibrated_source(0.3), DM, 1.0, 0.5, 30, SeedSpec(52))
+        assert sweep(ts[:2], *args) == sweep(ts, *args)[:2]
+
+    @pytest.mark.parametrize("sweep", [retrieval_sweep, bell_sweep])
+    def test_point_without_counts_names_its_storage_time(self, sweep):
+        with pytest.raises(InsufficientStatisticsError, match="0.00054 s"):
+            sweep([0.54e-3], CFG, SourceParams(chi=0.0), DM, 0.15, 0.15, 2,
+                  SeedSpec(0))
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            sweep_storage_time([], CFG, calibrated_source(), DM, 0.15, 0.15,
-                               10, SeedSpec(0))
+        for sweep in (retrieval_sweep, bell_sweep):
+            with pytest.raises(ValueError):
+                sweep([], CFG, calibrated_source(), DM, 0.15, 0.15, 10,
+                      SeedSpec(0))
 
 
 class TestRecords:
