@@ -301,13 +301,18 @@ class TestSimulate:
 
 class TestConfigStrictness:
     def test_unknown_key_rejected_no_partial_output(self, tmp_path, capsys):
-        # the last four are keys of earlier versions that nothing read
-        for section, key in (("source", "typo_key"), ("sequence", "read_ns"),
-                             ("sequence", "clean_ns"),
-                             ("sequence", "post_read_gap_ns"),
-                             ("repeater", "r0_compare")):
+        # an unknown key after a valid one; then keys of earlier versions
+        # that nothing read, each after a valid key of its section
+        for text, key in (
+                ("[source]\nchi = 0.02\ntypo_key = 1\n", "typo_key"),
+                ("[sequence]\nwrite_ns = 300\nread_ns = 1\n", "read_ns"),
+                ("[sequence]\nwrite_ns = 300\nclean_ns = 1\n", "clean_ns"),
+                ("[sequence]\nwrite_ns = 300\npost_read_gap_ns = 1\n",
+                 "post_read_gap_ns"),
+                ("[repeater]\nnest_level = 4\nr0_compare = 1\n",
+                 "r0_compare")):
             cfg = tmp_path / "bad.ini"
-            cfg.write_text(f"[{section}]\n{key} = 1\n")
+            cfg.write_text(text)
             out = tmp_path / "never.csv"
             rc, _, err = run(capsys, "efficiency", "--config", str(cfg),
                              "--out", str(out))

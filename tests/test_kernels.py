@@ -67,6 +67,7 @@ def test_records_consistent_with_counts():
     s1 = int(np.sum(her == 1))
     s2 = int(np.sum(her == 2))
     assert (c13, c14, c23, c24, s1, s2, cyc.size, int(bg.sum())) == counts
+    assert _kernels.records_counts(her, read, bg) == counts
     # readout implies herald
     assert not np.any((her == 0) & (read != 0))
 
@@ -182,8 +183,11 @@ def test_core_partition_invariance(kw, cuts):
 def test_core_records_reduce_to_counts(kw):
     pos, kw, sizes = _split_inputs(kw)
     with sizes:
-        rows = _rows(_kernels.records_kernel(*pos, **kw))
+        rec = _kernels.records_kernel(*pos, **kw)
+        rows = _rows(rec)
         assert counts_from_rows(rows) == _kernels.counts_kernel(*pos, **kw)
+    # the tally a recorded run takes its counts from
+    assert _kernels.records_counts(*rec[2:]) == counts_from_rows(rows)
     # a readout needs a herald, and background flags a readout
     assert all(r[2] > 0 for r in rows if r[3] > 0)
     assert all(r[3] > 0 for r in rows if r[4])

@@ -245,6 +245,22 @@ class TestRecords:
         c24 = sum(1 for l in lines[1:] if ",D2,D4," in l)
         assert c13 == res.counts.c13 and c24 == res.counts.c24
 
+    def test_recorded_run_counts_like_unrecorded(self):
+        # the recorded run tallies its counts from the rows, the unrecorded
+        # one reduces the batches; blocking and background must agree too
+        sp = SourceParams(chi=0.1, werner_p0=0.887, p_noise=0.05)
+        kw = dict(cfg=CFG.with_storage_time(40e-6), sp=sp, dm=DM,
+                  write_eta=0.5, read_eta=0.5,
+                  settings=MeasurementSettings(45, 22.5), n_cycles=4,
+                  seed=SeedSpec(63))
+        a = run_trials(**kw)
+        b = run_trials(collect_records=True, **kw)
+        assert a.counts == b.counts
+        assert (a.n_trials, a.n_blocked_slots, a.n_background_readouts) \
+            == (b.n_trials, b.n_blocked_slots, b.n_background_readouts)
+        assert b.n_blocked_slots > 0 and b.n_background_readouts > 0
+        assert min(b.counts.c14, b.counts.c23) > 0
+
     def test_records_only_on_request(self):
         res = run_trials(CFG, calibrated_source(), DM, 0.15, 0.15,
                          MeasurementSettings(0, 0), 2, SeedSpec(61))
