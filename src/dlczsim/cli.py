@@ -3,7 +3,8 @@
 Subcommands: ``efficiency``, ``bell``, ``repeater``, ``calibrate``,
 ``simulate``. All numeric output is deterministic under a fixed seed:
 the same invocation always produces byte-identical files. Configuration is
-validated in full before any output file is opened.
+validated in full before any output file is opened, and every output file
+is written under a temporary name and moved into place only once complete.
 
 Exit codes: 0 success, 2 validation/usage error, 3 numerical failure
 (fit non-convergence, a fully collapsed rate curve, or a Monte Carlo
@@ -13,9 +14,11 @@ storage time without the counts its estimator needs).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
 
 from . import calibration as cal
@@ -38,11 +41,35 @@ def _fmt(x) -> str:
     return str(x)
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """Yield a temporary path beside ``path``, moved onto it on success.
+
+    On any exception the temporary file is removed and ``path`` keeps its
+    old bytes, so no failure leaves a partial output file. A pipe or
+    device such as ``/dev/stdout`` cannot be replaced and is written in
+    place.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        yield path
+        return
+    real = os.path.realpath(path)
+    directory, name = os.path.split(real)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, real)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def _write_text(path, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
@@ -272,7 +299,8 @@ def cmd_simulate(args) -> int:
         summary["retrieval"] = None
 
     if args.dump is not None:
-        montecarlo.write_record_dump(res, args.dump)
+        with _replacing(args.dump) as tmp:
+            montecarlo.write_record_dump(res, tmp)
     _write_text(args.out, _json_text(summary))
     return EXIT_OK
 

@@ -128,3 +128,19 @@ def counts_from_rows(rows) -> tuple:
     return (n(1, 3), n(1, 4), n(2, 3), n(2, 4),
             sum(1 for r in rows if r[2] == 1), sum(1 for r in rows if r[2] == 2),
             len(rows), sum(1 for r in rows if r[4]))
+
+
+# --- record dump ----------------------------------------------------------
+
+def write_record_dump_reference(result, path) -> None:
+    """The click-record dump written one f-string per row."""
+    if result.records is None:
+        raise ValueError("run was executed without record collection")
+    cyc, slot, her, read, bg, t_ns = result.records
+    names_h = ("", "D1", "D2")
+    names_r = ("", "", "", "D3", "D4")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("cycle,trial,herald,readout,background,t_ns\n")
+        for i in range(cyc.size):
+            fh.write(f"{cyc[i]},{slot[i]},{names_h[her[i]]},"
+                     f"{names_r[read[i]]},{int(bg[i])},{t_ns[i]}\n")

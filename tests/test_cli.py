@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import threading
@@ -151,6 +152,46 @@ class TestMonteCarloSweeps:
         assert "storage time 0 s" in err
         assert not out.exists()
 
+    def test_bad_resamples_exits_2_before_any_run(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run started despite a bad --resamples")
+
+        monkeypatch.setattr(montecarlo, "run_trials", refuse)
+        out = tmp_path / "out.csv"
+        rc, _, err = run(capsys, "bell", "--mode", "montecarlo", "--t-ms",
+                         "0", "--resamples", "50", "--out", str(out))
+        assert rc == 2
+        assert "n_resamples" in err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestOutputFiles:
+    def test_symlink_target_is_written(self, tmp_path, capsys):
+        target = tmp_path / "target.csv"
+        target.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        rc, _, _ = run(capsys, "bell", "--t-ms", "0", "--out", str(link))
+        assert rc == 0
+        assert link.is_symlink()
+        assert target.read_text().startswith("t_us,S,S_err\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv",
+                                                              "target.csv"]
+
+    def test_pipe_is_written_in_place(self, tmp_path, capsys):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            rc, _, _ = run(capsys, "bell", "--t-ms", "0", "--out", str(fifo))
+            assert rc == 0
+            assert os.read(reader, 4096).startswith(b"t_us,S,S_err\n")
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
 
 class TestRepeater:
     def test_csv_header_is_pinned(self, capsys):
@@ -288,6 +329,24 @@ class TestSimulate:
             assert rc == 0
             dumps.append(path.read_bytes())
         assert dumps[0] == dumps[1]
+
+    def test_failed_dump_leaves_no_partial_file(self, tmp_path, capsys,
+                                                 monkeypatch):
+        def fail(result, path):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("cycle,trial,herald,readout,background,t_ns\n0,")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(montecarlo, "write_record_dump", fail)
+        out = tmp_path / "out.json"
+        out.write_bytes(b"earlier run\n")
+        dump = tmp_path / "dump.csv"
+        rc, _, err = run(capsys, "simulate", "--seconds", "0.1", "--dump",
+                         str(dump), "--out", str(out))
+        assert rc == 2
+        assert "disk full" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+        assert out.read_bytes() == b"earlier run\n"
 
     def test_worker_count_does_not_change_output(self, tmp_path, capsys):
         outs = []

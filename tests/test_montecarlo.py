@@ -1,8 +1,13 @@
 import math
+import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dlczsim import montecarlo
 from dlczsim.errors import InsufficientStatisticsError
 from dlczsim.model import (
     CANONICAL_SETTINGS,
@@ -20,12 +25,14 @@ from dlczsim.model import (
 from dlczsim.montecarlo import (
     SeedSpec,
     SequenceConfig,
+    TrialRunResult,
     bell_sweep,
     bootstrap_errors,
     retrieval_sweep,
     run_trials,
     write_record_dump,
 )
+from oracles import write_record_dump_reference
 
 DM = DecayModel(0.77, 1e-3)
 CFG = SequenceConfig()
@@ -279,3 +286,73 @@ class TestRecords:
         for r in recs:
             if r.readout_detector is not None:
                 assert r.herald_detector is not None
+
+
+# --- record dump against the f-string reference ---------------------------
+
+# 0, every width crossing 9 -> 10 ... 10**18 - 1 -> 10**18, and 2**62
+WIDTH_CROSSINGS = ([0] + [v for k in range(1, 19) for v in (10 ** k - 1, 10 ** k)]
+                   + [2 ** 62])
+
+
+def _dump_bytes(result, writer):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "dump.csv")
+        writer(result, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def _recorded(cyc, slot, her, read, bg, t_ns):
+    cols = (np.asarray(cyc, dtype=np.int64), np.asarray(slot, dtype=np.int64),
+            np.asarray(her, dtype=np.uint8), np.asarray(read, dtype=np.uint8),
+            np.asarray(bg, dtype=bool), np.asarray(t_ns, dtype=np.int64))
+    return TrialRunResult(CoincidenceCounts(0, 0, 0, 0, 0, 0), 0, 0, 0, 0,
+                          records=cols)
+
+
+record_rows = st.lists(st.tuples(
+    *[st.one_of(st.integers(0, 2 ** 62), st.sampled_from(WIDTH_CROSSINGS))
+      for _ in range(2)],
+    st.integers(0, 2), st.sampled_from([0, 3, 4]), st.booleans(),
+    st.one_of(st.integers(0, 2 ** 62), st.sampled_from(WIDTH_CROSSINGS))),
+    max_size=30)
+
+
+class TestRecordDump:
+    @settings(max_examples=150, deadline=None)
+    @given(record_rows, st.integers(1, 7))
+    def test_blocks_match_reference(self, rows, block_rows):
+        result = _recorded(*(zip(*rows) if rows else [()] * 6))
+        with mock.patch.object(montecarlo, "DUMP_ROWS", block_rows):
+            got = _dump_bytes(result, write_record_dump)
+        assert got == _dump_bytes(result, write_record_dump_reference)
+
+    def test_width_crossings_in_one_block(self):
+        # each column runs through every digit width, rotated against the
+        # others, so one block mixes every width in every field; every
+        # herald/readout pair appears
+        n = len(WIDTH_CROSSINGS)
+        vals = np.array(WIDTH_CROSSINGS)
+        i = np.arange(n)
+        result = _recorded(vals, np.roll(vals, 7), i % 3,
+                           np.array([0, 3, 4])[i // 3 % 3], i % 2 == 1,
+                           np.roll(vals, 20))
+        got = _dump_bytes(result, write_record_dump)
+        assert got == _dump_bytes(result, write_record_dump_reference)
+        assert got.count(b"\n") == n + 1
+
+    def test_recorded_run_matches_reference(self):
+        # background readouts and blocked slots, so D2, D4 and
+        # background = 1 rows all appear
+        res = run_trials(CFG.with_storage_time(40e-6),
+                         SourceParams(chi=0.1, werner_p0=0.887, p_noise=0.05),
+                         DM, 0.5, 0.5, MeasurementSettings(45, 22.5), 4,
+                         SeedSpec(63), collect_records=True)
+        assert res.n_blocked_slots > 0
+        got = _dump_bytes(res, write_record_dump)
+        assert got == _dump_bytes(res, write_record_dump_reference)
+        lines = got.splitlines()[1:]
+        assert any(b",D2," in l for l in lines)
+        assert any(b",D4," in l for l in lines)
+        assert any(l.split(b",")[4] == b"1" for l in lines)
