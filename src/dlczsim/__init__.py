@@ -27,7 +27,6 @@ from .model import (
 )
 from .montecarlo import (
     BootstrapErrors,
-    ClickRecord,
     SeedSpec,
     SequenceConfig,
     TrialRunResult,
@@ -39,7 +38,6 @@ from .montecarlo import (
 )
 from .repeater import (
     RateCurve,
-    RatePoint,
     RepeaterParams,
     calibration_report,
     crossing_distance,

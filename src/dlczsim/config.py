@@ -9,6 +9,7 @@ validated through the domain types before any command runs.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 from .calibration import default_calibration, load_calibration_json
@@ -58,23 +59,61 @@ _SCHEMA = {
 }
 
 
+# calibration JSON section -> key -> (config section, config key, factor
+# from the file's SI unit to the config's unit)
+_CALIBRATION_KEYS = {
+    "bell": {"werner_p0": ("source", "werner_p0", 1.0),
+             "vis_tau_gauss_s": ("source", "vis_tau_gauss_ms", 1e3),
+             "vis_tau_exp_s": ("source", "vis_tau_exp_ms", 1e3)},
+    "decay": {"r0": ("decay", "r0", 1.0),
+              "tau0_s": ("decay", "tau0_ms", 1e3)},
+}
+
+
+def _finite_number(value) -> bool:
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _apply_calibration(cfg: dict, cal, origin: str) -> None:
+    """Set the config keys that a calibration JSON object carries.
+
+    The ``bell`` and ``decay`` sections are each optional, but a section
+    that is present must hold every one of its keys as a finite number.
+    """
+    if not isinstance(cal, dict):
+        raise ValueError(f"calibration {origin}: not a JSON object")
+    for section, keys in _CALIBRATION_KEYS.items():
+        if section not in cal:
+            continue
+        if not isinstance(cal[section], dict):
+            raise ValueError(
+                f"calibration {origin}: {section!r} is not a JSON object")
+        for key, (cfg_section, cfg_key, factor) in keys.items():
+            if key not in cal[section]:
+                raise ValueError(
+                    f"calibration {origin}: {section}.{key} is missing")
+            value = cal[section][key]
+            if not _finite_number(value):
+                raise ValueError(f"calibration {origin}: {section}.{key} "
+                                 f"must be a finite number, got {value!r}")
+            cfg[cfg_section][cfg_key] = value * factor
+
+
 def _defaults() -> dict:
-    cal = default_calibration()
     det = dict(t_ocm=0.20, cavity_loss=0.13, eta_smf=0.71, eta_filter=0.56,
                eta_mmf=0.92, eta_det=0.68, eta_fc=1.0)
-    return {
+    cfg = {
         "source": {
             "chi": 0.02,
             "p_noise": 1e-4,
-            "werner_p0": cal["bell"]["werner_p0"],
-            "vis_tau_gauss_ms": cal["bell"]["vis_tau_gauss_s"] * 1e3,
-            "vis_tau_exp_ms": cal["bell"]["vis_tau_exp_s"] * 1e3,
             "phase_write_rad": 0.0,
             "phase_read_rad": 0.0,
             "calibration_json": "",
         },
-        "decay": {"r0": cal["decay"]["r0"],
-                  "tau0_ms": cal["decay"]["tau0_s"] * 1e3},
+        "decay": {},
         "detection.write": dict(det),
         "detection.read": dict(det),
         "sequence": {
@@ -90,6 +129,9 @@ def _defaults() -> dict:
         },
         "output": {"seed": 20260808},
     }
+    # werner_p0, the visibility decay times and [decay] come from here
+    _apply_calibration(cfg, default_calibration(), "packaged default")
+    return cfg
 
 
 @dataclass(frozen=True)
@@ -149,14 +191,7 @@ def load_config(path=None, seed_override=None) -> RunConfig:
 
     cal_path = overrides.get("source", {}).get("calibration_json", "")
     if cal_path:
-        cal = load_calibration_json(cal_path)
-        if "bell" in cal:
-            cfg["source"]["werner_p0"] = cal["bell"]["werner_p0"]
-            cfg["source"]["vis_tau_gauss_ms"] = cal["bell"]["vis_tau_gauss_s"] * 1e3
-            cfg["source"]["vis_tau_exp_ms"] = cal["bell"]["vis_tau_exp_s"] * 1e3
-        if "decay" in cal:
-            cfg["decay"]["r0"] = cal["decay"]["r0"]
-            cfg["decay"]["tau0_ms"] = cal["decay"]["tau0_s"] * 1e3
+        _apply_calibration(cfg, load_calibration_json(cal_path), cal_path)
 
     for section, kv in overrides.items():
         for key, value in kv.items():

@@ -115,23 +115,6 @@ class SeedSpec:
 
 
 @dataclass(frozen=True)
-class ClickRecord:
-    """One executed trial: herald and readout clicks, if any.
-
-    ``readout_is_background`` is diagnostic only; estimators never see it.
-    ``timestamp`` is the write-slot start measured from the experiment
-    start, strictly increasing within a run.
-    """
-
-    cycle_index: int
-    trial_index: int
-    herald_detector: Optional[str]
-    readout_detector: Optional[str]
-    readout_is_background: bool
-    timestamp: float
-
-
-@dataclass(frozen=True)
 class TrialRunResult:
     """Counts and bookkeeping from a batch of simulated cycles."""
 
@@ -142,17 +125,6 @@ class TrialRunResult:
     n_background_readouts: int
     # packed per-trial arrays (cycle, slot, herald, readout, bg, t_ns)
     records: Optional[tuple] = None
-
-    def iter_records(self):
-        """Materialize ClickRecord objects from the packed arrays."""
-        if self.records is None:
-            raise ValueError("run was executed without record collection")
-        cyc, slot, her, read, bg, t_ns = self.records
-        names_h = (None, "D1", "D2")
-        names_r = (None, None, None, "D3", "D4")
-        for i in range(cyc.size):
-            yield ClickRecord(int(cyc[i]), int(slot[i]), names_h[her[i]],
-                              names_r[read[i]], bool(bg[i]), t_ns[i] * 1e-9)
 
 
 def _kernel_args(cfg: SequenceConfig, sp: SourceParams, dm: DecayModel,

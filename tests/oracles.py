@@ -2,11 +2,13 @@
 
 These stay deliberately separate from the package code paths: the density
 matrix is built explicitly and projected with explicit operators, the
-scalar formulas are evaluated in 50-digit decimal arithmetic, and the trial
+scalar formulas are evaluated in 50-digit decimal arithmetic, the repeater
+rate is evaluated one distance at a time with ``math``, and the trial
 sampler hashes one (cycle, slot, draw) triple at a time in plain Python,
 sharing only the pinned ``mix64`` finalizer with the package.
 """
 
+import math
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -144,3 +146,69 @@ def write_record_dump_reference(result, path) -> None:
         for i in range(cyc.size):
             fh.write(f"{cyc[i]},{slot[i]},{names_h[her[i]]},"
                      f"{names_r[read[i]]},{int(bg[i])},{t_ns[i]}\n")
+
+
+# --- repeater rate, one distance at a time ---------------------------------
+# The log-space chain with its 1e-300 collapse floor, written per point with
+# ``math``: the reference the array evaluation in ``dlczsim.repeater`` must
+# reproduce column by column.
+
+_LOG_FLOOR = -300.0 * math.log(10.0)
+
+
+def _safe_log(x: float) -> float:
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def repeater_rate_oracle(p, total_km: float) -> dict:
+    """Every column of one repeater point, under ``RepeaterParams`` ``p``.
+
+    Levels past a collapse have probability 0 and time inf; ``collapsed_at``
+    is the swap level that underflowed, 0 where none did.
+    """
+    n = p.nest_level
+    row = dict(p0=0.0, p0_multi=0.0, p0_multi_approx=0.0,
+               p_levels=[0.0] * n, t_levels=[math.inf] * (n + 1), p_pr=0.0,
+               rate_per_s=0.0, status="unreachable", collapsed_at=0)
+    # elementary link
+    l0 = total_km / p.n_links
+    t_cc = l0 * 1e3 / p.fiber_speed
+    log_p0 = (2.0 * _safe_log(p.chi) - l0 / p.attenuation_length
+              + 2.0 * _safe_log(p.eta_fc) + 2.0 * _safe_log(p.eta_td)
+              - math.log(2.0))
+    if log_p0 < _LOG_FLOOR:
+        return row
+    p0 = math.exp(log_p0)
+    p0_multi = -math.expm1(p.mode_count * math.log1p(-p0)) if p0 < 1.0 else 1.0
+    row.update(p0=p0, p0_multi=p0_multi,
+               p0_multi_approx=min(1.0, p.mode_count * p0), status="collapsed")
+    # swap chain
+    t_prev = t_cc / p0_multi
+    row["t_levels"][0] = t_prev
+    base = 2.0 * _safe_log(p.r0) + 2.0 * _safe_log(p.eta_td) - math.log(2.0)
+    for j in range(1, n + 1):
+        log_pj = base - 2.0 * t_prev / p.memory_lifetime
+        if not math.isfinite(log_pj) or log_pj < _LOG_FLOOR:
+            row["collapsed_at"] = j
+            return row
+        p_j = math.exp(log_pj)
+        t_prev = t_prev / p_j
+        row["p_levels"][j - 1] = p_j
+        row["t_levels"][j] = t_prev
+    # pair distribution
+    if p.pr_exponent == "literal_L_over_tau":
+        decay = -total_km / p.memory_lifetime
+    elif p.pr_exponent == "total_elapsed_time":
+        decay = -t_prev / p.memory_lifetime
+    else:  # flight_time
+        decay = -(total_km * 1e3 / p.fiber_speed) / p.memory_lifetime
+    log_ppr = 2.0 * (_safe_log(p.r0) + decay) - math.log(2.0)
+    p_pr = (math.exp(log_ppr)
+            if math.isfinite(log_ppr) and log_ppr >= _LOG_FLOOR else 0.0)
+    log_rate = (math.log(p0_multi)
+                + sum(_safe_log(p_j) for p_j in row["p_levels"])
+                + _safe_log(p_pr) - math.log(t_cc))
+    rate = math.exp(log_rate) if log_rate > _LOG_FLOOR else 0.0
+    row.update(p_pr=p_pr, rate_per_s=rate,
+               status="ok" if rate > 0.0 else "collapsed")
+    return row

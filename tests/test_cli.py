@@ -10,7 +10,7 @@ import threading
 import pytest
 
 import dlczsim
-from dlczsim import cli, montecarlo
+from dlczsim import cli, montecarlo, repeater
 from dlczsim.cli import main
 from dlczsim.config import load_config
 
@@ -242,6 +242,50 @@ class TestRepeater:
         assert rc == 3
         assert "collapsed" in err
 
+    def test_json_rows_and_summaries_report_status(self, tmp_path, capsys):
+        # chi 1e-3 from 1 to 1e5 km: ok, then collapsed at levels 4 to 1
+        # and at the final rate, then unreachable
+        argv = ["repeater", "--chi", "1e-3", "--l-min-km", "1",
+                "--l-max-km", "1e5", "--points", "300"]
+        rc, out, _ = run(capsys, *argv, "--format", "json")
+        assert rc == 0
+        data = json.loads(out)
+        rows = data["rows"]
+        assert rows[0]["status"] == "ok"
+        assert rows[-1]["status"] == "unreachable"
+        for r in rows:
+            assert set(r) == set(rows[0])
+            if r["status"] != "collapsed":
+                assert r["collapsed_at"] is None
+            if r["collapsed_at"] is not None:
+                level = r["collapsed_at"]
+                assert r[f"P{level}"] == 0.0 and r["rate_per_s"] == 0.0
+                assert all(r[f"P{j}"] > 0.0 for j in range(1, level))
+        assert {r["collapsed_at"] for r in rows
+                if r["status"] == "collapsed"} == {None, 1, 2, 3, 4}
+        counts = {s: sum(r["status"] == s for r in rows)
+                  for s in ("ok", "unreachable", "collapsed")}
+        assert data["status_counts"] == counts
+        summary = tmp_path / "summary.json"
+        rc, _, _ = run(capsys, *argv, "--out", str(tmp_path / "c.csv"),
+                       "--summary-out", str(summary))
+        assert rc == 0
+        assert json.loads(summary.read_text())["status_counts"] == counts
+
+    def test_too_many_points_exits_2_before_any_work(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started despite a bad --points")
+
+        monkeypatch.setattr(repeater, "sweep_distance", refuse)
+        monkeypatch.setattr(cli, "load_config", refuse)
+        out = tmp_path / "out.csv"
+        rc, _, err = run(capsys, "repeater", "--points",
+                         str(cli.MAX_POINTS + 1), "--out", str(out))
+        assert rc == 2
+        assert "--points" in err
+        assert not out.exists()
+
     def test_anchor_report_lists_all_combinations(self, capsys):
         rc, out, _ = run(capsys, "repeater", "--anchor-report")
         assert rc == 0
@@ -394,6 +438,48 @@ class TestConfigStrictness:
     def test_missing_config_file(self, capsys):
         rc, _, err = run(capsys, "bell", "--config", "/nonexistent.ini")
         assert rc == 2
+
+
+class TestCalibrationJson:
+    VALID = {"werner_p0": 0.9, "vis_tau_gauss_s": 0.002,
+             "vis_tau_exp_s": 0.006}
+
+    @pytest.mark.parametrize("payload", [
+        "[1, 2]",
+        '"bell"',
+        '{"bell": [0.9, 0.002, 0.006]}',
+        '{"decay": 0.77}',
+        '{"bell": {"werner_p0": 0.9, "vis_tau_exp_s": 0.006}}',
+        '{"decay": {"r0": 0.77}}',
+        '{"bell": {"werner_p0": "0.9", "vis_tau_gauss_s": 0.002, '
+        '"vis_tau_exp_s": 0.006}}',
+        '{"decay": {"r0": null, "tau0_s": 0.001}}',
+        '{"decay": {"r0": true, "tau0_s": 0.001}}',
+        '{"decay": {"r0": NaN, "tau0_s": 0.001}}',
+        '{"decay": {"r0": 0.77, "tau0_s": Infinity}}',
+        '{"decay": {"r0": 0.77, "tau0_s": 1' + "0" * 400 + '}}',
+    ])
+    def test_bad_file_exits_2_without_output(self, payload, tmp_path,
+                                             capsys):
+        cal = tmp_path / "cal.json"
+        cal.write_text(payload)
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[source]\ncalibration_json = {cal}\n")
+        out = tmp_path / "out.csv"
+        rc, _, err = run(capsys, "bell", "--config", str(cfg), "--t-ms", "0",
+                         "--out", str(out))
+        assert rc == 2
+        assert "calibration" in err
+        assert not out.exists()
+
+    def test_sections_are_optional(self, tmp_path, capsys):
+        cal = tmp_path / "cal.json"
+        cal.write_text('{"decay": {"r0": 0.5, "tau0_s": 0.002}}')
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[source]\ncalibration_json = {cal}\n")
+        got = load_config(str(cfg))
+        assert (got.decay.r0, got.decay.tau0) == (0.5, 0.002)
+        assert got.source == load_config().source
 
 
 class TestWorkersBound:
