@@ -178,7 +178,8 @@ def cmd_bell(args) -> int:
 
 
 def cmd_repeater(args) -> int:
-    if args.points > MAX_POINTS:
+    # The anchor report sets its own grid and ignores --points.
+    if not args.anchor_report and args.points > MAX_POINTS:
         raise ValueError(f"--points must be at most {MAX_POINTS}, "
                          f"got {args.points}")
     cfg = load_config(args.config, args.seed)

@@ -78,10 +78,6 @@ class RepeaterParams:
         return 2 ** self.nest_level
 
 
-def _safe_log(x: float) -> float:
-    return math.log(x) if x > 0.0 else -math.inf
-
-
 def _libm(f, x) -> np.ndarray:
     """The C library's ``f`` (``math.exp``, say) applied to every element.
 
@@ -119,8 +115,8 @@ def elementary_probability(p: RepeaterParams, total_km):
     d = np.asarray(total_km, dtype=float)
     if not np.all(d > 0.0):
         raise ValueError("distance must be positive")
-    log_p0 = (2.0 * _safe_log(p.chi) - d / p.n_links / p.attenuation_length
-              + 2.0 * _safe_log(p.eta_fc) + 2.0 * _safe_log(p.eta_td)
+    log_p0 = (2.0 * _log(p.chi) - d / p.n_links / p.attenuation_length
+              + 2.0 * _log(p.eta_fc) + 2.0 * _log(p.eta_td)
               - math.log(2.0))
     reachable = log_p0 >= _LOG_FLOOR
     p0 = np.where(reachable, _libm(math.exp, log_p0), 0.0)
@@ -149,7 +145,7 @@ def swap_chain(p: RepeaterParams, t0):
     t_levels = np.full((n + 1,) + t0.shape, math.inf)
     t_levels[0] = t0
     collapsed_at = np.zeros(t0.shape, dtype=int)
-    base = 2.0 * _safe_log(p.r0) + 2.0 * _safe_log(p.eta_td) - math.log(2.0)
+    base = 2.0 * _log(p.r0) + 2.0 * _log(p.eta_td) - math.log(2.0)
     for j in range(1, n + 1):
         log_pj = base - 2.0 * t_levels[j - 1] / p.memory_lifetime
         alive = log_pj >= _LOG_FLOOR  # false after a collapse: t is inf
@@ -189,6 +185,11 @@ class RateCurve:
     collapsed_at: np.ndarray
 
     @property
+    def points(self) -> np.ndarray:
+        # perfbench/tracing.py counts a sweep's points as len(curve.points)
+        return self.distance_km
+
+    @property
     def pr_nonphysical_units(self) -> bool:
         return self.params.pr_exponent == "literal_L_over_tau"
 
@@ -212,11 +213,11 @@ def repeater_rate(p: RepeaterParams, total_km) -> RateCurve:
         decay = -t_levels[-1] / p.memory_lifetime
     else:  # flight_time
         decay = -(d * 1e3 / p.fiber_speed) / p.memory_lifetime
-    log_ppr = 2.0 * (_safe_log(p.r0) + decay) - math.log(2.0)
+    log_ppr = 2.0 * (_log(p.r0) + decay) - math.log(2.0)
     p_pr = np.where(completed & (log_ppr >= _LOG_FLOOR),
                     _libm(math.exp, log_ppr), 0.0)
     log_rate = (_log(p0_multi) + sum(_log(p_levels)) + _log(p_pr)
-                - _log(_link_time_s(p, d)))
+                - _libm(math.log, _link_time_s(p, d)))
     rate = np.where(completed & (log_rate > _LOG_FLOOR),
                     _libm(math.exp, log_rate), 0.0)
     status = np.where(~reachable, "unreachable",

@@ -286,6 +286,14 @@ class TestRepeater:
         assert "--points" in err
         assert not out.exists()
 
+    def test_anchor_report_ignores_points_bound(self, capsys, monkeypatch):
+        monkeypatch.setattr(repeater, "calibration_report",
+                            lambda **kwargs: [])
+        rc, out, _ = run(capsys, "repeater", "--anchor-report", "--points",
+                         str(cli.MAX_POINTS + 1))
+        assert rc == 0
+        assert json.loads(out)["entries"] == []
+
     def test_anchor_report_lists_all_combinations(self, capsys):
         rc, out, _ = run(capsys, "repeater", "--anchor-report")
         assert rc == 0
