@@ -34,7 +34,6 @@ from .montecarlo import (
     bootstrap_errors,
     retrieval_sweep,
     run_trials,
-    write_record_dump,
 )
 from .repeater import (
     RateCurve,

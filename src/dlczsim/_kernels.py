@@ -11,8 +11,10 @@ draws the draw-0 uniforms of every slot with one ``trial_uniforms_numpy``
 call, which mixes each cycle key once and broadcasts it against the slot
 keys, resolves the storage-blocking windows by walking next-candidate
 pointers for all cycles of the batch in step, and draws the readout of
-each accepted herald. ``counts_kernel`` reduces its batches;
-``records_kernel`` expands them to one row per executed trial.
+each accepted herald. ``counts_kernel`` reduces its batches and, for a
+record dump, hands each batch expanded to one row per executed trial to a
+callback before sampling the next, so counts and records come from one
+tally and the rows of a run are never held at once.
 """
 
 from __future__ import annotations
@@ -228,17 +230,44 @@ def _bins(herald, readout):
     return np.bincount(herald.astype(np.intp) * 5 + readout, minlength=15)[5:]
 
 
-def _tally(bins, n_trials, n_bg):
-    return (int(bins[3]), int(bins[4]), int(bins[8]), int(bins[9]),
-            int(bins[:5].sum()), int(bins[5:].sum()), int(n_trials),
-            int(n_bg))
+def _batch_rows(b: HeraldBatch, n_slots: int, skip_slots: int):
+    """Per-trial event arrays of one batch (the dump path).
+
+    Returns arrays (cycle, slot, herald, readout, background) covering every
+    executed trial of the batch in order. ``herald`` is 0/1/2 for
+    none/D1/D2, ``readout`` 0/3/4 for none/D3/D4.
+    """
+    size = b.n_cycles * n_slots
+    if skip_slots > 0 and b.flat.size:
+        # the windows [flat + 1, stop) never overlap or touch, so a +1/-1
+        # edge array summed up marks exactly the blocked slots
+        stop = np.minimum(b.flat + (skip_slots + 1),
+                          (b.flat // n_slots + 1) * n_slots)
+        open_ = stop > b.flat + 1
+        edges = np.zeros(size + 1, dtype=np.int8)
+        edges[b.flat[open_] + 1] = 1
+        edges[stop[open_]] = -1
+        executed = np.flatnonzero(np.cumsum(edges[:size]) == 0)
+    else:
+        executed = np.arange(size)
+    at = np.searchsorted(executed, b.flat)
+    her = np.zeros(executed.size, dtype=np.uint8)
+    read = np.zeros(executed.size, dtype=np.uint8)
+    bg = np.zeros(executed.size, dtype=bool)
+    her[at] = b.herald
+    read[at] = b.readout
+    bg[at] = b.background
+    return executed // n_slots + b.cycle_lo, executed % n_slots, her, read, bg
 
 
 def counts_kernel(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
-                  a13, a14, a23, a24, p_noise, skip_slots):
+                  a13, a14, a23, a24, p_noise, skip_slots, rows=None):
     """Accumulate coincidence counts for a contiguous range of cycles.
 
     Returns ``(c13, c14, c23, c24, s1, s2, n_trials, n_background)``.
+    ``rows``, when given, is called with the ``_batch_rows`` arrays of each
+    batch in turn, before the next batch is sampled, so the rows of the
+    whole range are never held at once.
     """
     bins = np.zeros(10, dtype=np.int64)
     n_blocked = 0
@@ -249,58 +278,9 @@ def counts_kernel(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
         bins += _bins(b.herald, b.readout)
         n_blocked += b.n_blocked
         n_bg += np.count_nonzero(b.background)
+        if rows is not None:
+            rows(*_batch_rows(b, n_slots, skip_slots))
     n_trials = max(cycle_hi - cycle_lo, 0) * n_slots - n_blocked
-    return _tally(bins, n_trials, n_bg)
-
-
-def records_counts(herald, readout, background):
-    """``counts_kernel``'s tuple tallied from ``records_kernel`` rows."""
-    return _tally(_bins(herald, readout), herald.size,
-                  np.count_nonzero(background))
-
-
-def records_kernel(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
-                   a13, a14, a23, a24, p_noise, skip_slots):
-    """Per-trial event arrays for a range of cycles (the dump path).
-
-    Returns arrays (cycle, slot, herald, readout, background) covering every
-    executed trial in order. ``herald`` is 0/1/2 for none/D1/D2, ``readout``
-    0/3/4 for none/D3/D4. They expand the batches ``counts_kernel`` reduces,
-    so the two agree by construction.
-    """
-    # one empty array each fixes the dtypes when there are no cycles
-    cyc_out = [np.empty(0, dtype=np.int64)]
-    slot_out = [np.empty(0, dtype=np.int64)]
-    her_out = [np.empty(0, dtype=np.uint8)]
-    read_out = [np.empty(0, dtype=np.uint8)]
-    bg_out = [np.empty(0, dtype=bool)]
-    for b in herald_batches(master_seed, cycle_lo, cycle_hi, n_slots,
-                            p_herald, a13, a14, a23, a24, p_noise,
-                            skip_slots):
-        size = b.n_cycles * n_slots
-        if skip_slots > 0 and b.flat.size:
-            # the windows [flat + 1, stop) never overlap or touch, so a +1/-1
-            # edge array summed up marks exactly the blocked slots
-            stop = np.minimum(b.flat + (skip_slots + 1),
-                              (b.flat // n_slots + 1) * n_slots)
-            open_ = stop > b.flat + 1
-            edges = np.zeros(size + 1, dtype=np.int8)
-            edges[b.flat[open_] + 1] = 1
-            edges[stop[open_]] = -1
-            executed = np.flatnonzero(np.cumsum(edges[:size]) == 0)
-        else:
-            executed = np.arange(size)
-        at = np.searchsorted(executed, b.flat)
-        her = np.zeros(executed.size, dtype=np.uint8)
-        read = np.zeros(executed.size, dtype=np.uint8)
-        bg = np.zeros(executed.size, dtype=bool)
-        her[at] = b.herald
-        read[at] = b.readout
-        bg[at] = b.background
-        cyc_out.append(executed // n_slots + b.cycle_lo)
-        slot_out.append(executed % n_slots)
-        her_out.append(her)
-        read_out.append(read)
-        bg_out.append(bg)
-    return tuple(np.concatenate(parts)
-                 for parts in (cyc_out, slot_out, her_out, read_out, bg_out))
+    return (int(bins[3]), int(bins[4]), int(bins[8]), int(bins[9]),
+            int(bins[:5].sum()), int(bins[5:].sum()), int(n_trials),
+            int(n_bg))

@@ -224,14 +224,6 @@ def calibration_to_dict(decay: Optional[DecayFit] = None,
     return out
 
 
-def write_calibration_json(path, decay: Optional[DecayFit] = None,
-                           bell: Optional[BellFit] = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(calibration_to_dict(decay, bell), fh, indent=2,
-                  sort_keys=True)
-        fh.write("\n")
-
-
 def load_calibration_json(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)

@@ -7,8 +7,8 @@ validated in full before any output file is opened, and every output file
 is written under a temporary name and moved into place only once complete.
 
 Exit codes: 0 success, 2 validation/usage error, 3 numerical failure
-(fit non-convergence, a fully collapsed rate curve, or a Monte Carlo
-storage time without the counts its estimator needs).
+(fit non-convergence, a rate curve without a nonzero point, or a Monte
+Carlo storage time without the counts its estimator needs).
 """
 
 from __future__ import annotations
@@ -210,8 +210,12 @@ def cmd_repeater(args) -> int:
 
     curve = repeater.sweep_distance(params, args.l_min_km, args.l_max_km,
                                     args.points, grid=args.grid)
-    if not np.any(curve.status == "ok"):
-        print("error: rate curve collapsed at every distance", file=sys.stderr)
+    status_counts = {s: int(np.count_nonzero(curve.status == s))
+                     for s in repeater.STATUSES}
+    if not status_counts["ok"]:
+        print(f"error: no distance has a nonzero rate: "
+              f"{status_counts['unreachable']} unreachable, "
+              f"{status_counts['collapsed']} collapsed", file=sys.stderr)
         return EXIT_NUMERICAL
 
     n = params.nest_level
@@ -230,8 +234,7 @@ def cmd_repeater(args) -> int:
         "chi": params.chi,
         "grid": args.grid,
         "target_rate_per_s": args.target_rate,
-        "status_counts": {s: int(np.count_nonzero(curve.status == s))
-                          for s in repeater.STATUSES},
+        "status_counts": status_counts,
     }
     try:
         summary["crossing_km"] = repeater.crossing_distance(
@@ -274,11 +277,15 @@ def cmd_simulate(args) -> int:
         raise ValueError("--seconds must be positive")
     n_cycles = max(1, round(args.seconds / cfg.sequence.cycle_duration))
     settings = model.MeasurementSettings(args.theta_s, args.theta_as)
-    res = montecarlo.run_trials(cfg.sequence, cfg.source, cfg.decay,
-                                cfg.write_eta, cfg.read_eta, settings,
-                                n_cycles, cfg.seed,
-                                collect_records=args.dump is not None,
-                                n_workers=args.workers)
+    with contextlib.ExitStack() as stack:
+        dump = None
+        if args.dump is not None:
+            tmp = stack.enter_context(_replacing(args.dump))
+            dump = stack.enter_context(open(tmp, "wb"))
+        res = montecarlo.run_trials(cfg.sequence, cfg.source, cfg.decay,
+                                    cfg.write_eta, cfg.read_eta, settings,
+                                    n_cycles, cfg.seed, dump=dump,
+                                    n_workers=args.workers)
     c = res.counts
     summary = {
         "seconds_requested": args.seconds,
@@ -305,9 +312,6 @@ def cmd_simulate(args) -> int:
     except InsufficientStatisticsError:
         summary["retrieval"] = None
 
-    if args.dump is not None:
-        with _replacing(args.dump) as tmp:
-            montecarlo.write_record_dump(res, tmp)
     _write_text(args.out, _json_text(summary))
     return EXIT_OK
 

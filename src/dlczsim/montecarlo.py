@@ -9,9 +9,12 @@ exposes. Storage times spanning several trial periods block the subsequent
 write slots.
 
 Sampling is counter-based and deterministic: identical seed and
-configuration give bit-identical counts for any worker count. Counts and
-click records come from the same chunked numpy sampler in ``_kernels``;
-worker threads only split the cycle range between them.
+configuration give bit-identical counts for any worker count. Counts come
+from the chunked numpy sampler in ``_kernels``; worker threads only split
+the cycle range between them. A run with a click-record dump is the same
+counts pass in the calling thread, and writes each batch's rows to the
+dump before the next batch is sampled, so its memory does not grow with
+the number of cycles.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import BinaryIO, Optional, Sequence
 
 import numpy as np
 
@@ -123,8 +126,6 @@ class TrialRunResult:
     n_trials: int
     n_blocked_slots: int
     n_background_readouts: int
-    # packed per-trial arrays (cycle, slot, herald, readout, bg, t_ns)
-    records: Optional[tuple] = None
 
 
 def _kernel_args(cfg: SequenceConfig, sp: SourceParams, dm: DecayModel,
@@ -153,30 +154,37 @@ def _cycle_chunks(n_cycles: int, n_workers: int):
 def run_trials(cfg: SequenceConfig, sp: SourceParams, dm: DecayModel,
                write_eta: float, read_eta: float,
                settings: MeasurementSettings, n_cycles: int, seed: SeedSpec,
-               *, collect_records: bool = False,
+               *, dump: Optional[BinaryIO] = None,
                n_workers: int = 1) -> TrialRunResult:
     """Simulate ``n_cycles`` experimental cycles and accumulate counts.
 
     The returned counts satisfy the CoincidenceCounts invariants by
     construction. ``n_workers`` only partitions cycles across threads; the
-    result is identical for any value. A recorded run samples all cycles
-    once in the calling thread and tallies its counts from the rows.
+    result is identical for any value.
+
+    ``dump``, an open binary file, receives the click-record stream: the
+    header ``cycle,trial,herald,readout,background,t_ns`` and one
+    ``\\n``-terminated line per executed trial, written batch by batch as
+    the trials are sampled. A dumped run samples all cycles in the calling
+    thread, whatever ``n_workers``.
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
     args = _kernel_args(cfg, sp, dm, write_eta, read_eta, settings)
     n_slots = args[0]
 
-    records = None
-    if collect_records:
-        cyc, slot, her, read, bg = _kernels.records_kernel(
-            seed.master_seed, 0, n_cycles, *args)
-        parts = [_kernels.records_counts(her, read, bg)]
+    if dump is not None:
         period_ns = int(round(cfg.trial_period * 1e9))
         cycle_ns = int(round(cfg.cycle_duration * 1e9))
         prep_ns = int(round(cfg.prep_duration * 1e9))
-        t_ns = cyc * cycle_ns + prep_ns + slot * period_ns
-        records = (cyc, slot, her, read, bg, t_ns)
+
+        def rows(cyc, slot, her, read, bg):
+            t_ns = cyc * cycle_ns + prep_ns + slot * period_ns
+            _write_lines(dump, cyc, slot, her, read, bg, t_ns)
+
+        dump.write(DUMP_HEADER)
+        parts = [_kernels.counts_kernel(seed.master_seed, 0, n_cycles, *args,
+                                        rows=rows)]
     else:
         chunks = _cycle_chunks(n_cycles, n_workers)
 
@@ -197,8 +205,10 @@ def run_trials(cfg: SequenceConfig, sp: SourceParams, dm: DecayModel,
 
     return TrialRunResult(counts=counts, n_cycles=n_cycles,
                           n_trials=n_trials, n_blocked_slots=n_blocked,
-                          n_background_readouts=n_bg, records=records)
+                          n_background_readouts=n_bg)
 
+
+DUMP_HEADER = b"cycle,trial,herald,readout,background,t_ns\n"
 
 # A dump line is formatted as a row of 4-byte words and a mask of the bytes
 # it keeps. An integer field takes one word per four digits, its leading
@@ -270,21 +280,12 @@ def _record_lines(cyc, slot, her, read, bg, t_ns) -> bytes:
     return words.view(np.uint8)[keep.view(np.bool_)].tobytes()
 
 
-def write_record_dump(result: TrialRunResult, path) -> None:
-    """Write the line-delimited click-record stream for a recorded run.
-
-    The header ``cycle,trial,herald,readout,background,t_ns`` is followed
-    by one ``\\n``-terminated line per executed trial. The rows are
-    formatted ``DUMP_ROWS`` at a time, and the bytes do not depend on that
-    block size.
-    """
-    if result.records is None:
-        raise ValueError("run was executed without record collection")
-    cols = result.records
-    with open(path, "wb") as fh:
-        fh.write(b"cycle,trial,herald,readout,background,t_ns\n")
-        for lo in range(0, cols[0].size, DUMP_ROWS):
-            fh.write(_record_lines(*(c[lo:lo + DUMP_ROWS] for c in cols)))
+def _write_lines(fh, *cols) -> None:
+    """Write the dump lines of the record columns ``cols`` (cycle, slot,
+    herald, readout, background, t_ns), formatted ``DUMP_ROWS`` at a time;
+    the bytes do not depend on that block size."""
+    for lo in range(0, cols[0].size, DUMP_ROWS):
+        fh.write(_record_lines(*(c[lo:lo + DUMP_ROWS] for c in cols)))
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,13 @@ PR_EXPONENTS = ("literal_L_over_tau", "total_elapsed_time", "flight_time")
 
 _LOG_FLOOR = -300.0 * math.log(10.0)  # collapse threshold for any factor
 
+# Upper bound on nest_level. 2**16 links is far past any proposed chain
+# (the published parameter set has level 4), and every level adds two
+# columns per point: a 10,000-point JSON sweep peaks at 93 MB (tracemalloc)
+# at level 16 and 311 MB at 64. Past level 1023, 2**nest_level links would
+# not even convert to a float.
+MAX_NEST_LEVEL = 16
+
 
 @dataclass(frozen=True)
 class RepeaterParams:
@@ -55,8 +62,9 @@ class RepeaterParams:
     pr_exponent: str = "total_elapsed_time"
 
     def __post_init__(self) -> None:
-        if self.nest_level < 1:
-            raise ValueError("nest_level must be >= 1")
+        if not 1 <= self.nest_level <= MAX_NEST_LEVEL:
+            raise ValueError(f"nest_level must lie in [1, {MAX_NEST_LEVEL}], "
+                             f"got {self.nest_level}")
         if self.mode_count < 1:
             raise ValueError("mode_count must be >= 1")
         for name in ("eta_td", "eta_fc", "chi", "r0"):

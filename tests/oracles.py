@@ -134,11 +134,10 @@ def counts_from_rows(rows) -> tuple:
 
 # --- record dump ----------------------------------------------------------
 
-def write_record_dump_reference(result, path) -> None:
-    """The click-record dump written one f-string per row."""
-    if result.records is None:
-        raise ValueError("run was executed without record collection")
-    cyc, slot, her, read, bg, t_ns = result.records
+def write_record_dump_reference(columns, path) -> None:
+    """The click-record dump of the record columns ``(cycle, slot, herald,
+    readout, background, t_ns)``, written one f-string per row."""
+    cyc, slot, her, read, bg, t_ns = columns
     names_h = ("", "D1", "D2")
     names_r = ("", "", "", "D3", "D4")
     with open(path, "w", encoding="utf-8") as fh:

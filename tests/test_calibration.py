@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -14,7 +13,6 @@ from dlczsim.calibration import (
     fit_bell_model,
     fit_decay,
     read_datapoints_csv,
-    write_calibration_json,
 )
 from dlczsim.model import DecayModel, expected_bell, retrieval_efficiency
 
@@ -136,14 +134,6 @@ class TestCalibrationFiles:
         path.write_text("time,val,err\n0,1,0.1\n")
         with pytest.raises(ValueError):
             read_datapoints_csv(path)
-
-    def test_json_write_and_shape(self, tmp_path):
-        fit = fit_decay(synth_decay_points(DM, [0, 1e-3, 2e-3, 3e-3]))
-        out = tmp_path / "cal.json"
-        write_calibration_json(out, decay=fit)
-        data = json.loads(out.read_text())
-        assert data["decay"]["r0"] == pytest.approx(0.77, abs=1e-6)
-        assert data["decay"]["tau0_s"] == pytest.approx(1e-3, rel=1e-6)
 
     def test_packaged_fixture_matches_fresh_fit(self):
         cal = default_calibration()

@@ -240,7 +240,40 @@ class TestRepeater:
         rc, out, err = run(capsys, "repeater", "--r0", "0.0", "--points",
                            "5", "--l-min-km", "50", "--l-max-km", "100")
         assert rc == 3
-        assert "collapsed" in err
+        assert "0 unreachable, 5 collapsed" in err
+
+    def test_all_unreachable_exits_3_naming_the_status(self, capsys):
+        rc, out, err = run(capsys, "repeater", "--chi", "1e-12",
+                           "--l-min-km", "100000", "--l-max-km", "200000",
+                           "--points", "5")
+        assert rc == 3
+        assert out == ""
+        assert "5 unreachable, 0 collapsed" in err
+
+    def test_nest_level_past_the_bound_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "deep.ini"
+        cfg.write_text("[repeater]\nnest_level = 1100\n"
+                       "link_convention = L_over_2_pow_n\n")
+        out = tmp_path / "out.csv"
+        rc, _, err = run(capsys, "repeater", "--config", str(cfg),
+                         "--points", "5", "--out", str(out))
+        assert rc == 2
+        assert err.count("\n") == 1 and "nest_level" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("convention", repeater.LINK_CONVENTIONS)
+    def test_largest_nest_level_runs(self, convention, tmp_path, capsys):
+        # a memory that outlives the chain, so every level is reached
+        cfg = tmp_path / "deep.ini"
+        cfg.write_text(f"[repeater]\nnest_level = {repeater.MAX_NEST_LEVEL}\n"
+                       f"link_convention = {convention}\n"
+                       "memory_lifetime_s = 1e30\n")
+        rc, out, _ = run(capsys, "repeater", "--config", str(cfg),
+                         "--points", "5", "--format", "json")
+        assert rc == 0
+        data = json.loads(out)
+        assert data["status_counts"]["ok"] == 5
+        assert f"t{repeater.MAX_NEST_LEVEL}_s" in data["rows"][0]
 
     def test_json_rows_and_summaries_report_status(self, tmp_path, capsys):
         # chi 1e-3 from 1 to 1e5 km: ok, then collapsed at levels 4 to 1
@@ -384,12 +417,18 @@ class TestSimulate:
 
     def test_failed_dump_leaves_no_partial_file(self, tmp_path, capsys,
                                                  monkeypatch):
-        def fail(result, path):
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("cycle,trial,herald,readout,background,t_ns\n0,")
-            raise OSError("disk full")
+        # the disk fills after the first block of rows is written
+        record_lines = montecarlo._record_lines
+        blocks = []
 
-        monkeypatch.setattr(montecarlo, "write_record_dump", fail)
+        def fill(*cols):
+            if blocks:
+                raise OSError("disk full")
+            blocks.append(record_lines(*cols))
+            return blocks[0]
+
+        monkeypatch.setattr(montecarlo, "DUMP_ROWS", 1000)
+        monkeypatch.setattr(montecarlo, "_record_lines", fill)
         out = tmp_path / "out.json"
         out.write_bytes(b"earlier run\n")
         dump = tmp_path / "dump.csv"
@@ -397,6 +436,7 @@ class TestSimulate:
                          str(dump), "--out", str(out))
         assert rc == 2
         assert "disk full" in err
+        assert len(blocks) == 1 and blocks[0].count(b"\n") == 1000
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
         assert out.read_bytes() == b"earlier run\n"
 

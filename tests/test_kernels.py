@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dlczsim import _kernels
+from dlczsim.model import DecayModel, MeasurementSettings, SourceParams
+from dlczsim.montecarlo import SeedSpec, SequenceConfig, run_trials
 from oracles import counts_from_rows, trial_records_oracle, trial_uniform_oracle
 
 
@@ -55,11 +57,24 @@ def test_counts_partition_invariance():
     assert np.array_equal(whole, parts)
 
 
+def _streamed(*args, **kw):
+    """counts_kernel's tuple and the row arrays it streamed, from one pass.
+
+    The arrays of every batch are joined: (cycle, slot, herald, readout,
+    background), each with the dtype of the batches.
+    """
+    batches = []
+    counts = _kernels.counts_kernel(*args, **kw,
+                                    rows=lambda *cols: batches.append(cols))
+    cols = [np.concatenate(c) for c in zip(*batches)] if batches else \
+        [np.empty(0)] * 5
+    return counts, cols
+
+
 def test_records_consistent_with_counts():
     kw = dict(p_herald=0.08, a13=0.25, a14=0.05, a23=0.05, a24=0.25,
               p_noise=5e-3, skip_slots=4)
-    counts = _kernels.counts_kernel(55, 0, 25, 800, **kw)
-    cyc, slot, her, read, bg = _kernels.records_kernel(55, 0, 25, 800, **kw)
+    counts, (cyc, slot, her, read, bg) = _streamed(55, 0, 25, 800, **kw)
     c13 = int(np.sum((her == 1) & (read == 3)))
     c14 = int(np.sum((her == 1) & (read == 4)))
     c23 = int(np.sum((her == 2) & (read == 3)))
@@ -67,7 +82,10 @@ def test_records_consistent_with_counts():
     s1 = int(np.sum(her == 1))
     s2 = int(np.sum(her == 2))
     assert (c13, c14, c23, c24, s1, s2, cyc.size, int(bg.sum())) == counts
-    assert _kernels.records_counts(her, read, bg) == counts
+    # streaming the rows does not change the counts
+    assert _kernels.counts_kernel(55, 0, 25, 800, **kw) == counts
+    assert [a.dtype for a in (cyc, slot, her, read, bg)] == [
+        np.int64, np.int64, np.uint8, np.uint8, np.bool_]
     # readout implies herald
     assert not np.any((her == 0) & (read != 0))
 
@@ -75,7 +93,7 @@ def test_records_consistent_with_counts():
 def test_blocked_slots_never_execute():
     kw = dict(p_herald=0.5, a13=0.4, a14=0.1, a23=0.1, a24=0.4,
               p_noise=0.0, skip_slots=5)
-    cyc, slot, her, read, bg = _kernels.records_kernel(9, 0, 5, 300, **kw)
+    _, (cyc, slot, her, read, bg) = _streamed(9, 0, 5, 300, **kw)
     for c in range(5):
         s = slot[cyc == c]
         h = her[cyc == c]
@@ -91,10 +109,9 @@ def test_empty_cycle_range_and_empty_cycles():
     assert _kernels.counts_kernel(1, 5, 5, 100, **kw) == (0,) * 8
     assert _kernels.counts_kernel(1, 0, 4, 0, **kw) == (0,) * 8
     for n_slots, lo, hi in ((100, 5, 5), (0, 0, 4)):
-        rec = _kernels.records_kernel(1, lo, hi, n_slots, **kw)
+        counts, rec = _streamed(1, lo, hi, n_slots, **kw)
+        assert counts == (0,) * 8
         assert [a.size for a in rec] == [0] * 5
-        assert [a.dtype for a in rec] == [np.int64, np.int64, np.uint8,
-                                          np.uint8, np.bool_]
 
 
 # --- the core against the scalar oracle -------------------------------------
@@ -134,10 +151,10 @@ def _split_inputs(kw):
     return (seed, lo, hi, n_slots), kw, sizes
 
 
-def _rows(records):
-    cyc, slot, her, read, bg = records
-    return list(zip(cyc.tolist(), slot.tolist(), her.tolist(), read.tolist(),
-                    bg.tolist()))
+def _counts_and_rows(*args, **kw):
+    """counts_kernel's tuple and its streamed rows as tuples, from one pass."""
+    counts, cols = _streamed(*args, **kw)
+    return counts, list(zip(*(c.tolist() for c in cols)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -146,7 +163,7 @@ def test_core_matches_scalar_oracle(kw):
     pos, kw, sizes = _split_inputs(kw)
     rows = trial_records_oracle(*pos, **kw)
     with sizes:
-        assert _rows(_kernels.records_kernel(*pos, **kw)) == rows
+        assert _counts_and_rows(*pos, **kw) == (counts_from_rows(rows), rows)
         assert _kernels.counts_kernel(*pos, **kw) == counts_from_rows(rows)
 
 
@@ -157,7 +174,7 @@ def test_core_mixes_in_pieces_like_oracle():
               skip_slots=2)
     rows = trial_records_oracle(*args, **kw)
     with _batch_sizes(60, 25):
-        assert _rows(_kernels.records_kernel(*args, **kw)) == rows
+        assert _counts_and_rows(*args, **kw) == (counts_from_rows(rows), rows)
         assert _kernels.counts_kernel(*args, **kw) == counts_from_rows(rows)
 
 
@@ -166,14 +183,14 @@ def test_core_mixes_in_pieces_like_oracle():
 def test_core_partition_invariance(kw, cuts):
     (seed, lo, hi, n_slots), kw, sizes = _split_inputs(kw)
     edges = [lo] + sorted(min(lo + c, hi) for c in cuts) + [hi]
-    whole_counts = _kernels.counts_kernel(seed, lo, hi, n_slots, **kw)
-    whole_rows = _rows(_kernels.records_kernel(seed, lo, hi, n_slots, **kw))
+    whole_counts, whole_rows = _counts_and_rows(seed, lo, hi, n_slots, **kw)
     counts = np.zeros(8, dtype=np.int64)
     rows = []
     with sizes:
         for a, b in zip(edges, edges[1:]):
-            counts += _kernels.counts_kernel(seed, a, b, n_slots, **kw)
-            rows += _rows(_kernels.records_kernel(seed, a, b, n_slots, **kw))
+            part, part_rows = _counts_and_rows(seed, a, b, n_slots, **kw)
+            counts += part
+            rows += part_rows
     assert tuple(counts.tolist()) == whole_counts
     assert rows == whole_rows
 
@@ -183,11 +200,10 @@ def test_core_partition_invariance(kw, cuts):
 def test_core_records_reduce_to_counts(kw):
     pos, kw, sizes = _split_inputs(kw)
     with sizes:
-        rec = _kernels.records_kernel(*pos, **kw)
-        rows = _rows(rec)
-        assert counts_from_rows(rows) == _kernels.counts_kernel(*pos, **kw)
-    # the tally a recorded run takes its counts from
-    assert _kernels.records_counts(*rec[2:]) == counts_from_rows(rows)
+        counts, rows = _counts_and_rows(*pos, **kw)
+        # the one tally a dumped run takes its counts from
+        assert counts == counts_from_rows(rows)
+        assert _kernels.counts_kernel(*pos, **kw) == counts
     # a readout needs a herald, and background flags a readout
     assert all(r[2] > 0 for r in rows if r[3] > 0)
     assert all(r[3] > 0 for r in rows if r[4])
@@ -199,7 +215,7 @@ def test_core_blocked_slots_never_execute(kw):
     (seed, lo, hi, n_slots), kw, sizes = _split_inputs(kw)
     skip = kw["skip_slots"]
     with sizes:
-        rows = _rows(_kernels.records_kernel(seed, lo, hi, n_slots, **kw))
+        _, rows = _counts_and_rows(seed, lo, hi, n_slots, **kw)
     executed = {(r[0], r[1]) for r in rows}
     blocked = {(r[0], s) for r in rows if r[2] > 0
                for s in range(r[1] + 1, min(r[1] + skip, n_slots - 1) + 1)}
@@ -233,7 +249,7 @@ def test_herald_decision_at_the_boundary(p):
     kw = dict(p_herald=p, a13=0.3, a14=0.2, a23=0.1, a24=0.5, p_noise=0.2,
               skip_slots=0)
     rows = trial_records_oracle(*args, **kw)
-    assert _rows(_kernels.records_kernel(*args, **kw)) == rows
+    assert _counts_and_rows(*args, **kw) == (counts_from_rows(rows), rows)
     assert _kernels.counts_kernel(*args, **kw) == counts_from_rows(rows)
     herald = 0 if not U_EDGE < p else 1 if U_EDGE < p * 0.5 else 2
     assert rows[slot][:3] == (cycle, slot, herald)
@@ -260,3 +276,36 @@ def test_counts_working_set_is_bounded():
     large = _peak_bytes(500)
     assert large <= 1.1 * small
     assert large < WORKING_SET_LIMIT
+
+
+# a dumped run also holds one batch's rows and one formatting block
+DUMP_WORKING_SET_LIMIT = 16 * 2 ** 20  # bytes
+
+
+def _dump_peak_bytes(n_cycles, skip_slots, path):
+    """tracemalloc peak of a dumped run, and the size of its dump."""
+    cfg = SequenceConfig(storage_time=skip_slots * 2e-6)
+    assert cfg.herald_skip_slots == skip_slots
+    tracemalloc.start()
+    try:
+        with open(path, "wb") as fh:
+            run_trials(cfg, SourceParams(chi=0.5, p_noise=1e-3),
+                       DecayModel(0.77, 1e-3), 1.0, 0.5,
+                       MeasurementSettings(0, 0), n_cycles, SeedSpec(3),
+                       dump=fh)
+        return tracemalloc.get_traced_memory()[1], path.stat().st_size
+    finally:
+        tracemalloc.stop()
+        path.unlink()
+
+
+@pytest.mark.parametrize("skip_slots", [5, 0])  # 0: every slot is a row
+def test_dump_working_set_is_bounded(skip_slots, tmp_path):
+    # 100 cycles are two full batches and a part, so the smaller run
+    # already samples a batch while the last one's rows are written
+    small, _ = _dump_peak_bytes(100, skip_slots, tmp_path / "dump.csv")
+    large, size = _dump_peak_bytes(1000, skip_slots, tmp_path / "dump.csv")
+    assert large <= 1.1 * small
+    assert large < DUMP_WORKING_SET_LIMIT
+    # the dump is larger than the memory that wrote it
+    assert size > 2 * large

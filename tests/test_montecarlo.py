@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import tempfile
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dlczsim import montecarlo
+from dlczsim import _kernels, montecarlo
 from dlczsim.errors import InsufficientStatisticsError
 from dlczsim.model import (
     CANONICAL_SETTINGS,
@@ -25,14 +26,16 @@ from dlczsim.model import (
 from dlczsim.montecarlo import (
     SeedSpec,
     SequenceConfig,
-    TrialRunResult,
     bell_sweep,
     bootstrap_errors,
     retrieval_sweep,
     run_trials,
-    write_record_dump,
 )
-from oracles import write_record_dump_reference
+from oracles import (
+    counts_from_rows,
+    trial_records_oracle,
+    write_record_dump_reference,
+)
 
 DM = DecayModel(0.77, 1e-3)
 CFG = SequenceConfig()
@@ -234,13 +237,28 @@ class TestSweep:
                       SeedSpec(0))
 
 
+def _dumped(**kw):
+    """A run's result and the bytes of its dump, written to memory."""
+    buf = io.BytesIO()
+    return run_trials(dump=buf, **kw), buf.getvalue()
+
+
+RECORDED = dict(cfg=CFG, sp=calibrated_source(0.1), dm=DM, write_eta=0.5,
+                read_eta=0.5, settings=MeasurementSettings(0, 0))
+# background readouts and blocked slots, so D2, D4 and background = 1 rows
+# all appear
+BUSY = dict(cfg=CFG.with_storage_time(40e-6),
+            sp=SourceParams(chi=0.1, werner_p0=0.887, p_noise=0.05), dm=DM,
+            write_eta=0.5, read_eta=0.5,
+            settings=MeasurementSettings(45, 22.5))
+
+
 class TestRecords:
     def test_dump_round_trip(self, tmp_path):
-        res = run_trials(CFG, calibrated_source(0.1), DM, 0.5, 0.5,
-                         MeasurementSettings(0, 0), 3, SeedSpec(60),
-                         collect_records=True)
         path = tmp_path / "dump.csv"
-        write_record_dump(res, path)
+        with open(path, "wb") as fh:
+            res = run_trials(n_cycles=3, seed=SeedSpec(60), dump=fh,
+                             **RECORDED)
         lines = path.read_text().splitlines()
         assert lines[0] == "cycle,trial,herald,readout,background,t_ns"
         assert len(lines) == 1 + res.n_trials
@@ -253,36 +271,30 @@ class TestRecords:
         assert c13 == res.counts.c13 and c24 == res.counts.c24
 
     def test_recorded_run_counts_like_unrecorded(self):
-        # the recorded run tallies its counts from the rows, the unrecorded
-        # one reduces the batches; blocking and background must agree too
-        sp = SourceParams(chi=0.1, werner_p0=0.887, p_noise=0.05)
-        kw = dict(cfg=CFG.with_storage_time(40e-6), sp=sp, dm=DM,
-                  write_eta=0.5, read_eta=0.5,
-                  settings=MeasurementSettings(45, 22.5), n_cycles=4,
-                  seed=SeedSpec(63))
+        # blocking and background must agree too
+        kw = dict(n_cycles=4, seed=SeedSpec(63), **BUSY)
         a = run_trials(**kw)
-        b = run_trials(collect_records=True, **kw)
-        assert a.counts == b.counts
-        assert (a.n_trials, a.n_blocked_slots, a.n_background_readouts) \
-            == (b.n_trials, b.n_blocked_slots, b.n_background_readouts)
+        b, _ = _dumped(**kw)
+        assert a == b
         assert b.n_blocked_slots > 0 and b.n_background_readouts > 0
         assert min(b.counts.c14, b.counts.c23) > 0
 
-    def test_records_only_on_request(self):
-        res = run_trials(CFG, calibrated_source(), DM, 0.15, 0.15,
-                         MeasurementSettings(0, 0), 2, SeedSpec(61))
-        assert res.records is None
-        with pytest.raises(ValueError):
-            write_record_dump(res, "/tmp/nope.csv")
+    def test_dumped_run_samples_in_the_calling_thread(self, monkeypatch):
+        kw = dict(n_cycles=4, seed=SeedSpec(61), **RECORDED)
+        one = _dumped(**kw)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dumped run started worker threads")
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", refuse)
+        assert _dumped(n_workers=3, **kw) == one
 
     def test_click_record_objects(self):
-        res = run_trials(CFG, calibrated_source(0.1), DM, 0.5, 0.5,
-                         MeasurementSettings(0, 0), 1, SeedSpec(62),
-                         collect_records=True)
-        _, _, herald, readout, _, _ = res.records
-        assert herald.size == res.n_trials
-        assert np.count_nonzero(herald) == res.counts.s1 + res.counts.s2
-        assert np.all(herald[readout != 0] != 0)
+        res, dump = _dumped(n_cycles=1, seed=SeedSpec(62), **RECORDED)
+        rows = [l.split(b",") for l in dump.splitlines()[1:]]
+        assert len(rows) == res.n_trials
+        assert sum(r[2] != b"" for r in rows) == res.counts.s1 + res.counts.s2
+        assert all(r[2] != b"" for r in rows if r[3] != b"")
 
 
 # --- record dump against the f-string reference ---------------------------
@@ -292,20 +304,38 @@ WIDTH_CROSSINGS = ([0] + [v for k in range(1, 19) for v in (10 ** k - 1, 10 ** k
                    + [2 ** 62])
 
 
-def _dump_bytes(result, writer):
+def _reference_bytes(cols):
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "dump.csv")
-        writer(result, path)
+        write_record_dump_reference(cols, path)
         with open(path, "rb") as fh:
             return fh.read()
 
 
-def _recorded(cyc, slot, her, read, bg, t_ns):
-    cols = (np.asarray(cyc, dtype=np.int64), np.asarray(slot, dtype=np.int64),
+def _columns(cyc, slot, her, read, bg, t_ns):
+    return (np.asarray(cyc, dtype=np.int64), np.asarray(slot, dtype=np.int64),
             np.asarray(her, dtype=np.uint8), np.asarray(read, dtype=np.uint8),
             np.asarray(bg, dtype=bool), np.asarray(t_ns, dtype=np.int64))
-    return TrialRunResult(CoincidenceCounts(0, 0, 0, 0, 0, 0), 0, 0, 0, 0,
-                          records=cols)
+
+
+def _written(cols):
+    buf = io.BytesIO()
+    buf.write(montecarlo.DUMP_HEADER)
+    montecarlo._write_lines(buf, *cols)
+    return buf.getvalue()
+
+
+def _oracle_columns(n_cycles, seed, cfg, sp, dm, write_eta, read_eta,
+                    settings):
+    """Record columns of a run from the scalar oracle, t_ns in integers."""
+    args = montecarlo._kernel_args(cfg, sp, dm, write_eta, read_eta,
+                                   settings)
+    rows = trial_records_oracle(seed, 0, n_cycles, *args)
+    cycle_ns = round(cfg.cycle_duration * 1e9)
+    prep_ns = round(cfg.prep_duration * 1e9)
+    period_ns = round(cfg.trial_period * 1e9)
+    t_ns = [c * cycle_ns + prep_ns + s * period_ns for c, s, *_ in rows]
+    return _columns(*zip(*rows), t_ns), rows
 
 
 record_rows = st.lists(st.tuples(
@@ -320,10 +350,10 @@ class TestRecordDump:
     @settings(max_examples=150, deadline=None)
     @given(record_rows, st.integers(1, 7))
     def test_blocks_match_reference(self, rows, block_rows):
-        result = _recorded(*(zip(*rows) if rows else [()] * 6))
+        cols = _columns(*(zip(*rows) if rows else [()] * 6))
         with mock.patch.object(montecarlo, "DUMP_ROWS", block_rows):
-            got = _dump_bytes(result, write_record_dump)
-        assert got == _dump_bytes(result, write_record_dump_reference)
+            got = _written(cols)
+        assert got == _reference_bytes(cols)
 
     def test_width_crossings_in_one_block(self):
         # each column runs through every digit width, rotated against the
@@ -332,24 +362,44 @@ class TestRecordDump:
         n = len(WIDTH_CROSSINGS)
         vals = np.array(WIDTH_CROSSINGS)
         i = np.arange(n)
-        result = _recorded(vals, np.roll(vals, 7), i % 3,
-                           np.array([0, 3, 4])[i // 3 % 3], i % 2 == 1,
-                           np.roll(vals, 20))
-        got = _dump_bytes(result, write_record_dump)
-        assert got == _dump_bytes(result, write_record_dump_reference)
+        cols = _columns(vals, np.roll(vals, 7), i % 3,
+                        np.array([0, 3, 4])[i // 3 % 3], i % 2 == 1,
+                        np.roll(vals, 20))
+        got = _written(cols)
+        assert got == _reference_bytes(cols)
         assert got.count(b"\n") == n + 1
 
     def test_recorded_run_matches_reference(self):
-        # background readouts and blocked slots, so D2, D4 and
-        # background = 1 rows all appear
-        res = run_trials(CFG.with_storage_time(40e-6),
-                         SourceParams(chi=0.1, werner_p0=0.887, p_noise=0.05),
-                         DM, 0.5, 0.5, MeasurementSettings(45, 22.5), 4,
-                         SeedSpec(63), collect_records=True)
+        kw = dict(n_cycles=4, seed=SeedSpec(63), **BUSY)
+        res, got = _dumped(**kw)
         assert res.n_blocked_slots > 0
-        got = _dump_bytes(res, write_record_dump)
-        assert got == _dump_bytes(res, write_record_dump_reference)
+        cols, _ = _oracle_columns(kw.pop("n_cycles"),
+                                  kw.pop("seed").master_seed, **kw)
+        assert got == _reference_bytes(cols)
         lines = got.splitlines()[1:]
         assert any(b",D2," in l for l in lines)
         assert any(b",D4," in l for l in lines)
         assert any(l.split(b",")[4] == b"1" for l in lines)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), n_cycles=st.integers(1, 5),
+           n_slots=st.integers(1, 40), skip_slots=st.integers(0, 12),
+           chunk_slots=st.integers(1, 120), block_rows=st.integers(1, 7))
+    def test_streamed_dump_matches_reference_across_batches(
+            self, seed, n_cycles, n_slots, skip_slots, chunk_slots,
+            block_rows):
+        # batches of a few cycles and blocks of a few rows, so blocks end
+        # inside batches and batches inside blocks' worth of rows
+        kw = dict(BUSY, cfg=SequenceConfig(run_duration=n_slots * 2e-6,
+                                           storage_time=skip_slots * 2e-6),
+                  sp=SourceParams(chi=0.6, werner_p0=0.887, p_noise=0.3))
+        assert (kw["cfg"].trials_per_run, kw["cfg"].herald_skip_slots) \
+            == (n_slots, skip_slots)
+        with mock.patch.object(_kernels, "CHUNK_SLOTS", chunk_slots), \
+                mock.patch.object(montecarlo, "DUMP_ROWS", block_rows):
+            res, got = _dumped(n_cycles=n_cycles, seed=SeedSpec(seed), **kw)
+        cols, rows = _oracle_columns(n_cycles, seed, **kw)
+        assert got == _reference_bytes(cols)
+        c = res.counts
+        assert (c.c13, c.c14, c.c23, c.c24, c.s1, c.s2, res.n_trials,
+                res.n_background_readouts) == counts_from_rows(rows)

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from dlczsim.errors import NotBracketedError
 from dlczsim.repeater import (
     LINK_CONVENTIONS,
+    MAX_NEST_LEVEL,
     PR_EXPONENTS,
     RepeaterParams,
     calibration_report,
@@ -347,6 +348,8 @@ class TestValidation:
     def test_param_bounds(self):
         with pytest.raises(ValueError):
             RepeaterParams(nest_level=0)
+        with pytest.raises(ValueError):
+            RepeaterParams(nest_level=MAX_NEST_LEVEL + 1)
         with pytest.raises(ValueError):
             RepeaterParams(eta_td=1.5)
         with pytest.raises(ValueError):
