@@ -12,9 +12,9 @@ call, which mixes each cycle key once and broadcasts it against the slot
 keys, resolves the storage-blocking windows by walking next-candidate
 pointers for all cycles of the batch in step, and draws the readout of
 each accepted herald. ``counts_kernel`` reduces its batches and, for a
-record dump, hands each batch expanded to one row per executed trial to a
-callback before sampling the next, so counts and records come from one
-tally and the rows of a run are never held at once.
+record dump, hands each batch expanded by ``records_kernel`` to one row per
+executed trial to a callback before sampling the next, so counts and
+records come from one tally and the rows of a run are never held at once.
 """
 
 from __future__ import annotations
@@ -230,7 +230,7 @@ def _bins(herald, readout):
     return np.bincount(herald.astype(np.intp) * 5 + readout, minlength=15)[5:]
 
 
-def _batch_rows(b: HeraldBatch, n_slots: int, skip_slots: int):
+def records_kernel(b: HeraldBatch, n_slots: int, skip_slots: int):
     """Per-trial event arrays of one batch (the dump path).
 
     Returns arrays (cycle, slot, herald, readout, background) covering every
@@ -265,9 +265,9 @@ def counts_kernel(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
     """Accumulate coincidence counts for a contiguous range of cycles.
 
     Returns ``(c13, c14, c23, c24, s1, s2, n_trials, n_background)``.
-    ``rows``, when given, is called with the ``_batch_rows`` arrays of each
-    batch in turn, before the next batch is sampled, so the rows of the
-    whole range are never held at once.
+    ``rows``, when given, is called with the ``records_kernel`` arrays of
+    each batch in turn, before the next batch is sampled, so the rows of
+    the whole range are never held at once.
     """
     bins = np.zeros(10, dtype=np.int64)
     n_blocked = 0
@@ -279,7 +279,7 @@ def counts_kernel(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
         n_blocked += b.n_blocked
         n_bg += np.count_nonzero(b.background)
         if rows is not None:
-            rows(*_batch_rows(b, n_slots, skip_slots))
+            rows(*records_kernel(b, n_slots, skip_slots))
     n_trials = max(cycle_hi - cycle_lo, 0) * n_slots - n_blocked
     return (int(bins[3]), int(bins[4]), int(bins[8]), int(bins[9]),
             int(bins[:5].sum()), int(bins[5:].sum()), int(n_trials),

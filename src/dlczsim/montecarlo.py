@@ -12,9 +12,9 @@ Sampling is counter-based and deterministic: identical seed and
 configuration give bit-identical counts for any worker count. Counts come
 from the chunked numpy sampler in ``_kernels``; worker threads only split
 the cycle range between them. A run with a click-record dump is the same
-counts pass in the calling thread, and writes each batch's rows to the
-dump before the next batch is sampled, so its memory does not grow with
-the number of cycles.
+counts pass in the calling thread, and ``write_record_dump`` writes each
+batch's rows to the dump before the next batch is sampled, so its memory
+does not grow with the number of cycles.
 """
 
 from __future__ import annotations
@@ -180,7 +180,7 @@ def run_trials(cfg: SequenceConfig, sp: SourceParams, dm: DecayModel,
 
         def rows(cyc, slot, her, read, bg):
             t_ns = cyc * cycle_ns + prep_ns + slot * period_ns
-            _write_lines(dump, cyc, slot, her, read, bg, t_ns)
+            write_record_dump(dump, cyc, slot, her, read, bg, t_ns)
 
         dump.write(DUMP_HEADER)
         parts = [_kernels.counts_kernel(seed.master_seed, 0, n_cycles, *args,
@@ -280,10 +280,11 @@ def _record_lines(cyc, slot, her, read, bg, t_ns) -> bytes:
     return words.view(np.uint8)[keep.view(np.bool_)].tobytes()
 
 
-def _write_lines(fh, *cols) -> None:
-    """Write the dump lines of the record columns ``cols`` (cycle, slot,
-    herald, readout, background, t_ns), formatted ``DUMP_ROWS`` at a time;
-    the bytes do not depend on that block size."""
+def write_record_dump(fh, *cols) -> None:
+    """Write the dump lines of one batch's record columns ``cols`` (cycle,
+    slot, herald, readout, background, t_ns) to the open binary file ``fh``,
+    formatted ``DUMP_ROWS`` at a time; the bytes do not depend on that
+    block size."""
     for lo in range(0, cols[0].size, DUMP_ROWS):
         fh.write(_record_lines(*(c[lo:lo + DUMP_ROWS] for c in cols)))
 

@@ -321,7 +321,7 @@ def _columns(cyc, slot, her, read, bg, t_ns):
 def _written(cols):
     buf = io.BytesIO()
     buf.write(montecarlo.DUMP_HEADER)
-    montecarlo._write_lines(buf, *cols)
+    montecarlo.write_record_dump(buf, *cols)
     return buf.getvalue()
 
 
