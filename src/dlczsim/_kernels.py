@@ -1,4 +1,4 @@
-"""Hot trial-sampling kernel: one chunked numpy core for counts and records.
+"""Hot trial-sampling kernel: one numpy sampler for counts and records.
 
 The per-trial random stream is counter-based: every (cycle, slot, draw)
 triple is hashed independently with a splitmix64 chain (cycle, then slot,
@@ -6,19 +6,35 @@ then draw), so the results are bit-identical however the cycles are
 partitioned or in whatever order the triples are evaluated. Uniform doubles
 come from the top 53 bits of the hash.
 
-``herald_batches`` is the only sampler. For a batch of whole cycles it
-draws the draw-0 uniforms of every slot with one ``trial_uniforms_numpy``
-call, which mixes each cycle key once and broadcasts it against the slot
-keys, resolves the storage-blocking windows by walking next-candidate
-pointers for all cycles of the batch in step, and draws the readout of
-each accepted herald. ``counts_kernel`` reduces its batches and, for a
-record dump, hands each batch expanded by ``records_kernel`` to one row per
-executed trial to a callback before sampling the next, so counts and
-records come from one tally and the rows of a run are never held at once.
+``herald_batches`` is the only sampler. It finds the accepted heralds of
+its cycles by one of two paths, which give the same heralds:
+
+* the full-hash path draws the draw 0 of every slot of a batch of whole
+  cycles with one ``trial_uniforms_numpy`` call, then resolves the
+  storage-blocking windows by walking next-candidate pointers for all
+  cycles of the batch in step;
+* the lane scan runs one lane per cycle over a group of whole batches and
+  draws only short windows from each lane's next open slot, so the slots a
+  herald blocks are never hashed.
+
+``_scan_window`` picks the path from a cost model fitted to measured times:
+the scan where storage blocking skips much of a cycle and a cycle holds few
+heralds, the full path where nothing or little is blocked. Either way the
+readouts of the heralds are drawn once per batch or lane group and the
+heralds come out as one ``HeraldBatch`` per batch of about ``CHUNK_SLOTS``
+slots. The working set is bounded whatever the number of cycles: a batch's
+uniforms on the full path, a step of about ``LANE_SLOTS`` uniforms and a
+group of about ``GROUP_HERALDS`` heralds on the scan.
+
+``counts_kernel`` reduces the batches and, for a record dump, hands each
+batch expanded by ``records_kernel`` to one row per executed trial to a
+callback before sampling the next, so counts and records come from one
+tally and the rows of a run are never held at once.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -31,13 +47,30 @@ _SLOT_KEY = np.uint64(0x9FB21C651E98DF25)
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 _INV_2_53 = 2.0 ** -53
 
-# Write slots per batch (48 cycles of 4000): enough cycles for the
+# Write slots per batch (49 cycles of 4000): enough cycles for the
 # acceptance walk to amortize its per-step overhead, and a fixed bound on
 # the candidates, hence on the working set. The slot mixes run on
 # MIX_SLOTS at a time so the piece and its shift buffer stay in a 2 MB L2.
 # Both are measured optima for the dense and the sparse regime together.
 CHUNK_SLOTS = 196_608
 MIX_SLOTS = 65_536
+
+# Lane scan: windows of at most SCAN_WINDOW_MAX slots, and lane groups of
+# whole batches with at most LANE_SLOTS uniforms per step (lanes x window,
+# the working set of a step, no larger than a batch's) and about
+# GROUP_HERALDS heralds (their arrays and readout draws).
+SCAN_WINDOW_MAX = 128
+LANE_SLOTS = 65_536
+GROUP_HERALDS = CHUNK_SLOTS // 8
+
+# Costs of the dispatch rule in draw-0 hashes (about 14 ns each): a scan
+# step's fixed numpy overhead, and the full path's acceptance walk per
+# herald. Fitted by least squares to the times of both paths on 82 cases
+# (p_herald 0.001-0.49, 1-3000 blocked slots, 300 and 1250 cycles of 4000
+# slots; 2-CPU x86 VM, numpy 2.4): the rule picks the faster path in 79,
+# and the other three are within 25% of a tie.
+SCAN_STEP_COST = 4500
+WALK_HERALD_COST = 12
 
 
 def mix64(z: int) -> int:
@@ -123,15 +156,16 @@ def _accept(cand, is_cand, n_slots: int, skip_slots: int):
     else:
         nxt = np.cumsum(is_cand, dtype=np.int32)[
             np.minimum(cand + skip_slots, size - 1)]
-    # a chain that leaves its cycle ends: n marks the end of a lane
-    nxt = np.where(nxt < np.repeat(ends, counts), nxt, n)
-    keep = np.zeros(n, dtype=bool)
+    # a chain that leaves its cycle ends at n, which points to itself, so
+    # finished lanes idle there and the walk only checks every few steps
+    nxt = np.append(np.where(nxt < np.repeat(ends, counts), nxt, n), n)
+    keep = np.zeros(n + 1, dtype=bool)
     lane = (ends - counts)[counts > 0]
-    while lane.size:
-        keep[lane] = True
-        lane = nxt[lane]
-        lane = lane[lane < n]
-    return np.flatnonzero(keep)
+    while lane.size and lane.min() < n:
+        for _ in range(8):
+            keep[lane] = True
+            lane = nxt[lane]
+    return np.flatnonzero(keep[:n])
 
 
 class HeraldBatch(NamedTuple):
@@ -177,6 +211,102 @@ def _readouts(master_seed, cycles, slots, is_d1, a13, a14, a23, a24,
     return readout, background
 
 
+def _open_slots(n_slots, p_herald, skip_slots) -> float:
+    """Expected write slots that run per cycle: each herald takes
+    ``1/p_herald`` open slots on average and then blocks ``skip_slots``."""
+    return n_slots / (1.0 + p_herald * skip_slots)
+
+
+def _scan_batches(n_slots, p_herald, skip_slots, w) -> int:
+    """Whole batches per lane group of the scan: about ``LANE_SLOTS``
+    uniforms per step and ``GROUP_HERALDS`` heralds per group."""
+    step = max(1, CHUNK_SLOTS // max(n_slots, 1))
+    heralds = step * p_herald * _open_slots(n_slots, p_herald, skip_slots)
+    return max(1, min(int(GROUP_HERALDS // max(heralds, 1.0)),
+                      LANE_SLOTS // w // step))
+
+
+def _scan_window(p_herald, skip_slots, n_slots, n_cycles) -> int:
+    """Window of the lane scan, or 0 where the full-hash path is faster.
+
+    The window is the power of two at or above the mean candidate spacing
+    ``1/p_herald``, at most ``SCAN_WINDOW_MAX`` and ``skip_slots + 1``.
+    Per cycle, in draw-0 hashes, the full path costs ``n_slots`` plus
+    ``WALK_HERALD_COST`` per herald for its acceptance walk, and the scan
+    ``windows * (w + SCAN_STEP_COST / lanes)``: each window hashes ``w``
+    slots and shares one step's fixed numpy overhead with the other lanes.
+    A cycle has about ``heralds + open / w`` windows, ``open`` being its
+    expected open slots. The scan runs where it is cheaper.
+    """
+    if skip_slots <= 0 or not 0.0 < p_herald < 1.0:
+        return 0
+    w = min(1 << -math.floor(math.log2(p_herald)), SCAN_WINDOW_MAX,
+            skip_slots + 1)
+    step = max(1, CHUNK_SLOTS // max(n_slots, 1))
+    lanes = min(n_cycles,
+                step * _scan_batches(n_slots, p_herald, skip_slots, w))
+    if lanes <= 0:
+        return 0
+    open_slots = _open_slots(n_slots, p_herald, skip_slots)
+    heralds = p_herald * open_slots
+    scan = (heralds + open_slots / w) * (w + SCAN_STEP_COST / lanes)
+    return w if scan < n_slots + WALK_HERALD_COST * heralds else 0
+
+
+def _full(master_seed, lo, hi, slots, p_herald, skip_slots):
+    """Accepted heralds of cycles ``[lo, hi)`` from the draw 0 of every
+    slot. Returns their ascending flat indices from ``lo`` and the draw 0
+    of each."""
+    cycles = np.arange(lo, hi)
+    u = trial_uniforms_numpy(master_seed, cycles[:, None], slots, 0)
+    is_cand = (u < p_herald).reshape(-1)
+    flat = np.flatnonzero(is_cand)
+    if skip_slots > 0 and flat.size > 1:
+        flat = flat[_accept(flat, is_cand, slots.size, skip_slots)]
+    return flat, u.reshape(-1)[flat]
+
+
+def _scan(master_seed, lo, hi, n_slots, p_herald, skip_slots, w):
+    """Accepted heralds of cycles ``[lo, hi)`` by a lane scan.
+
+    One lane per cycle holds its next open slot. At each step every live
+    lane draws the draw 0 of the ``w`` slots from there and takes the first
+    candidate, then goes on ``skip_slots + 1`` slots past it, or ``w``
+    slots on when the window holds none. With ``w <= skip_slots + 1`` a
+    window never holds a second herald. Returns the ascending flat indices
+    of the heralds from ``lo`` and the draw 0 of each.
+    """
+    offsets = np.arange(w, dtype=np.uint64)
+    rows = np.arange(hi - lo)
+    cycle = np.arange(lo, hi, dtype=np.uint64)
+    start = np.zeros(hi - lo, dtype=np.uint64)
+    end = np.uint64(n_slots)
+    found = []
+    while cycle.size:
+        u = trial_uniforms_numpy(master_seed, cycle[:, None],
+                                 start[:, None] + offsets, 0)
+        # argmax is 0 for a window without a candidate
+        k = (u < p_herald).argmax(axis=1)
+        u_k = u[rows[:cycle.size], k]
+        got = u_k < p_herald
+        slot = start + k.view(np.uint64)
+        found.append((cycle[got], slot[got], u_k[got]))
+        start = slot + np.where(got, np.uint64(skip_slots + 1),
+                                np.uint64(w))
+        live = start < end
+        if not live.all():
+            cycle = cycle[live]
+            start = start[live]
+    cycle, slot, u0 = (np.concatenate(c) for c in zip(*found))
+    del found
+    # a window that crosses the cycle end may find a candidate past it
+    inside = slot < end
+    flat = (cycle[inside] - np.uint64(lo)) * end + slot[inside]
+    flat = flat.view(np.int64)
+    order = np.argsort(flat, kind="stable")
+    return flat[order], u0[inside][order]
+
+
 def herald_batches(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
                    a13, a14, a23, a24, p_noise, skip_slots):
     """Yield one ``HeraldBatch`` per batch of whole cycles, together about
@@ -189,36 +319,44 @@ def herald_batches(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
     draw 2 gives a background click with probability ``p_noise``, split
     evenly between D3 and D4. Blocked slots consume no draws.
 
-    The working set is fixed by ``CHUNK_SLOTS``: the batch's uniforms and
-    candidate mask plus arrays of at most one entry per candidate, whatever
-    the number of cycles or the herald probability.
+    ``_scan_window`` picks the path: the full-hash path samples and yields
+    one batch at a time, the lane scan a group of whole batches (see
+    ``_scan_batches``), whose batches are then yielded in turn. The stream
+    of batches is the same on either path.
     """
     n_slots = int(n_slots)
     skip_slots = int(skip_slots)
     step = max(1, CHUNK_SLOTS // max(n_slots, 1))
+    w = _scan_window(p_herald, skip_slots, n_slots, cycle_hi - cycle_lo)
+    # the scan runs a lane group of whole batches, the full path a batch
+    group = step * (_scan_batches(n_slots, p_herald, skip_slots, w)
+                    if w else 1)
     slots = np.arange(n_slots)
 
-    def batch(lo, n_cycles):
-        cycles = np.arange(lo, lo + n_cycles)
-        u = trial_uniforms_numpy(master_seed, cycles[:, None], slots, 0)
-        is_cand = (u < p_herald).reshape(-1)
-        flat = np.flatnonzero(is_cand)
-        n_blocked = 0
-        if skip_slots > 0 and flat.size:
-            if flat.size > 1:
-                flat = flat[_accept(flat, is_cand, n_slots, skip_slots)]
-            n_blocked = int(np.minimum(skip_slots,
-                                       n_slots - 1 - flat % n_slots).sum())
-        is_d1 = u.reshape(-1)[flat] < p_herald * 0.5
+    def batches(lo, hi, flat, u0):
+        # readouts of the heralds of cycles [lo, hi), one batch per step
+        is_d1 = u0 < p_herald * 0.5
+        herald = np.where(is_d1, np.uint8(1), np.uint8(2))
         readout, background = _readouts(
             master_seed, flat // n_slots + lo, flat % n_slots, is_d1,
             a13, a14, a23, a24, p_noise)
-        return HeraldBatch(lo, n_cycles, flat,
-                           np.where(is_d1, np.uint8(1), np.uint8(2)),
-                           readout, background, n_blocked)
+        blocked = np.minimum(skip_slots, n_slots - 1 - flat % n_slots)
+        bounds = list(range(0, hi - lo, step)) + [hi - lo]
+        edges = np.searchsorted(flat, np.array(bounds) * n_slots).tolist()
+        for c0, c1, i, j in zip(bounds, bounds[1:], edges, edges[1:]):
+            yield HeraldBatch(lo + c0, c1 - c0, flat[i:j] - c0 * n_slots,
+                              herald[i:j], readout[i:j], background[i:j],
+                              int(blocked[i:j].sum()))
 
-    for lo in range(cycle_lo, cycle_hi, step):
-        yield batch(lo, min(lo + step, cycle_hi) - lo)
+    for lo in range(cycle_lo, cycle_hi, group):
+        hi = min(lo + group, cycle_hi)
+        if w:
+            found = _scan(master_seed, lo, hi, n_slots, p_herald,
+                          skip_slots, w)
+        else:
+            found = _full(master_seed, lo, hi, slots, p_herald, skip_slots)
+        yield from batches(lo, hi, *found)
+        del found  # freed before the next group is sampled
 
 
 def _bins(herald, readout):

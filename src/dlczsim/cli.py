@@ -41,6 +41,11 @@ MAX_WORKERS = 64
 # 4.3 kB for JSON at nest level 4 (tracemalloc peaks at 10,000 points).
 MAX_POINTS = 10_000
 
+# Defaults of the repeater distance grid. The flags default to None so that
+# an explicit one can be told apart: the anchor report sweeps its own grid.
+SWEEP_DEFAULTS = {"l_min_km": 10.0, "l_max_km": 5000.0, "points": 120,
+                  "grid": "log"}
+
 
 def _fmt(x) -> str:
     if isinstance(x, float):
@@ -178,8 +183,15 @@ def cmd_bell(args) -> int:
 
 
 def cmd_repeater(args) -> int:
-    # The anchor report sets its own grid and ignores --points.
-    if not args.anchor_report and args.points > MAX_POINTS:
+    given = [k for k in SWEEP_DEFAULTS if getattr(args, k) is not None]
+    if args.anchor_report and given:
+        flags = ", ".join("--" + k.replace("_", "-") for k in given)
+        raise ValueError(f"--anchor-report sweeps its own grid; {flags} "
+                         f"cannot be given with it")
+    for k, default in SWEEP_DEFAULTS.items():
+        if getattr(args, k) is None:
+            setattr(args, k, default)
+    if args.points > MAX_POINTS:
         raise ValueError(f"--points must be at most {MAX_POINTS}, "
                          f"got {args.points}")
     cfg = load_config(args.config, args.seed)
@@ -363,10 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repeater", help="rate-versus-distance sweeps")
     _add_common(p)
-    p.add_argument("--l-min-km", type=float, default=10.0)
-    p.add_argument("--l-max-km", type=float, default=5000.0)
-    p.add_argument("--points", type=int, default=120)
-    p.add_argument("--grid", choices=("log", "linear"), default="log")
+    p.add_argument("--l-min-km", type=float, default=None, help="default 10")
+    p.add_argument("--l-max-km", type=float, default=None,
+                   help="default 5000")
+    p.add_argument("--points", type=int, default=None, help="default 120")
+    p.add_argument("--grid", choices=("log", "linear"), default=None,
+                   help="default log")
     p.add_argument("--target-rate", type=float, default=1e-4)
     p.add_argument("--r0", type=float, default=None,
                    help="override the zero-delay retrieval efficiency")

@@ -319,13 +319,25 @@ class TestRepeater:
         assert "--points" in err
         assert not out.exists()
 
-    def test_anchor_report_ignores_points_bound(self, capsys, monkeypatch):
-        monkeypatch.setattr(repeater, "calibration_report",
-                            lambda **kwargs: [])
-        rc, out, _ = run(capsys, "repeater", "--anchor-report", "--points",
-                         str(cli.MAX_POINTS + 1))
-        assert rc == 0
-        assert json.loads(out)["entries"] == []
+    @pytest.mark.parametrize("flag, value", [
+        ("--points", "5"), ("--points", str(cli.MAX_POINTS + 1)),
+        ("--l-min-km", "10"), ("--l-max-km", "100"), ("--grid", "log")])
+    def test_anchor_report_with_a_grid_flag_exits_2(self, flag, value,
+                                                     tmp_path, capsys,
+                                                     monkeypatch):
+        # the report sweeps its own grid: even a flag given at its default
+        # value is refused, before the config is read
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+        monkeypatch.setattr(cli, "load_config", no_work)
+        monkeypatch.setattr(repeater, "calibration_report", no_work)
+        out = tmp_path / "report.json"
+        rc, stdout, err = run(capsys, "repeater", "--anchor-report", flag,
+                              value, "--out", str(out))
+        assert rc == 2
+        assert stdout == ""
+        assert err.count("\n") == 1 and flag in err
+        assert not out.exists()
 
     def test_anchor_report_lists_all_combinations(self, capsys):
         rc, out, _ = run(capsys, "repeater", "--anchor-report")

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dlczsim import _kernels
 from dlczsim.model import DecayModel, MeasurementSettings, SourceParams
@@ -309,3 +309,85 @@ def test_dump_working_set_is_bounded(skip_slots, tmp_path):
     assert large < DUMP_WORKING_SET_LIMIT
     # the dump is larger than the memory that wrote it
     assert size > 2 * large
+
+
+# --- the two sampler paths ---------------------------------------------------
+
+path_inputs = st.fixed_dictionaries(dict(
+    master_seed=st.integers(0, 2 ** 64 - 1),
+    cycle_lo=st.integers(0, 2 ** 40),
+    n_cycles=st.integers(1, 6),
+    n_slots=st.integers(1, 40),
+    p_herald=st.one_of(st.sampled_from([0.0, 5e-324, 0.5, 1.0]),
+                       st.floats(0.0, 1.0)),
+    a13=probability, a14=probability, a23=probability, a24=probability,
+    p_noise=probability,
+    skip_slots=st.integers(1, 40),
+    window=st.floats(0.0, 1.0),  # 1 .. skip_slots + 1 slots
+    chunk_slots=st.integers(1, 120),
+    mix_slots=st.integers(1, 50),
+    lane_slots=st.integers(1, 200),
+))
+
+# a 13-slot window in 10-slot cycles: every window crosses a cycle end
+WINDOW_PAST_CYCLE_END = dict(
+    master_seed=5, cycle_lo=3, n_cycles=4, n_slots=10, p_herald=0.3,
+    a13=0.3, a14=0.2, a23=0.1, a24=0.5, p_noise=0.3, skip_slots=12,
+    window=1.0, chunk_slots=20, mix_slots=7, lane_slots=26)
+
+
+def _same_batches(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert (x.cycle_lo, x.n_cycles, x.n_blocked) == \
+            (y.cycle_lo, y.n_cycles, y.n_blocked)
+        for field in ("flat", "herald", "readout", "background"):
+            u, v = getattr(x, field), getattr(y, field)
+            assert u.dtype == v.dtype and np.array_equal(u, v), field
+
+
+@settings(max_examples=200, deadline=None)
+@given(path_inputs)
+@example(WINDOW_PAST_CYCLE_END)
+def test_scan_and_full_paths_agree(kw):
+    # each path forced through the dispatch rule: window 0 runs the full
+    # hash, a positive one the lane scan, in lane groups of few cycles
+    kw = dict(kw)
+    sizes = (kw.pop("chunk_slots"), kw.pop("mix_slots"), kw.pop("lane_slots"))
+    w = 1 + int(kw.pop("window") * kw["skip_slots"])
+    seed = kw.pop("master_seed")
+    lo = kw.pop("cycle_lo")
+    args = (seed, lo, lo + kw.pop("n_cycles"), kw.pop("n_slots"))
+    out = []
+    for window in (0, w):
+        with _batch_sizes(*sizes[:2]), \
+                mock.patch.object(_kernels, "LANE_SLOTS", sizes[2]), \
+                mock.patch.object(_kernels, "_scan_window",
+                                  lambda *_: window):
+            out.append((list(_kernels.herald_batches(*args, **kw)),
+                        _counts_and_rows(*args, **kw)))
+    (full, full_out), (scan, scan_out) = out
+    _same_batches(full, scan)
+    rows = trial_records_oracle(*args, **kw)
+    assert full_out == scan_out == (counts_from_rows(rows), rows)
+
+
+def test_scan_hashes_little_more_than_the_slots_run():
+    # p_herald 0.003 and 1300 blocked slots per herald (the paper's 2.6 ms
+    # storage): the full path hashes about 4 slots per slot run
+    trial_uniforms = _kernels.trial_uniforms_numpy
+    drawn = []
+
+    def counting(seed, cycles, slots, draw):
+        u = trial_uniforms(seed, cycles, slots, draw)
+        if draw == 0:
+            drawn.append(u.size)
+        return u
+
+    with mock.patch.object(_kernels, "trial_uniforms_numpy", counting):
+        counts = _kernels.counts_kernel(11, 0, 200, 4000, 0.003, a13=0.3,
+                                        a14=0.1, a23=0.1, a24=0.3,
+                                        p_noise=1e-4, skip_slots=1300)
+    slots_run = counts[6]
+    assert counts[4] + counts[5] > 300  # heralds
+    assert sum(drawn) <= 1.5 * slots_run
