@@ -3,8 +3,13 @@
 The per-trial random stream is counter-based: every (cycle, slot, draw)
 triple is hashed independently with a splitmix64 chain (cycle, then slot,
 then draw), so the results are bit-identical however the cycles are
-partitioned or in whatever order the triples are evaluated. Uniform doubles
-come from the top 53 bits of the hash.
+partitioned or in whatever order the triples are evaluated. The uniform of
+a hash is its top 53 bits, ``(h >> 11) * 2**-53``, but the sampler never
+forms it: every decision ``u < p`` is taken on the 64-bit word as
+``h < _threshold(p)``, with ``_threshold(p) = ceil(p * 2**53) << 11``. The
+two agree for every word and every ``p`` (the scaling by ``2**53`` is
+exact, and an integer is below a real exactly when it is below its
+ceiling), so the counts are those of the uniforms.
 
 ``herald_batches`` is the only sampler. It finds the accepted heralds of
 its cycles by one of two paths, which give the same heralds:
@@ -63,14 +68,14 @@ SCAN_WINDOW_MAX = 128
 LANE_SLOTS = 65_536
 GROUP_HERALDS = CHUNK_SLOTS // 8
 
-# Costs of the dispatch rule in draw-0 hashes (about 14 ns each): a scan
+# Costs of the dispatch rule in draw-0 hashes (about 9 ns each): a scan
 # step's fixed numpy overhead, and the full path's acceptance walk per
-# herald. Fitted by least squares to the times of both paths on 82 cases
-# (p_herald 0.001-0.49, 1-3000 blocked slots, 300 and 1250 cycles of 4000
-# slots; 2-CPU x86 VM, numpy 2.4): the rule picks the faster path in 79,
-# and the other three are within 25% of a tie.
-SCAN_STEP_COST = 4500
-WALK_HERALD_COST = 12
+# herald. Fitted by least squares to three timings of both paths on 65
+# cases (p_herald 0.001-0.49, 1-3000 blocked slots, 300 and 1250 cycles of
+# 4000 slots; 2-CPU x86 VM, numpy 2.4): the rule picks the faster path in
+# 193 of the 195, and the other two are within 20% of a tie.
+SCAN_STEP_COST = 7800
+WALK_HERALD_COST = 20
 
 
 def mix64(z: int) -> int:
@@ -103,7 +108,8 @@ def _mix_inplace(z, tmp):
     return z
 
 
-def trial_uniforms_numpy(master_seed: int, cycles, slots, draw: int):
+def trial_uniforms_numpy(master_seed: int, cycles, slots, draw: int,
+                         raw=False):
     """Vectorized per-(cycle, slot) uniforms for one draw index.
 
     ``cycles`` and ``slots`` broadcast against each other: a column of
@@ -111,6 +117,9 @@ def trial_uniforms_numpy(master_seed: int, cycles, slots, draw: int):
     each cycle key is mixed once however many slots it meets. The slot
     mixes run ``MIX_SLOTS`` elements at a time, so the piece being mixed
     and its shift buffer stay in cache.
+
+    With ``raw`` the 64-bit hash words themselves come back (uint64, same
+    shape), for comparison against ``_threshold`` keys.
     """
     c = np.atleast_1d(np.asarray(cycles, dtype=np.uint64))
     s = np.atleast_1d(np.asarray(slots, dtype=np.uint64))
@@ -128,10 +137,29 @@ def trial_uniforms_numpy(master_seed: int, cycles, slots, draw: int):
             if draw:
                 part ^= np.uint64(draw)
             _mix_inplace(part, t)
-            part >>= np.uint64(11)
-            # each uniform replaces its hash in place
-            np.multiply(part, _INV_2_53, out=part.view(np.float64))
-    return h.view(np.float64)
+            if not raw:
+                part >>= np.uint64(11)
+                # each uniform replaces its hash in place
+                np.multiply(part, _INV_2_53, out=part.view(np.float64))
+    return h if raw else h.view(np.float64)
+
+
+def _threshold(p) -> int:
+    """Key ``T`` of probability ``p`` over hash words: ``h < T`` exactly
+    when the uniform of ``h`` is below ``p``.
+
+    The uniform is ``(h >> 11) * 2**-53`` and ``p * 2**53`` is exact, so
+    ``u < p`` holds when the integer ``h >> 11`` is below ``p * 2**53``,
+    that is below ``ceil(p * 2**53)``, that is when ``h`` is below
+    ``ceil(p * 2**53) << 11``. For ``p >= 1`` the key is ``2**64``, above
+    every word; for ``p <= 0`` or NaN it is 0, below every word. Keys are
+    Python integers, which numpy compares with uint64 words exactly.
+    """
+    if not p > 0.0:
+        return 0
+    if p >= 1.0:
+        return 1 << 64
+    return math.ceil(p * 2.0 ** 53) << 11
 
 
 def _accept(cand, is_cand, n_slots: int, skip_slots: int):
@@ -186,25 +214,28 @@ class HeraldBatch(NamedTuple):
     n_blocked: int
 
 
-def _readouts(master_seed, cycles, slots, is_d1, a13, a14, a23, a24,
-              p_noise):
-    """Readout code (0/3/4) and background flag of each herald."""
+def _readouts(master_seed, cycles, slots, is_d1, keys):
+    """Readout code (0/3/4) and background flag of each herald.
+
+    ``keys`` are the ``_threshold`` keys of ``a13``, ``a13 + a14``,
+    ``a23``, ``a23 + a24``, ``p_noise`` and ``p_noise / 2``.
+    """
+    k3_d1, k34_d1, k3_d2, k34_d2, k_noise, k_noise3 = keys
     readout = np.zeros(is_d1.size, dtype=np.uint8)
     background = np.zeros(is_d1.size, dtype=bool)
     if not is_d1.size:
         return readout, background
-    u1 = trial_uniforms_numpy(master_seed, cycles, slots, 1)
-    b3 = np.where(is_d1, a13, a23)
-    b4 = np.where(is_d1, a14, a24)
-    hit3 = u1 < b3
-    hit4 = ~hit3 & (u1 < b3 + b4)
+    h1 = trial_uniforms_numpy(master_seed, cycles, slots, 1, raw=True)
+    hit3 = np.where(is_d1, h1 < k3_d1, h1 < k3_d2)
+    hit4 = ~hit3 & np.where(is_d1, h1 < k34_d1, h1 < k34_d2)
     readout[hit3] = 3
     readout[hit4] = 4
     miss = np.flatnonzero(~hit3 & ~hit4)
-    if p_noise > 0.0 and miss.size:
-        u2 = trial_uniforms_numpy(master_seed, cycles[miss], slots[miss], 2)
-        bg = u2 < p_noise
-        bg3 = bg & (u2 < p_noise * 0.5)
+    if k_noise and miss.size:
+        h2 = trial_uniforms_numpy(master_seed, cycles[miss], slots[miss], 2,
+                                  raw=True)
+        bg = h2 < k_noise
+        bg3 = bg & (h2 < k_noise3)
         readout[miss[bg3]] = 3
         readout[miss[bg & ~bg3]] = 4
         background[miss[bg]] = True
@@ -253,28 +284,30 @@ def _scan_window(p_herald, skip_slots, n_slots, n_cycles) -> int:
     return w if scan < n_slots + WALK_HERALD_COST * heralds else 0
 
 
-def _full(master_seed, lo, hi, slots, p_herald, skip_slots):
+def _full(master_seed, lo, hi, slots, key, skip_slots):
     """Accepted heralds of cycles ``[lo, hi)`` from the draw 0 of every
-    slot. Returns their ascending flat indices from ``lo`` and the draw 0
-    of each."""
+    slot, a candidate where the hash is below ``key``. Returns their
+    ascending flat indices from ``lo`` and the draw-0 hash of each."""
     cycles = np.arange(lo, hi)
-    u = trial_uniforms_numpy(master_seed, cycles[:, None], slots, 0)
-    is_cand = (u < p_herald).reshape(-1)
+    h = trial_uniforms_numpy(master_seed, cycles[:, None], slots, 0,
+                             raw=True).reshape(-1)
+    is_cand = h < key
     flat = np.flatnonzero(is_cand)
     if skip_slots > 0 and flat.size > 1:
         flat = flat[_accept(flat, is_cand, slots.size, skip_slots)]
-    return flat, u.reshape(-1)[flat]
+    return flat, h[flat]
 
 
-def _scan(master_seed, lo, hi, n_slots, p_herald, skip_slots, w):
+def _scan(master_seed, lo, hi, n_slots, key, skip_slots, w):
     """Accepted heralds of cycles ``[lo, hi)`` by a lane scan.
 
     One lane per cycle holds its next open slot. At each step every live
     lane draws the draw 0 of the ``w`` slots from there and takes the first
-    candidate, then goes on ``skip_slots + 1`` slots past it, or ``w``
-    slots on when the window holds none. With ``w <= skip_slots + 1`` a
-    window never holds a second herald. Returns the ascending flat indices
-    of the heralds from ``lo`` and the draw 0 of each.
+    candidate, a hash below ``key``, then goes on ``skip_slots + 1`` slots
+    past it, or ``w`` slots on when the window holds none. With
+    ``w <= skip_slots + 1`` a window never holds a second herald. Returns
+    the ascending flat indices of the heralds from ``lo`` and the draw-0
+    hash of each.
     """
     offsets = np.arange(w, dtype=np.uint64)
     rows = np.arange(hi - lo)
@@ -283,28 +316,28 @@ def _scan(master_seed, lo, hi, n_slots, p_herald, skip_slots, w):
     end = np.uint64(n_slots)
     found = []
     while cycle.size:
-        u = trial_uniforms_numpy(master_seed, cycle[:, None],
-                                 start[:, None] + offsets, 0)
+        h = trial_uniforms_numpy(master_seed, cycle[:, None],
+                                 start[:, None] + offsets, 0, raw=True)
         # argmax is 0 for a window without a candidate
-        k = (u < p_herald).argmax(axis=1)
-        u_k = u[rows[:cycle.size], k]
-        got = u_k < p_herald
+        k = (h < key).argmax(axis=1)
+        h_k = h[rows[:cycle.size], k]
+        got = h_k < key
         slot = start + k.view(np.uint64)
-        found.append((cycle[got], slot[got], u_k[got]))
+        found.append((cycle[got], slot[got], h_k[got]))
         start = slot + np.where(got, np.uint64(skip_slots + 1),
                                 np.uint64(w))
         live = start < end
         if not live.all():
             cycle = cycle[live]
             start = start[live]
-    cycle, slot, u0 = (np.concatenate(c) for c in zip(*found))
+    cycle, slot, h0 = (np.concatenate(c) for c in zip(*found))
     del found
     # a window that crosses the cycle end may find a candidate past it
     inside = slot < end
     flat = (cycle[inside] - np.uint64(lo)) * end + slot[inside]
     flat = flat.view(np.int64)
     order = np.argsort(flat, kind="stable")
-    return flat[order], u0[inside][order]
+    return flat[order], h0[inside][order]
 
 
 def herald_batches(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
@@ -319,6 +352,10 @@ def herald_batches(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
     draw 2 gives a background click with probability ``p_noise``, split
     evenly between D3 and D4. Blocked slots consume no draws.
 
+    Every decision ``u < p`` is taken on the hash word as ``h < T``, with
+    ``T = _threshold(p)`` built once per call from the same probability;
+    the two are equivalent (see ``_threshold``), so no uniform is formed.
+
     ``_scan_window`` picks the path: the full-hash path samples and yields
     one batch at a time, the lane scan a group of whole batches (see
     ``_scan_batches``), whose batches are then yielded in turn. The stream
@@ -332,14 +369,18 @@ def herald_batches(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
     group = step * (_scan_batches(n_slots, p_herald, skip_slots, w)
                     if w else 1)
     slots = np.arange(n_slots)
+    key = _threshold(p_herald)
+    key_d1 = _threshold(p_herald * 0.5)
+    keys = (_threshold(a13), _threshold(a13 + a14), _threshold(a23),
+            _threshold(a23 + a24), _threshold(p_noise),
+            _threshold(p_noise * 0.5))
 
-    def batches(lo, hi, flat, u0):
+    def batches(lo, hi, flat, h0):
         # readouts of the heralds of cycles [lo, hi), one batch per step
-        is_d1 = u0 < p_herald * 0.5
+        is_d1 = h0 < key_d1
         herald = np.where(is_d1, np.uint8(1), np.uint8(2))
         readout, background = _readouts(
-            master_seed, flat // n_slots + lo, flat % n_slots, is_d1,
-            a13, a14, a23, a24, p_noise)
+            master_seed, flat // n_slots + lo, flat % n_slots, is_d1, keys)
         blocked = np.minimum(skip_slots, n_slots - 1 - flat % n_slots)
         bounds = list(range(0, hi - lo, step)) + [hi - lo]
         edges = np.searchsorted(flat, np.array(bounds) * n_slots).tolist()
@@ -351,10 +392,9 @@ def herald_batches(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
     for lo in range(cycle_lo, cycle_hi, group):
         hi = min(lo + group, cycle_hi)
         if w:
-            found = _scan(master_seed, lo, hi, n_slots, p_herald,
-                          skip_slots, w)
+            found = _scan(master_seed, lo, hi, n_slots, key, skip_slots, w)
         else:
-            found = _full(master_seed, lo, hi, slots, p_herald, skip_slots)
+            found = _full(master_seed, lo, hi, slots, key, skip_slots)
         yield from batches(lo, hi, *found)
         del found  # freed before the next group is sampled
 

@@ -159,7 +159,8 @@ def swap_chain(p: RepeaterParams, t0):
         alive = log_pj >= _LOG_FLOOR  # false after a collapse: t is inf
         collapsed_at = np.where((collapsed_at == 0) & ~alive, j, collapsed_at)
         p_levels[j - 1] = np.where(alive, _libm(math.exp, log_pj), 0.0)
-        with np.errstate(divide="ignore"):
+        # a dead level divides by 0, a live one may pass the largest float
+        with np.errstate(divide="ignore", over="ignore"):
             t_levels[j] = np.where(alive, t_levels[j - 1] / p_levels[j - 1],
                                    math.inf)
     return p_levels, t_levels, collapsed_at

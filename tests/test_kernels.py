@@ -1,4 +1,6 @@
 import contextlib
+import itertools
+import math
 import tracemalloc
 from unittest import mock
 
@@ -45,6 +47,18 @@ def test_vectorized_uniforms_match_scalar_chain():
             assert u.tolist() == [
                 trial_uniform_oracle(seed, int(c), int(s), draw)
                 for c, s in zip(cycles, slots)]
+
+
+def test_raw_words_give_the_uniforms():
+    # the uniform of a hash word is its top 53 bits
+    cycles = np.array([0, 1, 7, 2 ** 40, 2 ** 64 - 1], dtype=np.uint64)
+    slots = np.array([0, 3999, 5, 17, 2 ** 63], dtype=np.uint64)
+    for draw in (0, 1, 2):
+        u = _kernels.trial_uniforms_numpy(12345, cycles, slots, draw)
+        h = _kernels.trial_uniforms_numpy(12345, cycles, slots, draw,
+                                          raw=True)
+        assert h.dtype == np.uint64 and h.shape == u.shape
+        assert ((h >> np.uint64(11)) * 2.0 ** -53).tolist() == u.tolist()
 
 
 def test_counts_partition_invariance():
@@ -255,6 +269,116 @@ def test_herald_decision_at_the_boundary(p):
     assert rows[slot][:3] == (cycle, slot, herald)
 
 
+# --- decisions on hash words ------------------------------------------------
+
+def _uniform(h):
+    # the uniform of a hash word, as the float path and the oracle form it
+    return (h >> 11) * 2.0 ** -53
+
+
+def _near(p):
+    return [float(np.nextafter(p, -np.inf)), p, float(np.nextafter(p, np.inf))]
+
+
+SPECIAL_PROBABILITIES = [
+    0.0, -0.0, math.nan, -1.0, 5e-324, 1e-310, 2.0 ** -1022, 2.0 ** -53,
+    float(np.nextafter(1.0, 0.0)), 1.0, 1.5, 2.0 ** 1023, math.inf]
+
+
+def _lattice(k_max):
+    # the values a uniform takes, k * 2**-53, and their neighbours
+    return st.integers(0, k_max).flatmap(
+        lambda k: st.sampled_from(_near(k * 2.0 ** -53)))
+
+
+@st.composite
+def words_near(draw, p):
+    # the ends of the range, multiples of 2**11 and their neighbours, the
+    # words next to the key of p, or any word
+    key = _kernels._threshold(p)
+    k = draw(st.integers(0, 2 ** 53))
+    h = draw(st.one_of(
+        st.sampled_from([0, 2 ** 64 - 1, key - 1, key, key + 1]),
+        st.sampled_from([(k << 11) - 1, k << 11, (k << 11) + 1]),
+        st.integers(0, 2 ** 64 - 1)))
+    return min(max(h, 0), 2 ** 64 - 1)
+
+
+def _decided_alike(p, words):
+    key = _kernels._threshold(p)
+    assert 0 <= key <= 2 ** 64 and key % 2 ** 11 == 0
+    got = (np.array(words, dtype=np.uint64) < key).tolist()
+    assert got == [_uniform(h) < p for h in words]
+
+
+@pytest.mark.parametrize("p", SPECIAL_PROBABILITIES + _near(0.5)
+                         + _near(3 * 2.0 ** -53))
+def test_word_threshold_at_pinned_values(p):
+    key = _kernels._threshold(p)
+    words = [0, 1, 2 ** 11 - 1, 2 ** 11, 2 ** 11 + 1, 2 ** 63,
+             2 ** 64 - 2 ** 11 - 1, 2 ** 64 - 2 ** 11, 2 ** 64 - 1]
+    words += [h for h in (key - 1, key, key + 1) if 0 <= h < 2 ** 64]
+    _decided_alike(p, words)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.one_of(st.sampled_from(SPECIAL_PROBABILITIES),
+                            _lattice(2 ** 53), st.floats()))
+def test_word_threshold_matches_the_uniform(data, p):
+    _decided_alike(p, [data.draw(words_near(p)) for _ in range(8)])
+
+
+READ_SEED, READ_CYCLE = 21, 3
+
+
+def _heralding_slot(p_herald, d1):
+    """First slot of the cycle that heralds D1 (or D2) under p_herald."""
+    for slot in itertools.count():
+        u0 = trial_uniform_oracle(READ_SEED, READ_CYCLE, slot, 0)
+        if u0 < p_herald and (u0 < p_herald * 0.5) == d1:
+            return slot
+
+
+def _summing_to(total):
+    """(b3, b4) whose float sum is exactly ``total``, b3 an eighth of it."""
+    b3 = total / 8
+    b4 = total - b3
+    while b3 + b4 != total:
+        b4 = float(np.nextafter(b4, total if b3 + b4 < total else -total))
+    return b3, b4
+
+
+@pytest.mark.parametrize("path", [0, 1])  # window 0: full path, 1: scan
+@pytest.mark.parametrize("ulps", [-1, 0, 1])
+@pytest.mark.parametrize("edge", ["b3", "b3+b4", "p_noise", "p_noise/2"])
+@pytest.mark.parametrize("d1", [True, False])
+@pytest.mark.parametrize("p_herald", [0.1, 1.0])
+def test_readout_decision_at_the_boundary(p_herald, d1, edge, ulps, path):
+    slot = _heralding_slot(p_herald, d1)
+    u1, u2 = (trial_uniform_oracle(READ_SEED, READ_CYCLE, slot, d)
+              for d in (1, 2))
+    b3, b4, p_noise = 0.2, 0.3, 0.4
+    if edge == "b3":
+        b3 = _near(u1)[ulps + 1]
+    elif edge == "b3+b4":
+        b3, b4 = _summing_to(_near(u1)[ulps + 1])
+    else:  # draw 1 misses, draw 2 decides
+        b3 = b4 = 0.0
+        p_noise = _near(u2)[ulps + 1] * (1.0 if edge == "p_noise" else 2.0)
+    other = (0.35, 0.25)
+    a13, a14 = (b3, b4) if d1 else other
+    a23, a24 = other if d1 else (b3, b4)
+    args = (READ_SEED, READ_CYCLE, READ_CYCLE + 1, slot + 3)
+    kw = dict(p_herald=p_herald, a13=a13, a14=a14, a23=a23, a24=a24,
+              p_noise=p_noise, skip_slots=0)
+    rows = trial_records_oracle(*args, **kw)
+    with mock.patch.object(_kernels, "_scan_window", lambda *_: path):
+        assert _counts_and_rows(*args, **kw) == (counts_from_rows(rows), rows)
+    readout = 3 if u1 < b3 else 4 if u1 < b3 + b4 else \
+        0 if not u2 < p_noise else 3 if u2 < p_noise * 0.5 else 4
+    assert rows[slot][1:4] == (slot, 1 if d1 else 2, readout)
+
+
 # --- bounded working set ----------------------------------------------------
 
 WORKING_SET_LIMIT = 8 * 2 ** 20  # bytes
@@ -372,19 +496,40 @@ def test_scan_and_full_paths_agree(kw):
     assert full_out == scan_out == (counts_from_rows(rows), rows)
 
 
-def test_scan_hashes_little_more_than_the_slots_run():
-    # p_herald 0.003 and 1300 blocked slots per herald (the paper's 2.6 ms
-    # storage): the full path hashes about 4 slots per slot run
+@contextlib.contextmanager
+def _draw0_hashes():
+    """List of the sizes of the draw-0 hashes drawn inside the block."""
     trial_uniforms = _kernels.trial_uniforms_numpy
     drawn = []
 
-    def counting(seed, cycles, slots, draw):
-        u = trial_uniforms(seed, cycles, slots, draw)
+    def counting(seed, cycles, slots, draw, **kw):
+        u = trial_uniforms(seed, cycles, slots, draw, **kw)
         if draw == 0:
             drawn.append(u.size)
         return u
 
     with mock.patch.object(_kernels, "trial_uniforms_numpy", counting):
+        yield drawn
+
+
+@pytest.mark.parametrize("p_herald", [0.003, 0.49])
+@pytest.mark.parametrize("skip_slots", [0, 5])
+def test_full_path_hashes_every_slot_once(p_herald, skip_slots):
+    # every draw-0 hash goes through trial_uniforms_numpy, where a tracer
+    # counts them: n_cycles x n_slots on the full path
+    with _draw0_hashes() as drawn, \
+            mock.patch.object(_kernels, "_scan_window", lambda *_: 0), \
+            _batch_sizes(2000, 700):
+        _kernels.counts_kernel(4, 10, 27, 300, p_herald, a13=0.3, a14=0.1,
+                               a23=0.1, a24=0.3, p_noise=1e-2,
+                               skip_slots=skip_slots)
+    assert sum(drawn) == 17 * 300
+
+
+def test_scan_hashes_little_more_than_the_slots_run():
+    # p_herald 0.003 and 1300 blocked slots per herald (the paper's 2.6 ms
+    # storage): the full path hashes about 4 slots per slot run
+    with _draw0_hashes() as drawn:
         counts = _kernels.counts_kernel(11, 0, 200, 4000, 0.003, a13=0.3,
                                         a14=0.1, a23=0.1, a24=0.3,
                                         p_noise=1e-4, skip_slots=1300)

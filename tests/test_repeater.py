@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,17 @@ class TestSwapChain:
             assert all(b > a for a, b in zip(ts, ts[1:]))
             assert all(0 < p_j <= p.r0 ** 2 * p.eta_td ** 2 / 2 + 1e-15
                        for p_j in p_levels[:k])
+
+
+    def test_time_past_the_largest_float_raises_no_warning(self):
+        # a long-lived memory keeps every level alive while the waiting
+        # time of the upper levels grows past the largest float
+        p = RepeaterParams(nest_level=4, memory_lifetime=1e300, chi=1e-6,
+                           r0=1e-3, attenuation_length=22.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            curve = repeater_rate(p, np.geomspace(1, 1e6, 200))
+        assert np.isinf(curve.t_levels).any()
 
 
 class TestRate:
