@@ -17,7 +17,11 @@ its cycles by one of two paths, which give the same heralds:
 * the full-hash path draws the draw 0 of every slot of a batch of whole
   cycles with one ``trial_uniforms_numpy`` call, then resolves the
   storage-blocking windows by walking next-candidate pointers for all
-  cycles of the batch in step;
+  cycles of the batch in step. Where candidates are dense, its hash
+  words, candidate mask and prefix count go into one ``_Workspace`` a
+  batch long, made once per ``herald_batches`` call and reused by each
+  batch, so a dense run does not allocate and fault in these arrays anew
+  for every batch;
 * the lane scan runs one lane per cycle over a group of whole batches and
   draws only short windows from each lane's next open slot, so the slots a
   herald blocks are never hashed.
@@ -27,9 +31,10 @@ the scan where storage blocking skips much of a cycle and a cycle holds few
 heralds, the full path where nothing or little is blocked. Either way the
 readouts of the heralds are drawn once per batch or lane group and the
 heralds come out as one ``HeraldBatch`` per batch of about ``CHUNK_SLOTS``
-slots. The working set is bounded whatever the number of cycles: a batch's
-uniforms on the full path, a step of about ``LANE_SLOTS`` uniforms and a
-group of about ``GROUP_HERALDS`` heralds on the scan.
+slots. The working set is bounded whatever the number of cycles: a
+batch's hashes and candidates on the full path, a step of about
+``LANE_SLOTS`` uniforms and a group of about ``GROUP_HERALDS`` heralds on
+the scan.
 
 ``counts_kernel`` reduces the batches and, for a record dump, hands each
 batch expanded by ``records_kernel`` to one row per executed trial to a
@@ -109,7 +114,7 @@ def _mix_inplace(z, tmp):
 
 
 def trial_uniforms_numpy(master_seed: int, cycles, slots, draw: int,
-                         raw=False):
+                         raw=False, out=None, tmp=None):
     """Vectorized per-(cycle, slot) uniforms for one draw index.
 
     ``cycles`` and ``slots`` broadcast against each other: a column of
@@ -120,6 +125,12 @@ def trial_uniforms_numpy(master_seed: int, cycles, slots, draw: int,
 
     With ``raw`` the 64-bit hash words themselves come back (uint64, same
     shape), for comparison against ``_threshold`` keys.
+
+    ``out`` and ``tmp``, when given, are 1-D uint64 buffers at least as
+    large as the result and as the shift buffer (``MIX_SLOTS`` or the
+    result's size, whichever is smaller); the result is then a view of the
+    front of ``out``, so a caller that hashes batch after batch can write
+    every batch into the same memory.
     """
     c = np.atleast_1d(np.asarray(cycles, dtype=np.uint64))
     s = np.atleast_1d(np.asarray(slots, dtype=np.uint64))
@@ -127,9 +138,15 @@ def trial_uniforms_numpy(master_seed: int, cycles, slots, draw: int,
         cycle_h = c * _CYCLE_KEY
         cycle_h ^= np.uint64(master_seed)
         _mix_inplace(cycle_h, np.empty_like(cycle_h))
-        h = cycle_h ^ (s * _SLOT_KEY)
+        if out is None:
+            h = cycle_h ^ (s * _SLOT_KEY)
+        else:
+            shape = np.broadcast_shapes(c.shape, s.shape)
+            h = out[:math.prod(shape)].reshape(shape)
+            np.bitwise_xor(cycle_h, s * _SLOT_KEY, out=h)
         flat = h.reshape(-1)
-        tmp = np.empty(min(flat.size, MIX_SLOTS), dtype=np.uint64)
+        if tmp is None:
+            tmp = np.empty(min(flat.size, MIX_SLOTS), dtype=np.uint64)
         for i in range(0, flat.size, MIX_SLOTS):
             part = flat[i:i + MIX_SLOTS]
             t = tmp[:part.size]
@@ -153,7 +170,9 @@ def _threshold(p) -> int:
     that is below ``ceil(p * 2**53)``, that is when ``h`` is below
     ``ceil(p * 2**53) << 11``. For ``p >= 1`` the key is ``2**64``, above
     every word; for ``p <= 0`` or NaN it is 0, below every word. Keys are
-    Python integers, which numpy compares with uint64 words exactly.
+    Python integers, which numpy 2 compares with uint64 words exactly, up
+    to ``2**64`` and in ``np.less(..., out=)`` too (NEP 50 promotion; hence
+    the ``numpy>=2.0`` floor).
     """
     if not p > 0.0:
         return 0
@@ -162,7 +181,7 @@ def _threshold(p) -> int:
     return math.ceil(p * 2.0 ** 53) << 11
 
 
-def _accept(cand, is_cand, n_slots: int, skip_slots: int):
+def _accept(cand, is_cand, n_slots: int, skip_slots: int, count):
     """Positions in ``cand`` of the heralds the storage windows let through.
 
     ``cand`` holds the ascending flat (cycle-major) indices of the herald
@@ -172,21 +191,29 @@ def _accept(cand, is_cand, n_slots: int, skip_slots: int):
     past the previous window, its ``nxt``. One lane per cycle walks its
     ``nxt`` chain and all lanes step together, so the loop runs once per
     herald of the busiest cycle, whatever the number of cycles.
+
+    The first candidate past each window comes from a binary search in
+    ``cand``, cheaper for few candidates, or, when ``count`` is given (an
+    int32 buffer of at least ``is_cand.size``), from a prefix count of the
+    mask, looked up ``skip_slots`` on from each candidate.
     """
     n = cand.size
     size = is_cand.size
     ends = np.searchsorted(cand, np.arange(1, size // n_slots + 1) * n_slots)
     counts = np.diff(ends, prepend=0)
-    # first candidate past each window: a binary search is cheaper for few
-    # candidates, a prefix count from about one candidate in eight slots
-    if 8 * n < size:
-        nxt = np.searchsorted(cand, cand + skip_slots, side="right")
+    nxt = np.empty(n + 1, dtype=np.intp)  # an intp index walks fastest
+    if count is None:
+        nxt[:n] = np.searchsorted(cand, cand + skip_slots, side="right")
     else:
-        nxt = np.cumsum(is_cand, dtype=np.int32)[
-            np.minimum(cand + skip_slots, size - 1)]
+        count = count[:size]
+        np.copyto(count, is_cand)
+        np.cumsum(count, out=count)
+        nxt[:n] = np.take(count[min(skip_slots, size - 1):], cand,
+                          mode="clip")
     # a chain that leaves its cycle ends at n, which points to itself, so
     # finished lanes idle there and the walk only checks every few steps
-    nxt = np.append(np.where(nxt < np.repeat(ends, counts), nxt, n), n)
+    nxt[n] = n
+    nxt[:n][nxt[:n] >= np.repeat(ends, counts)] = n
     keep = np.zeros(n + 1, dtype=bool)
     lane = (ends - counts)[counts > 0]
     while lane.size and lane.min() < n:
@@ -284,17 +311,57 @@ def _scan_window(p_herald, skip_slots, n_slots, n_cycles) -> int:
     return w if scan < n_slots + WALK_HERALD_COST * heralds else 0
 
 
-def _full(master_seed, lo, hi, slots, key, skip_slots):
+class _Workspace(NamedTuple):
+    """Buffers of the full-hash path for batches of up to ``size`` slots.
+
+    ``hashes`` takes a batch's draw-0 hash words and ``shift`` the shifted
+    copies of their mixes, ``mask`` the candidate mask and ``count`` its
+    prefix count in ``_accept``.
+
+    ``herald_batches`` makes one where candidates are dense, from one in
+    eight slots: there a batch's temporaries are large enough that the
+    allocator hands their memory back and faults it in again for the next
+    batch. Sparser batches allocate per batch, which costs no faults, and
+    a workspace kept across their batches would only fragment the heap.
+    """
+
+    hashes: np.ndarray
+    shift: np.ndarray
+    mask: np.ndarray
+    count: np.ndarray
+
+    @classmethod
+    def of(cls, size):
+        # the shift buffer is done with before the prefix count begins, so
+        # the two share their memory
+        n_shift = min(size, MIX_SLOTS)
+        scratch = np.empty(max(8 * n_shift, 4 * size), dtype=np.uint8)
+        return cls(np.empty(size, dtype=np.uint64),
+                   scratch[:8 * n_shift].view(np.uint64),
+                   np.empty(size, dtype=bool),
+                   scratch[:4 * size].view(np.int32))
+
+
+def _full(master_seed, lo, hi, slots, key, skip_slots, work):
     """Accepted heralds of cycles ``[lo, hi)`` from the draw 0 of every
     slot, a candidate where the hash is below ``key``. Returns their
-    ascending flat indices from ``lo`` and the draw-0 hash of each."""
+    ascending flat indices from ``lo`` and the draw-0 hash of each.
+
+    With ``work``, a ``_Workspace``, the hash, the mask and the prefix
+    count go into the fronts of its buffers, so a run of batches reuses
+    the same memory; with None they are allocated for the batch and the
+    next candidates are found by binary search."""
+    hashes, shift, mask, count = work or (None,) * 4
     cycles = np.arange(lo, hi)
     h = trial_uniforms_numpy(master_seed, cycles[:, None], slots, 0,
-                             raw=True).reshape(-1)
-    is_cand = h < key
+                             raw=True, out=hashes, tmp=shift).reshape(-1)
+    if mask is None:
+        is_cand = h < key
+    else:
+        is_cand = np.less(h, key, out=mask[:h.size])
     flat = np.flatnonzero(is_cand)
     if skip_slots > 0 and flat.size > 1:
-        flat = flat[_accept(flat, is_cand, slots.size, skip_slots)]
+        flat = flat[_accept(flat, is_cand, slots.size, skip_slots, count)]
     return flat, h[flat]
 
 
@@ -359,7 +426,11 @@ def herald_batches(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
     ``_scan_window`` picks the path: the full-hash path samples and yields
     one batch at a time, the lane scan a group of whole batches (see
     ``_scan_batches``), whose batches are then yielded in turn. The stream
-    of batches is the same on either path.
+    of batches is the same on either path. From one candidate in eight
+    slots the full path makes one ``_Workspace`` per call, as long as its
+    first batch, and every batch writes into it; a call owns its
+    workspace, so worker threads that run calls side by side share no
+    buffer.
     """
     n_slots = int(n_slots)
     skip_slots = int(skip_slots)
@@ -369,6 +440,9 @@ def herald_batches(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
     group = step * (_scan_batches(n_slots, p_herald, skip_slots, w)
                     if w else 1)
     slots = np.arange(n_slots)
+    work = None
+    if not w and 8 * p_herald >= 1:
+        work = _Workspace.of(max(0, min(group, cycle_hi - cycle_lo)) * n_slots)
     key = _threshold(p_herald)
     key_d1 = _threshold(p_herald * 0.5)
     keys = (_threshold(a13), _threshold(a13 + a14), _threshold(a23),
@@ -394,7 +468,7 @@ def herald_batches(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
         if w:
             found = _scan(master_seed, lo, hi, n_slots, key, skip_slots, w)
         else:
-            found = _full(master_seed, lo, hi, slots, key, skip_slots)
+            found = _full(master_seed, lo, hi, slots, key, skip_slots, work)
         yield from batches(lo, hi, *found)
         del found  # freed before the next group is sampled
 

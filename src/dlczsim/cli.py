@@ -122,12 +122,16 @@ def _cycles_for_trials(cfg_seq, trials: int) -> int:
     return max(1, math.ceil(trials / cfg_seq.trials_per_run))
 
 
+def _check_trials(args, montecarlo: bool) -> None:
+    if montecarlo and args.trials < 1:
+        raise ValueError("--trials must be >= 1 in Monte Carlo mode")
+
+
 def cmd_efficiency(args) -> int:
     _check_workers(args)
+    _check_trials(args, args.montecarlo)
     cfg = load_config(args.config, args.seed)
     ts_ms = _parse_grid_ms(args)
-    if args.montecarlo and args.trials < 1:
-        raise ValueError("--trials must be >= 1 in Monte Carlo mode")
 
     rows = [[t_ms * 1e3, model.retrieval_efficiency(t_ms * 1e-3, cfg.decay)]
             for t_ms in ts_ms]
@@ -155,10 +159,9 @@ def cmd_efficiency(args) -> int:
 
 def cmd_bell(args) -> int:
     _check_workers(args)
+    _check_trials(args, args.mode == "montecarlo")
     cfg = load_config(args.config, args.seed)
     ts_ms = _parse_grid_ms(args)
-    if args.mode == "montecarlo" and args.trials < 1:
-        raise ValueError("--trials must be >= 1 in Monte Carlo mode")
 
     if args.mode == "analytic":
         rows = [[t_ms * 1e3, model.expected_bell(cfg.source, cfg.decay,
@@ -284,10 +287,14 @@ def cmd_calibrate(args) -> int:
 
 def cmd_simulate(args) -> int:
     _check_workers(args)
+    if not (math.isfinite(args.seconds) and args.seconds > 0):
+        raise ValueError(f"--seconds must be finite and positive, "
+                         f"got {args.seconds}")
     cfg = load_config(args.config, args.seed)
-    if args.seconds <= 0:
-        raise ValueError("--seconds must be positive")
-    n_cycles = max(1, round(args.seconds / cfg.sequence.cycle_duration))
+    cycles = args.seconds / cfg.sequence.cycle_duration
+    if not math.isfinite(cycles):
+        raise ValueError(f"--seconds {args.seconds} is too many cycles")
+    n_cycles = max(1, round(cycles))
     settings = model.MeasurementSettings(args.theta_s, args.theta_as)
     with contextlib.ExitStack() as stack:
         dump = None

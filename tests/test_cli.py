@@ -542,6 +542,49 @@ class TestCalibrationJson:
         assert got.source == load_config().source
 
 
+def _refuse_work(monkeypatch, what):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"work started despite a bad {what}")
+
+    monkeypatch.setattr(montecarlo, "run_trials", refuse)
+    monkeypatch.setattr(cli, "load_config", refuse)
+
+
+class TestRunSizeBound:
+    @pytest.mark.parametrize("seconds", ["inf", "-inf", "nan", "0", "-1"])
+    def test_bad_seconds_exits_2_before_any_work(self, seconds, tmp_path,
+                                                 capsys, monkeypatch):
+        _refuse_work(monkeypatch, "--seconds")
+        rc, out, err = run(capsys, "simulate", f"--seconds={seconds}",
+                           "--out", str(tmp_path / "out.json"),
+                           "--dump", str(tmp_path / "dump.csv"))
+        assert rc == 2
+        assert out == "" and "--seconds" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_seconds_past_the_largest_cycle_count_exits_2(self, tmp_path,
+                                                          capsys):
+        # finite, but 1e308 s / 50 ms overflows the cycle count to inf
+        rc, out, err = run(capsys, "simulate", "--seconds", "1e308",
+                           "--out", str(tmp_path / "out.json"))
+        assert rc == 2
+        assert out == "" and "--seconds" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    @pytest.mark.parametrize("argv", [
+        ["efficiency", "--montecarlo", "--t-ms", "0"],
+        ["bell", "--mode", "montecarlo", "--t-ms", "0"]])
+    def test_bad_trials_exits_2_before_any_work(self, argv, trials, tmp_path,
+                                                capsys, monkeypatch):
+        _refuse_work(monkeypatch, "--trials")
+        rc, out, err = run(capsys, *argv, f"--trials={trials}",
+                           "--out", str(tmp_path / "out.csv"))
+        assert rc == 2
+        assert out == "" and "--trials" in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestWorkersBound:
     COMMANDS = {
         "efficiency": ["efficiency", "--montecarlo", "--t-ms", "0"],

@@ -1,7 +1,9 @@
 import contextlib
 import itertools
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -59,6 +61,42 @@ def test_raw_words_give_the_uniforms():
                                           raw=True)
         assert h.dtype == np.uint64 and h.shape == u.shape
         assert ((h >> np.uint64(11)) * 2.0 ** -53).tolist() == u.tolist()
+
+
+# a column of cycles against a row of slots, one cycle or one slot against
+# many, or cycles and slots paired one to one
+BROADCASTS = [("column", "row"), ("one", "row"), ("column", "one"),
+              ("row", "row")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), cycle_lo=st.integers(0, 2 ** 40),
+       n=st.integers(1, 9), m=st.integers(1, 40),
+       broadcast=st.sampled_from(BROADCASTS), draw=st.integers(0, 2),
+       raw=st.booleans(), mix_slots=st.integers(1, 50),
+       spare=st.integers(0, 20))
+def test_uniforms_into_buffers_match_the_allocating_call(
+        seed, cycle_lo, n, m, broadcast, draw, raw, mix_slots, spare):
+    shapes = {"column": (n, 1), "one": (1,), "row": (n,)}
+    cycles = np.arange(cycle_lo, cycle_lo + n, dtype=np.uint64)
+    cycles = cycles[:math.prod(shapes[broadcast[0]])].reshape(
+        shapes[broadcast[0]])
+    m = n if broadcast == ("row", "row") else m
+    slots = np.arange(m, dtype=np.uint64)[:1 if broadcast[1] == "one" else m]
+    size = np.broadcast(cycles, slots).size
+    garbage = np.uint64(0xDEADBEEFDEADBEEF)
+    # buffers longer than needed: the result takes the front of ``out``
+    out = np.full(size + spare, garbage, dtype=np.uint64)
+    tmp = np.full(min(size, mix_slots) + spare, garbage, dtype=np.uint64)
+    with mock.patch.object(_kernels, "MIX_SLOTS", mix_slots):
+        want = _kernels.trial_uniforms_numpy(seed, cycles, slots, draw,
+                                             raw=raw)
+        got = _kernels.trial_uniforms_numpy(seed, cycles, slots, draw,
+                                            raw=raw, out=out, tmp=tmp)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert got.ctypes.data == out.ctypes.data
+    assert np.all(out[size:] == garbage)
 
 
 def test_counts_partition_invariance():
@@ -497,18 +535,18 @@ def test_scan_and_full_paths_agree(kw):
 
 
 @contextlib.contextmanager
-def _draw0_hashes():
-    """List of the sizes of the draw-0 hashes drawn inside the block."""
+def _hashes():
+    """(draw, size, base) of each hash array drawn inside the block; the
+    base is the buffer the array is a view of, or None."""
     trial_uniforms = _kernels.trial_uniforms_numpy
     drawn = []
 
-    def counting(seed, cycles, slots, draw, **kw):
+    def recording(seed, cycles, slots, draw, **kw):
         u = trial_uniforms(seed, cycles, slots, draw, **kw)
-        if draw == 0:
-            drawn.append(u.size)
+        drawn.append((draw, u.size, u.base))
         return u
 
-    with mock.patch.object(_kernels, "trial_uniforms_numpy", counting):
+    with mock.patch.object(_kernels, "trial_uniforms_numpy", recording):
         yield drawn
 
 
@@ -517,22 +555,105 @@ def _draw0_hashes():
 def test_full_path_hashes_every_slot_once(p_herald, skip_slots):
     # every draw-0 hash goes through trial_uniforms_numpy, where a tracer
     # counts them: n_cycles x n_slots on the full path
-    with _draw0_hashes() as drawn, \
+    with _hashes() as drawn, \
             mock.patch.object(_kernels, "_scan_window", lambda *_: 0), \
             _batch_sizes(2000, 700):
         _kernels.counts_kernel(4, 10, 27, 300, p_herald, a13=0.3, a14=0.1,
                                a23=0.1, a24=0.3, p_noise=1e-2,
                                skip_slots=skip_slots)
-    assert sum(drawn) == 17 * 300
+    draw0 = [(size, base) for draw, size, base in drawn if draw == 0]
+    assert sum(size for size, _ in draw0) == 17 * 300
+    assert len(draw0) == 3  # batches of 6, 6 and 5 cycles
+    if p_herald >= 1 / 8:
+        # dense: the hash of every batch, the short last one too, is a
+        # view of the call's one workspace buffer
+        bases = [base for _, base in draw0]
+        assert bases[0] is not None
+        assert all(base is bases[0] for base in bases)
 
 
 def test_scan_hashes_little_more_than_the_slots_run():
     # p_herald 0.003 and 1300 blocked slots per herald (the paper's 2.6 ms
     # storage): the full path hashes about 4 slots per slot run
-    with _draw0_hashes() as drawn:
+    with _hashes() as drawn:
         counts = _kernels.counts_kernel(11, 0, 200, 4000, 0.003, a13=0.3,
                                         a14=0.1, a23=0.1, a24=0.3,
                                         p_noise=1e-4, skip_slots=1300)
     slots_run = counts[6]
     assert counts[4] + counts[5] > 300  # heralds
-    assert sum(drawn) <= 1.5 * slots_run
+    assert sum(size for draw, size, _ in drawn if draw == 0) \
+        <= 1.5 * slots_run
+
+
+# --- the full path's workspace ----------------------------------------------
+
+@pytest.mark.parametrize("p_herald, skip_slots", [
+    (0.49, 3),   # prefix-count lookups
+    (0.05, 4),   # binary-search lookups, no workspace
+    (0.9, 0)])   # no blocking
+@pytest.mark.parametrize("n_cycles", [7, 11])
+def test_full_path_short_last_batch_matches_oracle(n_cycles, p_herald,
+                                                   skip_slots):
+    # batches of 3 cycles, so the last one is shorter than the workspace
+    # and must not read what the batch before it left there
+    args = (41, 1000, 1000 + n_cycles, 30)
+    kw = dict(p_herald=p_herald, a13=0.3, a14=0.2, a23=0.1, a24=0.5,
+              p_noise=0.2, skip_slots=skip_slots)
+    rows = trial_records_oracle(*args, **kw)
+    with _batch_sizes(90, 7), _hashes() as drawn, \
+            mock.patch.object(_kernels, "_scan_window", lambda *_: 0):
+        assert _counts_and_rows(*args, **kw) == (counts_from_rows(rows), rows)
+    # and no stale slot of an earlier batch was taken for a herald: each
+    # herald draws its readout once, and once more where that misses
+    heralds = [r for r in rows if r[2]]
+    misses = [r for r in heralds if r[3] == 0 or r[4]]
+    assert [sum(size for draw, size, _ in drawn if draw == d)
+            for d in (0, 1, 2)] == [n_cycles * 30, len(heralds), len(misses)]
+
+
+def test_concurrent_calls_hash_into_their_own_buffers():
+    # two calls in two threads, each holding a batch's hashes while the
+    # other hashes its own: a buffer shared between calls would be the
+    # base of both calls' hashes (no blocking, so a shared buffer cannot
+    # stall an acceptance walk)
+    trial_uniforms = _kernels.trial_uniforms_numpy
+    both = threading.Barrier(2, timeout=30)
+    bases = {1: [], 2: []}
+
+    def recording(seed, cycles, slots, draw, **kw):
+        u = trial_uniforms(seed, cycles, slots, draw, **kw)
+        if draw == 0:
+            bases[seed].append(u.base)
+            both.wait()
+        return u
+
+    def call(seed):
+        return _kernels.counts_kernel(seed, 0, 5, 300, 0.49, a13=0.3,
+                                      a14=0.1, a23=0.1, a24=0.3,
+                                      p_noise=1e-2, skip_slots=0)
+
+    with mock.patch.object(_kernels, "trial_uniforms_numpy", recording), \
+            mock.patch.object(_kernels, "_scan_window", lambda *_: 0), \
+            _batch_sizes(600, 700), ThreadPoolExecutor(2) as pool:
+        list(pool.map(call, (1, 2)))
+    for seed in (1, 2):  # one buffer for the 3 batches of each call
+        assert len(bases[seed]) == 3 and bases[seed][0] is not None
+        assert all(base is bases[seed][0] for base in bases[seed])
+    assert bases[1][0] is not bases[2][0]
+
+
+def test_dense_run_is_the_same_at_two_workers():
+    # p_herald 0.49 and 12 blocked slots per herald, as the dense CHSH
+    # workload: each worker thread runs its own herald_batches call, with
+    # its own workspace, over several batches
+    cfg = SequenceConfig(storage_time=12 * 2e-6)
+    assert cfg.herald_skip_slots == 12
+    runs = [run_trials(cfg, SourceParams(chi=0.5, p_noise=1e-3),
+                       DecayModel(0.77, 1e-3), 0.98, 0.5,
+                       MeasurementSettings(0, 22.5), 300, SeedSpec(17),
+                       n_workers=w) for w in (1, 2)]
+    one, two = runs
+    assert _kernels._scan_window(0.49, 12, 4000, 150) == 0  # the full path
+    assert two.counts == one.counts
+    assert (two.n_trials, two.n_blocked_slots, two.n_background_readouts) \
+        == (one.n_trials, one.n_blocked_slots, one.n_background_readouts)
