@@ -9,6 +9,7 @@ from .model import (
     Estimate,
     JointProbabilities,
     MeasurementSettings,
+    ReadoutLaw,
     RetrievalEstimates,
     SourceParams,
     TSIRELSON_BOUND,
@@ -21,6 +22,7 @@ from .model import (
     expected_bell,
     expected_correlation,
     fidelity_from_bell,
+    readout_law,
     retrieval_efficiency,
     total_detection_efficiency,
     visibility,

@@ -55,7 +55,6 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _CYCLE_KEY = np.uint64(0xA24BAED4963EE407)
 _SLOT_KEY = np.uint64(0x9FB21C651E98DF25)
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
-_INV_2_53 = 2.0 ** -53
 
 # Write slots per batch (49 cycles of 4000): enough cycles for the
 # acceptance walk to amortize its per-step overhead, and a fixed bound on
@@ -114,17 +113,16 @@ def _mix_inplace(z, tmp):
 
 
 def trial_uniforms_numpy(master_seed: int, cycles, slots, draw: int,
-                         raw=False, out=None, tmp=None):
-    """Vectorized per-(cycle, slot) uniforms for one draw index.
+                         out=None, tmp=None):
+    """Vectorized per-(cycle, slot) hash words (uint64) for one draw index.
 
-    ``cycles`` and ``slots`` broadcast against each other: a column of
-    cycles against a row of slots gives one row of uniforms per cycle, and
+    Each word ``h`` stands for the uniform ``(h >> 11) * 2**-53``; the
+    sampler compares words with ``_threshold`` keys and never forms the
+    uniform. ``cycles`` and ``slots`` broadcast against each other: a column
+    of cycles against a row of slots gives one row of words per cycle, and
     each cycle key is mixed once however many slots it meets. The slot
     mixes run ``MIX_SLOTS`` elements at a time, so the piece being mixed
     and its shift buffer stay in cache.
-
-    With ``raw`` the 64-bit hash words themselves come back (uint64, same
-    shape), for comparison against ``_threshold`` keys.
 
     ``out`` and ``tmp``, when given, are 1-D uint64 buffers at least as
     large as the result and as the shift buffer (``MIX_SLOTS`` or the
@@ -154,11 +152,7 @@ def trial_uniforms_numpy(master_seed: int, cycles, slots, draw: int,
             if draw:
                 part ^= np.uint64(draw)
             _mix_inplace(part, t)
-            if not raw:
-                part >>= np.uint64(11)
-                # each uniform replaces its hash in place
-                np.multiply(part, _INV_2_53, out=part.view(np.float64))
-    return h if raw else h.view(np.float64)
+    return h
 
 
 def _threshold(p) -> int:
@@ -252,15 +246,14 @@ def _readouts(master_seed, cycles, slots, is_d1, keys):
     background = np.zeros(is_d1.size, dtype=bool)
     if not is_d1.size:
         return readout, background
-    h1 = trial_uniforms_numpy(master_seed, cycles, slots, 1, raw=True)
+    h1 = trial_uniforms_numpy(master_seed, cycles, slots, 1)
     hit3 = np.where(is_d1, h1 < k3_d1, h1 < k3_d2)
     hit4 = ~hit3 & np.where(is_d1, h1 < k34_d1, h1 < k34_d2)
     readout[hit3] = 3
     readout[hit4] = 4
     miss = np.flatnonzero(~hit3 & ~hit4)
     if k_noise and miss.size:
-        h2 = trial_uniforms_numpy(master_seed, cycles[miss], slots[miss], 2,
-                                  raw=True)
+        h2 = trial_uniforms_numpy(master_seed, cycles[miss], slots[miss], 2)
         bg = h2 < k_noise
         bg3 = bg & (h2 < k_noise3)
         readout[miss[bg3]] = 3
@@ -354,7 +347,7 @@ def _full(master_seed, lo, hi, slots, key, skip_slots, work):
     hashes, shift, mask, count = work or (None,) * 4
     cycles = np.arange(lo, hi)
     h = trial_uniforms_numpy(master_seed, cycles[:, None], slots, 0,
-                             raw=True, out=hashes, tmp=shift).reshape(-1)
+                             out=hashes, tmp=shift).reshape(-1)
     if mask is None:
         is_cand = h < key
     else:
@@ -384,7 +377,7 @@ def _scan(master_seed, lo, hi, n_slots, key, skip_slots, w):
     found = []
     while cycle.size:
         h = trial_uniforms_numpy(master_seed, cycle[:, None],
-                                 start[:, None] + offsets, 0, raw=True)
+                                 start[:, None] + offsets, 0)
         # argmax is 0 for a window without a candidate
         k = (h < key).argmax(axis=1)
         h_k = h[rows[:cycle.size], k]

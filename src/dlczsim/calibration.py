@@ -5,6 +5,8 @@ the CHSH-decay model (zero-delay mixing parameter plus the two visibility
 decay constants). Both use a fixed starting grid followed by bounded
 least-squares refinement, so repeated runs give identical parameters; the
 resulting calibration is stored as JSON and shipped as a package fixture.
+The decay fit's curve is the model's ``retrieval_efficiency``; the Bell
+fit's is ``bell_curve``, the closed form of the model's ``expected_bell``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import FitConvergenceError
-from .model import DecayModel, SourceParams, TSIRELSON_BOUND, retrieval_efficiency
+from .model import (DecayModel, SourceParams, TSIRELSON_BOUND, expected_bell,
+                    retrieval_efficiency)
 
 
 @dataclass(frozen=True)
@@ -37,17 +40,14 @@ class DataPoint:
             raise ValueError("sigma must be positive")
 
 
-def _decay_shape(t: np.ndarray, tau: float) -> np.ndarray:
-    x = t / tau
-    return (np.exp(-x * x) + np.exp(-x)) / 2.0
-
-
 def _best_amplitude(shape: np.ndarray, y: np.ndarray, w: np.ndarray,
-                    upper: float = np.inf) -> float:
-    denom = float(np.sum(w * shape * shape))
-    if denom <= 0.0:
-        return 0.0
-    return float(np.clip(np.sum(w * shape * y) / denom, 0.0, upper))
+                    upper: float = np.inf):
+    """Weighted least-squares amplitude of ``shape`` against ``y`` along the
+    last axis, clipped to ``[0, upper]``; 0 where the shape vanishes."""
+    denom = np.sum(w * shape * shape, axis=-1)
+    num = np.sum(w * shape * y, axis=-1)
+    amp = np.divide(num, denom, out=np.zeros_like(denom), where=denom > 0.0)
+    return np.clip(amp, 0.0, upper)
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,9 @@ def fit_decay(points: Sequence[DataPoint], max_nfev: int = 400) -> DecayFit:
     Needs at least three points at distinct times. The amplitude enters
     linearly, so each trial lifetime from a fixed log-spaced grid gets its
     closed-form amplitude before the joint refinement; this keeps the fit
-    deterministic and start-point independent.
+    deterministic and start-point independent. The decay law is
+    ``retrieval_efficiency``'s, evaluated over the whole grid at once: the
+    decay shape at lifetime ``tau`` is the unit law at times ``t / tau``.
     """
     from scipy.optimize import least_squares  # 0.5 s to import: only fits pay
 
@@ -78,19 +80,16 @@ def fit_decay(points: Sequence[DataPoint], max_nfev: int = 400) -> DecayFit:
 
     span = max(ts.max(), 1e-9)
     taus = np.geomspace(span / 30.0, span * 30.0, 40)
-    best = None
-    for tau in taus:
-        shape = _decay_shape(ts, tau)
-        r0 = _best_amplitude(shape, ys, ws, upper=1.0)
-        chi2 = float(np.sum(ws * (r0 * shape - ys) ** 2))
-        if best is None or chi2 < best[0]:
-            best = (chi2, r0, tau)
+    shape = retrieval_efficiency(ts / taus[:, None], DecayModel(1.0, 1.0))
+    r0 = _best_amplitude(shape, ys, ws, upper=1.0)
+    k = np.argmin(np.sum(ws * (r0[:, None] * shape - ys) ** 2, axis=-1))
 
     def resid(x):
         r0, log_tau = x
-        return np.sqrt(ws) * (r0 * _decay_shape(ts, math.exp(log_tau)) - ys)
+        model = DecayModel(r0, math.exp(log_tau))
+        return np.sqrt(ws) * (retrieval_efficiency(ts, model) - ys)
 
-    sol = least_squares(resid, [best[1], math.log(best[2])],
+    sol = least_squares(resid, [r0[k], math.log(taus[k])],
                         bounds=([0.0, math.log(span / 1e3)],
                                 [1.0, math.log(span * 1e3)]),
                         xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=max_nfev)
@@ -115,15 +114,25 @@ class BellFit:
     decay_constrained: bool = True
 
 
-def bell_curve(t, p0: float, tau_g: float, tau_e: float, dm: DecayModel,
+def bell_curve(t, p0: float, tau_g, tau_e, dm: DecayModel,
                readout_eta: float, p_noise: float):
-    """Model CHSH value: Tsirelson bound times mixing times background dilution."""
+    """Closed form of ``expected_bell`` at zero phase and the canonical
+    settings, the Bell fit's model curve: Tsirelson bound times mixing times
+    background dilution ``q / (q + p_noise)``.
+    """
     t = np.asarray(t, dtype=float)
     q = retrieval_efficiency(t, dm) * readout_eta
-    dilution = np.where(q + p_noise > 0.0, q / (q + p_noise), 0.0)
+    total = q + p_noise
+    dilution = np.divide(q, total, out=np.zeros_like(total),
+                         where=total > 0.0)
+    return TSIRELSON_BOUND * p0 * _vis_shape(t, tau_g, tau_e) * dilution
+
+
+def _vis_shape(t, tau_g, tau_e):
+    # the visibility decay h(t) of the fit, with numpy's exp: the packaged
+    # fit pins its values (see ROADMAP item 2)
     xg = t / tau_g
-    h = (np.exp(-xg * xg) + np.exp(-t / tau_e)) / 2.0
-    return TSIRELSON_BOUND * p0 * h * dilution
+    return (np.exp(-xg * xg) + np.exp(-t / tau_e)) / 2.0
 
 
 def fit_bell_model(points: Sequence[DataPoint], dm: DecayModel,
@@ -132,10 +141,13 @@ def fit_bell_model(points: Sequence[DataPoint], dm: DecayModel,
     """Fit the mixing parameter and its two decay constants to CHSH data.
 
     With points at several distinct times the three parameters are fitted
-    jointly from a fixed grid of decay-constant pairs (the mixing parameter
-    enters linearly and gets its closed-form value per pair). When every
-    point sits at zero delay only the mixing parameter is identifiable; the
-    decay constants are then reported unconstrained at their defaults.
+    jointly from a fixed 14 x 14 grid of decay-constant pairs, evaluated in
+    one pass (the mixing parameter enters linearly and gets its closed-form
+    value per pair). When every point sits at zero delay only the mixing
+    parameter is identifiable; the decay constants are then reported
+    unconstrained at their defaults. Raises ``InsufficientStatisticsError``
+    naming the first point time at which the model gives every coincidence
+    outcome zero probability.
     """
     from scipy.optimize import least_squares
 
@@ -145,29 +157,25 @@ def fit_bell_model(points: Sequence[DataPoint], dm: DecayModel,
     ts = np.array([p.t for p in points])
     ys = np.array([p.value for p in points])
     ws = np.array([1.0 / p.sigma ** 2 for p in points])
+    # the model's own check that every point has a coincidence probability
+    expected_bell(SourceParams(chi=0.0, p_noise=p_noise), dm, ts, readout_eta)
 
-    q = retrieval_efficiency(ts, dm) * readout_eta
-    dilution = np.where(q + p_noise > 0.0, q / (q + p_noise), 0.0)
-    scale = TSIRELSON_BOUND * dilution  # S = scale * p0 * h(t)
+    # S = scale * p0 * h(t); infinite decay constants make h(t) = 1
+    scale = bell_curve(ts, 1.0, math.inf, math.inf, dm, readout_eta, p_noise)
 
     if np.all(ts == 0.0):
         # only the zero-delay mixing parameter is identifiable
-        p0 = _best_amplitude(scale, ys, ws, upper=1.0)
+        p0 = float(_best_amplitude(scale, ys, ws, upper=1.0))
         res = tuple(float(v) for v in scale * p0 - ys)
         return BellFit(werner_p0=p0, vis_tau_gauss=1.0, vis_tau_exp=1.0,
                        residuals=res, converged=True, decay_constrained=False)
 
     span = max(ts.max(), 1e-9)
     grid = np.geomspace(span / 20.0, span * 20.0, 14)
-    best = None
-    for tg in grid:
-        for te in grid:
-            xg = ts / tg
-            h = (np.exp(-xg * xg) + np.exp(-ts / te)) / 2.0
-            p0 = _best_amplitude(scale * h, ys, ws, upper=1.0)
-            chi2 = float(np.sum(ws * (scale * h * p0 - ys) ** 2))
-            if best is None or chi2 < best[0]:
-                best = (chi2, p0, tg, te)
+    shape = scale * _vis_shape(ts, grid[:, None, None], grid[None, :, None])
+    p0 = _best_amplitude(shape, ys, ws, upper=1.0)
+    chi2 = np.sum(ws * (shape * p0[..., None] - ys) ** 2, axis=-1)
+    i, j = np.unravel_index(np.argmin(chi2), chi2.shape)
 
     def resid(x):
         p0, ltg, lte = x
@@ -177,7 +185,8 @@ def fit_bell_model(points: Sequence[DataPoint], dm: DecayModel,
 
     lo = math.log(span / 1e3)
     hi = math.log(span * 1e3)
-    sol = least_squares(resid, [best[1], math.log(best[2]), math.log(best[3])],
+    sol = least_squares(resid, [p0[i, j], math.log(grid[i]),
+                                math.log(grid[j])],
                         bounds=([0.0, lo, lo], [1.0, hi, hi]),
                         xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=max_nfev)
     p0, tg, te = float(sol.x[0]), math.exp(sol.x[1]), math.exp(sol.x[2])

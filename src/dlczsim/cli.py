@@ -164,9 +164,9 @@ def cmd_bell(args) -> int:
     ts_ms = _parse_grid_ms(args)
 
     if args.mode == "analytic":
-        rows = [[t_ms * 1e3, model.expected_bell(cfg.source, cfg.decay,
-                                                 t_ms * 1e-3, cfg.read_eta),
-                 0.0] for t_ms in ts_ms]
+        s = model.expected_bell(cfg.source, cfg.decay,
+                                np.array(ts_ms) * 1e-3, cfg.read_eta)
+        rows = [[t_ms * 1e3, s_t, 0.0] for t_ms, s_t in zip(ts_ms, s.tolist())]
     else:
         ests = montecarlo.bell_sweep(
             [t_ms * 1e-3 for t_ms in ts_ms], cfg.sequence, cfg.source,

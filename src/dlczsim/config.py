@@ -20,19 +20,31 @@ from .repeater import RepeaterParams
 _DETECTION_KEYS = ("t_ocm", "cavity_loss", "eta_smf", "eta_filter",
                    "eta_mmf", "eta_det", "eta_fc")
 
-# schema: section -> key -> (converter to SI / parsed value)
+
+def _ms_to_s(text: str) -> float:
+    return float(text) * 1e-3
+
+
+# The calibrated decay times: INI keys in ms, read into the keys in s that
+# a calibration JSON file and the model use, so a calibrated value reaches
+# the model unscaled.
+_SI_NAMES = {"vis_tau_gauss_ms": "vis_tau_gauss_s",
+             "vis_tau_exp_ms": "vis_tau_exp_s",
+             "tau0_ms": "tau0_s"}
+
+# schema: section -> key -> converter of its text
 _SCHEMA = {
     "source": {
         "chi": float,
         "p_noise": float,
         "werner_p0": float,
-        "vis_tau_gauss_ms": float,
-        "vis_tau_exp_ms": float,
+        "vis_tau_gauss_ms": _ms_to_s,
+        "vis_tau_exp_ms": _ms_to_s,
         "phase_write_rad": float,
         "phase_read_rad": float,
         "calibration_json": str,
     },
-    "decay": {"r0": float, "tau0_ms": float},
+    "decay": {"r0": float, "tau0_ms": _ms_to_s},
     "detection.write": {k: float for k in _DETECTION_KEYS},
     "detection.read": {k: float for k in _DETECTION_KEYS},
     "sequence": {
@@ -59,14 +71,10 @@ _SCHEMA = {
 }
 
 
-# calibration JSON section -> key -> (config section, config key, factor
-# from the file's SI unit to the config's unit)
+# calibration JSON section -> (config section, keys), in the file's SI units
 _CALIBRATION_KEYS = {
-    "bell": {"werner_p0": ("source", "werner_p0", 1.0),
-             "vis_tau_gauss_s": ("source", "vis_tau_gauss_ms", 1e3),
-             "vis_tau_exp_s": ("source", "vis_tau_exp_ms", 1e3)},
-    "decay": {"r0": ("decay", "r0", 1.0),
-              "tau0_s": ("decay", "tau0_ms", 1e3)},
+    "bell": ("source", ("werner_p0", "vis_tau_gauss_s", "vis_tau_exp_s")),
+    "decay": ("decay", ("r0", "tau0_s")),
 }
 
 
@@ -78,20 +86,20 @@ def _finite_number(value) -> bool:
 
 
 def _apply_calibration(cfg: dict, cal, origin: str) -> None:
-    """Set the config keys that a calibration JSON object carries.
+    """Set the config keys that a calibration JSON object carries, unscaled.
 
     The ``bell`` and ``decay`` sections are each optional, but a section
     that is present must hold every one of its keys as a finite number.
     """
     if not isinstance(cal, dict):
         raise ValueError(f"calibration {origin}: not a JSON object")
-    for section, keys in _CALIBRATION_KEYS.items():
+    for section, (cfg_section, keys) in _CALIBRATION_KEYS.items():
         if section not in cal:
             continue
         if not isinstance(cal[section], dict):
             raise ValueError(
                 f"calibration {origin}: {section!r} is not a JSON object")
-        for key, (cfg_section, cfg_key, factor) in keys.items():
+        for key in keys:
             if key not in cal[section]:
                 raise ValueError(
                     f"calibration {origin}: {section}.{key} is missing")
@@ -99,7 +107,7 @@ def _apply_calibration(cfg: dict, cal, origin: str) -> None:
             if not _finite_number(value):
                 raise ValueError(f"calibration {origin}: {section}.{key} "
                                  f"must be a finite number, got {value!r}")
-            cfg[cfg_section][cfg_key] = value * factor
+            cfg[cfg_section][key] = value
 
 
 def _defaults() -> dict:
@@ -170,7 +178,7 @@ def _parse_file(path) -> dict:
                 raise ValueError(f"unknown key {key!r} in section [{section}]")
             conv = _SCHEMA[section][key]
             try:
-                raw[section][key] = conv(text)
+                raw[section][_SI_NAMES.get(key, key)] = conv(text)
             except ValueError as exc:
                 raise ValueError(
                     f"bad value for [{section}] {key}: {text!r}") from exc
@@ -208,12 +216,11 @@ def load_config(path=None, seed_override=None) -> RunConfig:
         source=SourceParams(
             chi=src["chi"], p_noise=src["p_noise"],
             werner_p0=src["werner_p0"],
-            vis_tau_gauss=src["vis_tau_gauss_ms"] * 1e-3,
-            vis_tau_exp=src["vis_tau_exp_ms"] * 1e-3,
+            vis_tau_gauss=src["vis_tau_gauss_s"],
+            vis_tau_exp=src["vis_tau_exp_s"],
             phase_write=src["phase_write_rad"],
             phase_read=src["phase_read_rad"]),
-        decay=DecayModel(r0=cfg["decay"]["r0"],
-                         tau0=cfg["decay"]["tau0_ms"] * 1e-3),
+        decay=DecayModel(r0=cfg["decay"]["r0"], tau0=cfg["decay"]["tau0_s"]),
         detection_write=DetectionChain(**cfg["detection.write"]),
         detection_read=DetectionChain(**cfg["detection.read"]),
         sequence=SequenceConfig(

@@ -38,9 +38,7 @@ from .model import (
     bell_parameter,
     correlation_E,
     estimate_intrinsic_retrieval,
-    retrieval_efficiency,
-    visibility,
-    werner_joint_projections,
+    readout_law,
 )
 
 
@@ -131,17 +129,15 @@ class TrialRunResult:
 def _kernel_args(cfg: SequenceConfig, sp: SourceParams, dm: DecayModel,
                  write_eta: float, read_eta: float,
                  settings: MeasurementSettings):
+    """Arguments of the trial sampler: slots per cycle, the herald
+    probability ``chi * write_eta``, the ``readout_law`` entries ``a13``
+    ... ``a24``, ``p_noise`` and the write slots a herald blocks."""
     for name, v in (("write_eta", write_eta), ("read_eta", read_eta)):
         if not (0.0 <= v <= 1.0):
             raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
     p_herald = sp.chi * write_eta
-    q_s = retrieval_efficiency(cfg.storage_time, dm) * read_eta
-    w = werner_joint_projections(visibility(sp, cfg.storage_time), settings,
-                                 sp.phase_total)
-    # Conditional on the herald detector: a_ij = P(correlated readout Dj | Di)
-    a13, a14, a23, a24 = (2.0 * q_s * wij for wij in w)
-    if a13 + a14 > 1.0 + 1e-12 or a23 + a24 > 1.0 + 1e-12:
-        raise ValueError("correlated readout probabilities exceed 1")
+    a13, a14, a23, a24 = readout_law(sp, dm, cfg.storage_time, read_eta,
+                                     settings).a
     return (cfg.trials_per_run, p_herald, a13, a14, a23, a24, sp.p_noise,
             cfg.herald_skip_slots)
 

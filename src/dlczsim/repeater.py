@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NotBracketedError
-from .model import FIBER_LIGHT_SPEED
+from .model import FIBER_LIGHT_SPEED, _libm
 
 LINK_CONVENTIONS = ("L_over_n", "L_over_2_pow_n")
 PR_EXPONENTS = ("literal_L_over_tau", "total_elapsed_time", "flight_time")
@@ -84,19 +84,6 @@ class RepeaterParams:
         if self.link_convention == "L_over_n":
             return self.nest_level
         return 2 ** self.nest_level
-
-
-def _libm(f, x) -> np.ndarray:
-    """The C library's ``f`` (``math.exp``, say) applied to every element.
-
-    numpy's SIMD exp, log, log1p and expm1 differ from the C library's in
-    the last bit for a few percent of arguments (exp: 4.6% of uniform draws
-    from [-700, 0], and the less accurate of the two in 99% of those),
-    which would move full-precision outputs.
-    """
-    x = np.asarray(x, dtype=float)
-    return np.fromiter(map(f, x.ravel().tolist()), float,
-                       x.size).reshape(x.shape)
 
 
 def _log(x) -> np.ndarray:

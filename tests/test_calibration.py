@@ -1,7 +1,11 @@
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
 from dlczsim.calibration import (
     DataPoint,
@@ -14,7 +18,9 @@ from dlczsim.calibration import (
     fit_decay,
     read_datapoints_csv,
 )
-from dlczsim.model import DecayModel, expected_bell, retrieval_efficiency
+from dlczsim.errors import FitConvergenceError, InsufficientStatisticsError
+from dlczsim.model import (TSIRELSON_BOUND, DecayModel, expected_bell,
+                           retrieval_efficiency)
 
 DM = DecayModel(0.77, 1e-3)
 
@@ -116,6 +122,18 @@ class TestFitBellModel:
         assert fit.werner_p0 == pytest.approx(1.0, abs=1e-9)
         assert not fit.decay_constrained
 
+    @pytest.mark.parametrize("points", [PAPER_BELL_POINTS,
+                                        PAPER_BELL_POINTS[:1]])
+    def test_zero_probability_model_raises_naming_the_time(self, points):
+        # no retrieval and no background: the model has no coincidences
+        with pytest.raises(InsufficientStatisticsError,
+                           match="storage time 0 s: model assigns zero"):
+            fit_bell_model(points, DecayModel(0.0, 1e-3), 0.15, 0.0)
+
+    def test_curve_without_coincidences_is_zero(self):
+        assert bell_curve([0.0, 1e-3], 0.9, 1e-3, 2e-3, DecayModel(0.0, 1e-3),
+                          0.5, 0.0).tolist() == [0.0, 0.0]
+
     def test_deterministic(self):
         a = fit_bell_model(PAPER_BELL_POINTS, DM, 0.15, 1e-4)
         b = fit_bell_model(PAPER_BELL_POINTS, DM, 0.15, 1e-4)
@@ -157,3 +175,73 @@ class TestCalibrationFiles:
 
     def test_to_dict_empty(self):
         assert calibration_to_dict() == {}
+
+
+# -- the start grids, one point at a time ------------------------------------
+
+def _amplitude_loop(shape, y, w):
+    denom = float(np.sum(w * shape * shape))
+    if denom <= 0.0:
+        return 0.0
+    return float(np.clip(np.sum(w * shape * y) / denom, 0.0, 1.0))
+
+
+def _decay_start_loop(ts, ys, ws):
+    span = max(ts.max(), 1e-9)
+    best = None
+    for tau in np.geomspace(span / 30.0, span * 30.0, 40):
+        x = ts / tau
+        shape = (np.exp(-x * x) + np.exp(-x)) / 2.0
+        r0 = _amplitude_loop(shape, ys, ws)
+        chi2 = float(np.sum(ws * (r0 * shape - ys) ** 2))
+        if best is None or chi2 < best[0]:
+            best = (chi2, r0, tau)
+    return [best[1], math.log(best[2])]
+
+
+def _bell_start_loop(ts, ys, ws, dm, readout_eta, p_noise):
+    q = retrieval_efficiency(ts, dm) * readout_eta
+    scale = TSIRELSON_BOUND * (q / (q + p_noise))
+    span = max(ts.max(), 1e-9)
+    grid = np.geomspace(span / 20.0, span * 20.0, 14)
+    best = None
+    for tg in grid:
+        for te in grid:
+            xg = ts / tg
+            h = (np.exp(-xg * xg) + np.exp(-ts / te)) / 2.0
+            p0 = _amplitude_loop(scale * h, ys, ws)
+            chi2 = float(np.sum(ws * (scale * h * p0 - ys) ** 2))
+            if best is None or chi2 < best[0]:
+                best = (chi2, p0, tg, te)
+    return [best[1], math.log(best[2]), math.log(best[3])]
+
+
+def _start_of(fit, *args):
+    """The start point ``fit`` hands to ``least_squares``."""
+    with mock.patch.object(scipy.optimize, "least_squares",
+                           wraps=scipy.optimize.least_squares) as spy, \
+            contextlib.suppress(FitConvergenceError):
+        fit(*args)
+    return [float(v) for v in spy.call_args.args[1]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 7), seed=st.integers(0, 2 ** 32 - 1),
+       p_noise=st.sampled_from([0.0, 1e-4, 0.3]))
+def test_start_grids_match_the_point_by_point_loops(n, seed, p_noise):
+    # each fit evaluates its grid in one pass and must start where the
+    # loop over grid points starts, bit for bit
+    rng = np.random.default_rng(seed)
+    ts = np.sort(rng.uniform(0.0, 5e-3, n))
+    ys = rng.uniform(0.3, 2.8, n)
+    ws = 1.0 / rng.uniform(0.01, 0.1, n) ** 2
+    pts = [DataPoint(t, y, 1.0 / math.sqrt(w)) for t, y, w in
+           zip(ts.tolist(), ys.tolist(), ws.tolist())]
+    ws = np.array([1.0 / p.sigma ** 2 for p in pts])
+    dm = DecayModel(float(rng.uniform(0.2, 1.0)),
+                    float(10 ** rng.uniform(-4, -2)))
+    eta = float(rng.uniform(0.05, 1.0))
+    assert _start_of(fit_bell_model, pts, dm, eta, p_noise) == \
+        _bell_start_loop(ts, ys, ws, dm, eta, p_noise)
+    pts = [DataPoint(p.t, p.value / 3, p.sigma) for p in pts]
+    assert _start_of(fit_decay, pts) == _decay_start_loop(ts, ys / 3, ws)

@@ -379,6 +379,26 @@ class TestCalibrate:
                          "decay")
         assert rc == 2
 
+    def test_zero_probability_model_exits_3_without_output(self, tmp_path,
+                                                           capsys):
+        # no retrieval and no background: no coincidence at any time
+        data = tmp_path / "bell.csv"
+        data.write_text("t_s,value,sigma\n0,2.5,0.02\n0.00115,2.05,0.03\n"
+                        "0.0026,1.15,0.03\n")
+        cfg = tmp_path / "dark.ini"
+        cfg.write_text("[source]\np_noise = 0\n[decay]\nr0 = 0\n")
+        out = tmp_path / "cal.json"
+        rc, _, err = run(capsys, "calibrate", "--which", "bell", "--data",
+                         str(data), "--config", str(cfg), "--out", str(out))
+        assert rc == 3
+        assert "storage time 0 s" in err and "zero probability" in err
+        assert not out.exists()
+        rc, _, err = run(capsys, "bell", "--mode", "analytic", "--t-ms",
+                         "0,1", "--config", str(cfg), "--out", str(out))
+        assert rc == 3
+        assert "storage time 0 s" in err
+        assert not out.exists()
+
     def test_calibration_feeds_back_into_config(self, tmp_path, capsys):
         data = tmp_path / "bell.csv"
         data.write_text("t_s,value,sigma\n0,2.5,0.02\n0.00115,2.05,0.03\n"
@@ -531,6 +551,28 @@ class TestCalibrationJson:
         assert rc == 2
         assert "calibration" in err
         assert not out.exists()
+
+    def test_calibrated_values_reach_the_model_unscaled(self, tmp_path):
+        # each of these changes in a round trip through milliseconds
+        cal = tmp_path / "cal.json"
+        cal.write_text(json.dumps({
+            "bell": {"werner_p0": 0.9,
+                     "vis_tau_gauss_s": 0.0014302060167127723,
+                     "vis_tau_exp_s": 0.0031},
+            "decay": {"r0": 0.5, "tau0_s": 0.0014302060167127723}}))
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[source]\ncalibration_json = {cal}\n")
+        got = load_config(str(cfg))
+        assert got.source.vis_tau_gauss == 0.0014302060167127723
+        assert got.source.vis_tau_exp == 0.0031
+        assert got.decay.tau0 == 0.0014302060167127723
+        # explicit keys still win, converted from ms as before
+        cfg.write_text(f"[source]\ncalibration_json = {cal}\n"
+                       f"vis_tau_exp_ms = 7.3\n[decay]\ntau0_ms = 1.9\n")
+        got = load_config(str(cfg))
+        assert got.source.vis_tau_gauss == 0.0014302060167127723
+        assert got.source.vis_tau_exp == 7.3 * 1e-3
+        assert got.decay.tau0 == 1.9 * 1e-3
 
     def test_sections_are_optional(self, tmp_path, capsys):
         cal = tmp_path / "cal.json"

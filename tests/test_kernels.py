@@ -28,15 +28,22 @@ def test_derive_stream_changes_with_any_tag():
     assert _kernels.derive_stream(42, 1, 2) != _kernels.derive_stream(42, 2, 1)
 
 
+def _uniforms(h):
+    # the uniform of a hash word is its top 53 bits
+    return (h >> np.uint64(11)) * 2.0 ** -53
+
+
 def test_uniforms_in_unit_interval_and_roughly_uniform():
-    u = _kernels.trial_uniforms_numpy(987654321, np.zeros(200000, np.uint64),
-                                      np.arange(200000, dtype=np.uint64), 0)
+    u = _uniforms(_kernels.trial_uniforms_numpy(
+        987654321, np.zeros(200000, np.uint64),
+        np.arange(200000, dtype=np.uint64), 0))
     assert np.all(u >= 0.0) and np.all(u < 1.0)
     assert abs(u.mean() - 0.5) < 0.005
     assert abs(u.var() - 1.0 / 12.0) < 0.001
     # draws decorrelate between draw indices
-    v = _kernels.trial_uniforms_numpy(987654321, np.zeros(200000, np.uint64),
-                                      np.arange(200000, dtype=np.uint64), 1)
+    v = _uniforms(_kernels.trial_uniforms_numpy(
+        987654321, np.zeros(200000, np.uint64),
+        np.arange(200000, dtype=np.uint64), 1))
     assert abs(np.corrcoef(u, v)[0, 1]) < 0.01
 
 
@@ -45,22 +52,11 @@ def test_vectorized_uniforms_match_scalar_chain():
     slots = np.array([0, 3999, 5, 17, 2 ** 63], dtype=np.uint64)
     for seed in (0, 12345, 2 ** 64 - 1):
         for draw in (0, 1, 2):
-            u = _kernels.trial_uniforms_numpy(seed, cycles, slots, draw)
-            assert u.tolist() == [
+            h = _kernels.trial_uniforms_numpy(seed, cycles, slots, draw)
+            assert h.dtype == np.uint64 and h.shape == cycles.shape
+            assert _uniforms(h).tolist() == [
                 trial_uniform_oracle(seed, int(c), int(s), draw)
                 for c, s in zip(cycles, slots)]
-
-
-def test_raw_words_give_the_uniforms():
-    # the uniform of a hash word is its top 53 bits
-    cycles = np.array([0, 1, 7, 2 ** 40, 2 ** 64 - 1], dtype=np.uint64)
-    slots = np.array([0, 3999, 5, 17, 2 ** 63], dtype=np.uint64)
-    for draw in (0, 1, 2):
-        u = _kernels.trial_uniforms_numpy(12345, cycles, slots, draw)
-        h = _kernels.trial_uniforms_numpy(12345, cycles, slots, draw,
-                                          raw=True)
-        assert h.dtype == np.uint64 and h.shape == u.shape
-        assert ((h >> np.uint64(11)) * 2.0 ** -53).tolist() == u.tolist()
 
 
 # a column of cycles against a row of slots, one cycle or one slot against
@@ -73,10 +69,9 @@ BROADCASTS = [("column", "row"), ("one", "row"), ("column", "one"),
 @given(seed=st.integers(0, 2 ** 64 - 1), cycle_lo=st.integers(0, 2 ** 40),
        n=st.integers(1, 9), m=st.integers(1, 40),
        broadcast=st.sampled_from(BROADCASTS), draw=st.integers(0, 2),
-       raw=st.booleans(), mix_slots=st.integers(1, 50),
-       spare=st.integers(0, 20))
+       mix_slots=st.integers(1, 50), spare=st.integers(0, 20))
 def test_uniforms_into_buffers_match_the_allocating_call(
-        seed, cycle_lo, n, m, broadcast, draw, raw, mix_slots, spare):
+        seed, cycle_lo, n, m, broadcast, draw, mix_slots, spare):
     shapes = {"column": (n, 1), "one": (1,), "row": (n,)}
     cycles = np.arange(cycle_lo, cycle_lo + n, dtype=np.uint64)
     cycles = cycles[:math.prod(shapes[broadcast[0]])].reshape(
@@ -89,12 +84,11 @@ def test_uniforms_into_buffers_match_the_allocating_call(
     out = np.full(size + spare, garbage, dtype=np.uint64)
     tmp = np.full(min(size, mix_slots) + spare, garbage, dtype=np.uint64)
     with mock.patch.object(_kernels, "MIX_SLOTS", mix_slots):
-        want = _kernels.trial_uniforms_numpy(seed, cycles, slots, draw,
-                                             raw=raw)
+        want = _kernels.trial_uniforms_numpy(seed, cycles, slots, draw)
         got = _kernels.trial_uniforms_numpy(seed, cycles, slots, draw,
-                                            raw=raw, out=out, tmp=tmp)
+                                            out=out, tmp=tmp)
     assert got.shape == want.shape and got.dtype == want.dtype
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(got, want)
     assert got.ctypes.data == out.ctypes.data
     assert np.all(out[size:] == garbage)
 

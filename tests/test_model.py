@@ -226,6 +226,26 @@ class TestCorrelationAndBell:
         assert s == pytest.approx(TSIRELSON_BOUND * 0.884, abs=1e-12)
         assert s == pytest.approx(2.5, abs=0.001)
 
+    def test_arrays_of_times_match_scalar_calls(self):
+        sp = SourceParams(chi=0.02, werner_p0=0.9, vis_tau_gauss=2e-3,
+                          vis_tau_exp=6e-3, p_noise=1e-3, phase_read=0.3)
+        ts = [0.0, 1e-4, 1.15e-3, 2.6e-3, 1e-2]
+        setting = MeasurementSettings(10.0, 30.0)
+        assert visibility(sp, np.array(ts)).tolist() == [
+            visibility(sp, t) for t in ts]
+        assert expected_correlation(sp, DM, np.array(ts), 0.15,
+                                    setting).tolist() == [
+            expected_correlation(sp, DM, t, 0.15, setting) for t in ts]
+        assert expected_bell(sp, DM, np.array(ts), 0.15).tolist() == [
+            expected_bell(sp, DM, t, 0.15) for t in ts]
+
+    def test_zero_probability_names_the_storage_time(self):
+        # no retrieval and no background: no coincidence at any time
+        with pytest.raises(InsufficientStatisticsError,
+                           match="storage time 0.001 s: model assigns zero"):
+            expected_bell(ideal_source(), DecayModel(0.0, 1e-3),
+                          np.array([1e-3, 2e-3]), 0.5)
+
     def test_zero_correlations(self):
         assert bell_parameter(0, 0, 0, 0) == 0.0
 
