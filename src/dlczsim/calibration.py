@@ -34,6 +34,10 @@ class DataPoint:
     sigma: float
 
     def __post_init__(self) -> None:
+        for name, v in (("time", self.t), ("value", self.value),
+                        ("sigma", self.sigma)):
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
         if self.t < 0.0:
             raise ValueError("time must be >= 0")
         if not (self.sigma > 0.0):
@@ -209,8 +213,17 @@ def read_datapoints_csv(path) -> list:
         if reader.fieldnames != expected:
             raise ValueError(f"expected CSV header {','.join(expected)!r}, "
                              f"got {reader.fieldnames!r}")
-        return [DataPoint(float(row["t_s"]), float(row["value"]),
-                          float(row["sigma"])) for row in reader]
+        points = []
+        for row in reader:
+            fields = [row[k] for k in expected]
+            try:
+                if None in fields or None in row:
+                    raise ValueError(f"expected {len(expected)} fields")
+                points.append(DataPoint(*map(float, fields)))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: "
+                                 f"{exc}") from None
+        return points
 
 
 def calibration_to_dict(decay: Optional[DecayFit] = None,

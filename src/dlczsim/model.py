@@ -54,8 +54,10 @@ def _libm(f, x) -> np.ndarray:
 
     numpy's SIMD exp, log, log1p and expm1 differ from the C library's in
     the last bit for a few percent of arguments (exp: 4.6% of uniform draws
-    from [-700, 0], and the less accurate of the two in 99% of those),
-    which would move full-precision outputs.
+    from [-700, 0], and the less accurate of the two in 99% of those).
+    Only ``visibility`` uses it: its values reach ``readout_law`` and so the
+    sampler's threshold keys, and a moved last bit would move the Monte
+    Carlo counts of some seeds.
     """
     x = np.asarray(x, dtype=float)
     return np.fromiter(map(f, x.ravel().tolist()), float,

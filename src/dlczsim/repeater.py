@@ -15,27 +15,31 @@ configuration flags rather than silently resolved:
   accumulated chain time; ``flight_time`` uses the fiber transit time.
 
 All probability chains are evaluated in log space; a factor falling below
-1e-300 is reported as a collapse diagnostic, never a silent underflow.
-Every function takes an array of distances (a scalar gives 0-d results)
-and evaluates the whole chain for all of them in one pass. The rate
-formula follows Sangouard et al., Rev. Mod. Phys. 83, 33 (2011).
+1e-300 is reported as a collapse diagnostic, never a silent underflow, and
+a rate past the largest float is an error. Every function takes an array
+of distances (a scalar gives 0-d results) and evaluates the whole chain
+for all of them in one pass with numpy's ufuncs, whose exp, log, expm1 and
+log1p may differ from the C library's in the last bit. The rate formula
+follows Sangouard et al., Rev. Mod. Phys. 83, 33 (2011).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import NotBracketedError
-from .model import FIBER_LIGHT_SPEED, _libm
+from .model import FIBER_LIGHT_SPEED
 
 LINK_CONVENTIONS = ("L_over_n", "L_over_2_pow_n")
 PR_EXPONENTS = ("literal_L_over_tau", "total_elapsed_time", "flight_time")
 
 _LOG_FLOOR = -300.0 * math.log(10.0)  # collapse threshold for any factor
+_LOG_MAX = math.log(sys.float_info.max)  # a larger log rate overflows
 
 # Upper bound on nest_level. 2**16 links is far past any proposed chain
 # (the published parameter set has level 4), and every level adds two
@@ -89,7 +93,7 @@ class RepeaterParams:
 def _log(x) -> np.ndarray:
     """Elementwise natural log with log 0 = -inf."""
     pos = x > 0.0
-    return np.where(pos, _libm(math.log, np.where(pos, x, 1.0)), -math.inf)
+    return np.where(pos, np.log(np.where(pos, x, 1.0)), -math.inf)
 
 
 def _link_time_s(p: RepeaterParams, total_km):
@@ -114,8 +118,8 @@ def elementary_probability(p: RepeaterParams, total_km):
               + 2.0 * _log(p.eta_fc) + 2.0 * _log(p.eta_td)
               - math.log(2.0))
     reachable = log_p0 >= _LOG_FLOOR
-    p0 = np.where(reachable, _libm(math.exp, log_p0), 0.0)
-    p0_multi = -_libm(math.expm1, p.mode_count * _libm(math.log1p, -p0))
+    p0 = np.where(reachable, np.exp(log_p0), 0.0)
+    p0_multi = -np.expm1(p.mode_count * np.log1p(-p0))
     with np.errstate(divide="ignore"):
         t0 = np.where(reachable, _link_time_s(p, d) / p0_multi, math.inf)
     return p0, p0_multi, np.minimum(1.0, p.mode_count * p0), t0
@@ -145,7 +149,7 @@ def swap_chain(p: RepeaterParams, t0):
         log_pj = base - 2.0 * t_levels[j - 1] / p.memory_lifetime
         alive = log_pj >= _LOG_FLOOR  # false after a collapse: t is inf
         collapsed_at = np.where((collapsed_at == 0) & ~alive, j, collapsed_at)
-        p_levels[j - 1] = np.where(alive, _libm(math.exp, log_pj), 0.0)
+        p_levels[j - 1] = np.where(alive, np.exp(log_pj), 0.0)
         # a dead level divides by 0, a live one may pass the largest float
         with np.errstate(divide="ignore", over="ignore"):
             t_levels[j] = np.where(alive, t_levels[j - 1] / p_levels[j - 1],
@@ -194,7 +198,9 @@ def repeater_rate(p: RepeaterParams, total_km) -> RateCurve:
     """Entangled-pair distribution rate over ``total_km`` kilometers.
 
     The final distribution probability uses the configured interpretation
-    of its decay exponent. A scalar distance gives 0-d columns.
+    of its decay exponent. A scalar distance gives 0-d columns. Raises
+    ValueError naming the first distance whose rate passes the largest
+    float.
     """
     d = np.asarray(total_km, dtype=float)
     p0, p0_multi, p0_multi_approx, t0 = elementary_probability(p, d)
@@ -210,12 +216,16 @@ def repeater_rate(p: RepeaterParams, total_km) -> RateCurve:
     else:  # flight_time
         decay = -(d * 1e3 / p.fiber_speed) / p.memory_lifetime
     log_ppr = 2.0 * (_log(p.r0) + decay) - math.log(2.0)
-    p_pr = np.where(completed & (log_ppr >= _LOG_FLOOR),
-                    _libm(math.exp, log_ppr), 0.0)
+    p_pr = np.where(completed & (log_ppr >= _LOG_FLOOR), np.exp(log_ppr),
+                    0.0)
     log_rate = (_log(p0_multi) + sum(_log(p_levels)) + _log(p_pr)
-                - _libm(math.log, _link_time_s(p, d)))
-    rate = np.where(completed & (log_rate > _LOG_FLOOR),
-                    _libm(math.exp, log_rate), 0.0)
+                - np.log(_link_time_s(p, d)))
+    over = np.flatnonzero(completed & (log_rate > _LOG_MAX))
+    if over.size:
+        raise ValueError(f"distance {float(d.flat[over[0]])!r} km: rate "
+                         f"passes the largest float")
+    rate = np.where(completed & (log_rate > _LOG_FLOOR), np.exp(log_rate),
+                    0.0)
     status = np.where(~reachable, "unreachable",
                       np.where(rate > 0.0, "ok", "collapsed"))
     return RateCurve(params=p, distance_km=d, rate_per_s=rate, p0=p0,

@@ -6,11 +6,12 @@ import stat
 import subprocess
 import sys
 import threading
+import warnings
 
 import pytest
 
 import dlczsim
-from dlczsim import cli, montecarlo, repeater
+from dlczsim import calibration as cal, cli, montecarlo, repeater
 from dlczsim.cli import main
 from dlczsim.config import load_config
 
@@ -305,6 +306,18 @@ class TestRepeater:
         assert rc == 0
         assert json.loads(summary.read_text())["status_counts"] == counts
 
+    def test_rate_past_the_largest_float_exits_2_without_output(
+            self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, _, err = run(capsys, "repeater", "--l-min-km", "1e-310",
+                             "--l-max-km", "1e-300", "--points", "3",
+                             "--out", str(out))
+        assert rc == 2
+        assert err.count("\n") == 1 and "distance 1e-310 km" in err
+        assert not out.exists()
+
     def test_too_many_points_exits_2_before_any_work(self, tmp_path, capsys,
                                                      monkeypatch):
         def refuse(*args, **kwargs):
@@ -378,6 +391,29 @@ class TestCalibrate:
         rc, _, err = run(capsys, "calibrate", "--data", str(data), "--which",
                          "decay")
         assert rc == 2
+
+    @pytest.mark.parametrize("row, message", [
+        ("0.00115,inf,0.03", "value must be finite, got inf"),
+        ("nan,0.51,0.03", "time must be finite, got nan"),
+        ("0.00115,0.51,inf", "sigma must be finite, got inf"),
+        ("0.00115,0.51", "expected 3 fields")])
+    def test_bad_row_exits_2_naming_the_line(self, row, message, tmp_path,
+                                             capsys, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit started despite a bad row")
+
+        monkeypatch.setattr(cal, "fit_decay", no_fit)
+        data = tmp_path / "decay.csv"
+        data.write_text(f"t_s,value,sigma\n0,0.77,0.01\n{row}\n"
+                        "0.0026,0.4,0.03\n")
+        out = tmp_path / "cal.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, _, err = run(capsys, "calibrate", "--which", "decay",
+                             "--data", str(data), "--out", str(out))
+        assert rc == 2
+        assert err == f"error: {data}, line 3: {message}\n"
+        assert not out.exists()
 
     def test_zero_probability_model_exits_3_without_output(self, tmp_path,
                                                            capsys):

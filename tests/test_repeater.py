@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dlczsim import repeater
 from dlczsim.errors import NotBracketedError
 from dlczsim.repeater import (
     LINK_CONVENTIONS,
@@ -217,6 +218,16 @@ class TestRate:
         pt2 = repeater_rate(FIG5, 100.0)
         assert not pt2.pr_nonphysical_units
 
+    def test_rate_past_the_largest_float_raises_naming_the_distance(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=r"distance 1e-308 km"):
+                repeater_rate(FIG5, np.array([1e-300, 1e-308, 1e-310]))
+            pt = repeater_rate(FIG5, 1e-300)
+        assert pt.status == "ok"
+        assert pt.rate_per_s == pytest.approx(1.378823863364139e301,
+                                              rel=1e-12)
+
     def test_probabilities_bounded(self):
         curve = sweep_distance(FIG5, 10.0, 5000.0, 60)
         assert np.all((0.0 <= curve.p0) & (curve.p0 <= 1.0))
@@ -350,6 +361,58 @@ class TestReport:
                 assert abs(e.crossing_cpe_km - 1000) <= 150
                 assert abs(e.crossing_cie_km - 430) <= 64.5
 
+    def test_default_report_matches_the_recorded_values(self):
+        # recorded with the C library's exp and log, which differ from
+        # numpy's in the last bit for some arguments: hence the tolerance
+        want = [
+            ("L_over_n", "literal_L_over_tau", "fixed", 0.01,
+             46.47586035899427, 27.015592197456606),
+            ("L_over_n", "literal_L_over_tau", "fixed", 0.02,
+             56.54777412135995, 37.644280615612786),
+            ("L_over_n", "literal_L_over_tau", "fitted", None, None, None),
+            ("L_over_n", "total_elapsed_time", "fixed", 0.01,
+             79.42581931295345, 20.002154545106457),
+            ("L_over_n", "total_elapsed_time", "fixed", 0.02,
+             147.12417306108037, 54.12574635208485),
+            ("L_over_n", "total_elapsed_time", "fitted", None, None, None),
+            ("L_over_n", "flight_time", "fixed", 0.01,
+             140.57182697122846, 63.349540528110104),
+            ("L_over_n", "flight_time", "fixed", 0.02,
+             222.19746716072908, 125.24674200868597),
+            ("L_over_n", "flight_time", "fitted", None, None, None),
+            ("L_over_2_pow_n", "literal_L_over_tau", "fixed", 0.01,
+             60.108571636452155, 40.11936558090123),
+            ("L_over_2_pow_n", "literal_L_over_tau", "fixed", 0.02,
+             70.04668275404775, 50.1659059032758),
+            ("L_over_2_pow_n", "literal_L_over_tau", "fitted", None, None,
+             None),
+            ("L_over_2_pow_n", "total_elapsed_time", "fixed", 0.01,
+             317.6938343949604, 80.0089584122875),
+            ("L_over_2_pow_n", "total_elapsed_time", "fixed", 0.02,
+             588.3936241764412, 216.49434893891936),
+            ("L_over_2_pow_n", "total_elapsed_time", "fitted",
+             0.04684161025610774, 1000.0000000176591, 511.0533261747805),
+            ("L_over_2_pow_n", "flight_time", "fixed", 0.01,
+             562.2710932965218, 253.3819590812026),
+            ("L_over_2_pow_n", "flight_time", "fixed", 0.02,
+             888.7021768986164, 500.9422788257597),
+            ("L_over_2_pow_n", "flight_time", "fitted",
+             0.024848316597395476, 999.9999999987355, 593.7074179606425),
+        ]
+        entries = calibration_report()
+        assert len(entries) == len(want)
+        for e, (conv, expo, mode, chi, cpe, cie) in zip(entries, want):
+            assert (e.link_convention, e.pr_exponent, e.chi_mode) == (
+                conv, expo, mode)
+            assert (e.chi is None) == (chi is None)
+            assert not e.matches_anchors
+            if chi is not None:
+                assert e.chi == pytest.approx(chi, rel=1e-12, abs=0.0)
+                assert e.crossing_cpe_km == pytest.approx(cpe, rel=1e-12,
+                                                          abs=0.0)
+                assert e.crossing_cie_km == pytest.approx(cie, rel=1e-12,
+                                                          abs=0.0)
+
     def test_fitted_chi_is_deterministic(self):
         a = calibration_report(points=120, l_max_km=20000.0)
         b = calibration_report(points=120, l_max_km=20000.0)
@@ -372,6 +435,10 @@ class TestValidation:
     def test_link_count_per_convention(self):
         assert RepeaterParams(link_convention="L_over_n").n_links == 4
         assert RepeaterParams(link_convention="L_over_2_pow_n").n_links == 16
+
+    def test_chain_uses_numpy_ufuncs(self):
+        # the C library's elementwise maps stay in model for visibility only
+        assert not hasattr(repeater, "_libm")
 
     def test_sweep_grid_validation(self):
         with pytest.raises(ValueError):
