@@ -5,8 +5,8 @@ the CHSH-decay model (zero-delay mixing parameter plus the two visibility
 decay constants). Both use a fixed starting grid followed by bounded
 least-squares refinement, so repeated runs give identical parameters; the
 resulting calibration is stored as JSON and shipped as a package fixture.
-The decay fit's curve is the model's ``retrieval_efficiency``; the Bell
-fit's is ``bell_curve``, the closed form of the model's ``expected_bell``.
+Both curves are the model's: the decay fit's is ``retrieval_efficiency``,
+the Bell fit's is ``expected_bell``, which is linear in the visibility.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import FitConvergenceError
-from .model import (DecayModel, SourceParams, TSIRELSON_BOUND, expected_bell,
+from .model import (DecayModel, SourceParams, decay_law, expected_bell,
                     retrieval_efficiency)
 
 
@@ -67,9 +67,8 @@ def fit_decay(points: Sequence[DataPoint], max_nfev: int = 400) -> DecayFit:
     Needs at least three points at distinct times. The amplitude enters
     linearly, so each trial lifetime from a fixed log-spaced grid gets its
     closed-form amplitude before the joint refinement; this keeps the fit
-    deterministic and start-point independent. The decay law is
-    ``retrieval_efficiency``'s, evaluated over the whole grid at once: the
-    decay shape at lifetime ``tau`` is the unit law at times ``t / tau``.
+    deterministic and start-point independent. The decay law is the model's
+    ``decay_law``, evaluated over the whole grid at once.
     """
     from scipy.optimize import least_squares  # 0.5 s to import: only fits pay
 
@@ -84,7 +83,7 @@ def fit_decay(points: Sequence[DataPoint], max_nfev: int = 400) -> DecayFit:
 
     span = max(ts.max(), 1e-9)
     taus = np.geomspace(span / 30.0, span * 30.0, 40)
-    shape = retrieval_efficiency(ts / taus[:, None], DecayModel(1.0, 1.0))
+    shape = decay_law(ts, 1.0, taus[:, None], taus[:, None])
     r0 = _best_amplitude(shape, ys, ws, upper=1.0)
     k = np.argmin(np.sum(ws * (r0[:, None] * shape - ys) ** 2, axis=-1))
 
@@ -118,25 +117,9 @@ class BellFit:
     decay_constrained: bool = True
 
 
-def bell_curve(t, p0: float, tau_g, tau_e, dm: DecayModel,
-               readout_eta: float, p_noise: float):
-    """Closed form of ``expected_bell`` at zero phase and the canonical
-    settings, the Bell fit's model curve: Tsirelson bound times mixing times
-    background dilution ``q / (q + p_noise)``.
-    """
-    t = np.asarray(t, dtype=float)
-    q = retrieval_efficiency(t, dm) * readout_eta
-    total = q + p_noise
-    dilution = np.divide(q, total, out=np.zeros_like(total),
-                         where=total > 0.0)
-    return TSIRELSON_BOUND * p0 * _vis_shape(t, tau_g, tau_e) * dilution
-
-
-def _vis_shape(t, tau_g, tau_e):
-    # the visibility decay h(t) of the fit, with numpy's exp: the packaged
-    # fit pins its values (see ROADMAP item 2)
-    xg = t / tau_g
-    return (np.exp(-xg * xg) + np.exp(-t / tau_e)) / 2.0
+# decay times so long that the visibility's decay shape rounds to 1 at any
+# storage time below 1e292 s
+_NO_DECAY_S = float(np.finfo(float).max)
 
 
 def fit_bell_model(points: Sequence[DataPoint], dm: DecayModel,
@@ -161,11 +144,13 @@ def fit_bell_model(points: Sequence[DataPoint], dm: DecayModel,
     ts = np.array([p.t for p in points])
     ys = np.array([p.value for p in points])
     ws = np.array([1.0 / p.sigma ** 2 for p in points])
-    # the model's own check that every point has a coincidence probability
-    expected_bell(SourceParams(chi=0.0, p_noise=p_noise), dm, ts, readout_eta)
-
-    # S = scale * p0 * h(t); infinite decay constants make h(t) = 1
-    scale = bell_curve(ts, 1.0, math.inf, math.inf, dm, readout_eta, p_noise)
+    # The model's S is linear in the visibility V(t) = p0 * h(t), because
+    # the background cancels in the numerator of each E: the curve is the
+    # model's S at unit visibility times V(t). The model names the first
+    # time at which no coincidence outcome has any probability.
+    unit = SourceParams(chi=0.0, vis_tau_gauss=_NO_DECAY_S,
+                        vis_tau_exp=_NO_DECAY_S, p_noise=p_noise)
+    scale = expected_bell(unit, dm, ts, readout_eta)
 
     if np.all(ts == 0.0):
         # only the zero-delay mixing parameter is identifiable
@@ -176,16 +161,16 @@ def fit_bell_model(points: Sequence[DataPoint], dm: DecayModel,
 
     span = max(ts.max(), 1e-9)
     grid = np.geomspace(span / 20.0, span * 20.0, 14)
-    shape = scale * _vis_shape(ts, grid[:, None, None], grid[None, :, None])
+    shape = scale * decay_law(ts, 1.0, grid[:, None, None],
+                              grid[None, :, None])
     p0 = _best_amplitude(shape, ys, ws, upper=1.0)
     chi2 = np.sum(ws * (shape * p0[..., None] - ys) ** 2, axis=-1)
     i, j = np.unravel_index(np.argmin(chi2), chi2.shape)
 
     def resid(x):
         p0, ltg, lte = x
-        return np.sqrt(ws) * (bell_curve(ts, p0, math.exp(ltg),
-                                         math.exp(lte), dm, readout_eta,
-                                         p_noise) - ys)
+        return np.sqrt(ws) * (scale * decay_law(ts, p0, math.exp(ltg),
+                                                math.exp(lte)) - ys)
 
     lo = math.log(span / 1e3)
     hi = math.log(span * 1e3)
@@ -194,8 +179,7 @@ def fit_bell_model(points: Sequence[DataPoint], dm: DecayModel,
                         bounds=([0.0, lo, lo], [1.0, hi, hi]),
                         xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=max_nfev)
     p0, tg, te = float(sol.x[0]), math.exp(sol.x[1]), math.exp(sol.x[2])
-    res = tuple(float(v) for v in
-                bell_curve(ts, p0, tg, te, dm, readout_eta, p_noise) - ys)
+    res = tuple(float(v) for v in scale * decay_law(ts, p0, tg, te) - ys)
     fit = BellFit(werner_p0=p0, vis_tau_gauss=tg, vis_tau_exp=te,
                   residuals=res, converged=bool(sol.success))
     if not sol.success:

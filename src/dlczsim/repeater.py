@@ -96,9 +96,16 @@ def _log(x) -> np.ndarray:
     return np.where(pos, np.log(np.where(pos, x, 1.0)), -math.inf)
 
 
+def _flight_time_s(p: RepeaterParams, km):
+    """Fiber transit time in s over ``km`` kilometers; inf past 1.8e305 km,
+    where the length in m passes the largest float."""
+    with np.errstate(over="ignore"):
+        return km * 1e3 / p.fiber_speed
+
+
 def _link_time_s(p: RepeaterParams, total_km):
     """One-link communication time in s."""
-    return total_km / p.n_links * 1e3 / p.fiber_speed
+    return _flight_time_s(p, total_km / p.n_links)
 
 
 def elementary_probability(p: RepeaterParams, total_km):
@@ -109,11 +116,18 @@ def elementary_probability(p: RepeaterParams, total_km):
     probability ``1 - (1 - p0)^N``, the linear shortcut ``min(1, N*p0)``
     carried for comparison, and the expected generation time in s. A link
     whose single-shot probability falls below the underflow floor is
-    unreachable: its probabilities are 0 and its ``t0`` is inf.
+    unreachable: its probabilities are 0 and its ``t0`` is inf. Raises
+    ValueError naming the first distance whose one-link time underflows
+    to 0 s.
     """
     d = np.asarray(total_km, dtype=float)
     if not np.all(d > 0.0):
         raise ValueError("distance must be positive")
+    link_s = _link_time_s(p, d)
+    under = np.flatnonzero(link_s == 0.0)
+    if under.size:
+        raise ValueError(f"distance {float(d.flat[under[0]])!r} km: "
+                         f"one-link time underflows to 0 s")
     log_p0 = (2.0 * _log(p.chi) - d / p.n_links / p.attenuation_length
               + 2.0 * _log(p.eta_fc) + 2.0 * _log(p.eta_td)
               - math.log(2.0))
@@ -121,7 +135,7 @@ def elementary_probability(p: RepeaterParams, total_km):
     p0 = np.where(reachable, np.exp(log_p0), 0.0)
     p0_multi = -np.expm1(p.mode_count * np.log1p(-p0))
     with np.errstate(divide="ignore"):
-        t0 = np.where(reachable, _link_time_s(p, d) / p0_multi, math.inf)
+        t0 = np.where(reachable, link_s / p0_multi, math.inf)
     return p0, p0_multi, np.minimum(1.0, p.mode_count * p0), t0
 
 
@@ -214,7 +228,7 @@ def repeater_rate(p: RepeaterParams, total_km) -> RateCurve:
     elif p.pr_exponent == "total_elapsed_time":
         decay = -t_levels[-1] / p.memory_lifetime
     else:  # flight_time
-        decay = -(d * 1e3 / p.fiber_speed) / p.memory_lifetime
+        decay = -_flight_time_s(p, d) / p.memory_lifetime
     log_ppr = 2.0 * (_log(p.r0) + decay) - math.log(2.0)
     p_pr = np.where(completed & (log_ppr >= _LOG_FLOOR), np.exp(log_ppr),
                     0.0)

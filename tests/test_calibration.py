@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from dlczsim.calibration import (
     DataPoint,
-    bell_curve,
     calibration_to_dict,
     default_calibration,
     default_decay_model,
@@ -19,7 +18,7 @@ from dlczsim.calibration import (
     read_datapoints_csv,
 )
 from dlczsim.errors import FitConvergenceError, InsufficientStatisticsError
-from dlczsim.model import (TSIRELSON_BOUND, DecayModel, expected_bell,
+from dlczsim.model import (DecayModel, SourceParams, expected_bell,
                            retrieval_efficiency)
 
 DM = DecayModel(0.77, 1e-3)
@@ -27,6 +26,11 @@ DM = DecayModel(0.77, 1e-3)
 PAPER_BELL_POINTS = [DataPoint(0.0, 2.5, 0.02),
                      DataPoint(1.15e-3, 2.05, 0.03),
                      DataPoint(2.6e-3, 1.15, 0.03)]
+
+
+def _source(p0, tau_g, tau_e, p_noise):
+    return SourceParams(chi=0.02, werner_p0=p0, vis_tau_gauss=tau_g,
+                        vis_tau_exp=tau_e, p_noise=p_noise)
 
 
 def synth_decay_points(model, ts, sigma=0.01):
@@ -83,22 +87,10 @@ class TestFitBellModel:
             assert abs(resid) <= pt.sigma
         assert 0.85 < fit.werner_p0 <= 1.0
 
-    def test_fit_curve_equals_model_expected_bell(self):
-        fit = fit_bell_model(PAPER_BELL_POINTS, DM, 0.15, 1e-4)
-        sp = default_source_params()
-        for t in (0.0, 0.5e-3, 2e-3):
-            via_curve = float(bell_curve(t, fit.werner_p0, fit.vis_tau_gauss,
-                                         fit.vis_tau_exp, DM, 0.15, 1e-4))
-            sp_fit = type(sp)(chi=0.02, werner_p0=fit.werner_p0,
-                              vis_tau_gauss=fit.vis_tau_gauss,
-                              vis_tau_exp=fit.vis_tau_exp, p_noise=1e-4)
-            assert expected_bell(sp_fit, DM, t, 0.15) == pytest.approx(
-                via_curve, abs=1e-12)
-
     def test_round_trip_recovers_parameters(self):
         truth = (0.9, 1.5e-3, 4e-3)
         ts = [0.0, 0.4e-3, 0.9e-3, 1.6e-3, 2.4e-3, 3.5e-3]
-        pts = [DataPoint(t, float(bell_curve(t, *truth, DM, 0.15, 1e-4)),
+        pts = [DataPoint(t, expected_bell(_source(*truth, 1e-4), DM, t, 0.15),
                          0.02) for t in ts]
         fit = fit_bell_model(pts, DM, 0.15, 1e-4)
         assert fit.werner_p0 == pytest.approx(truth[0], abs=1e-6)
@@ -110,8 +102,8 @@ class TestFitBellModel:
         dm_flat = DecayModel(1.0, 1e6)  # effectively constant over the grid
         truth = (0.8, 2e-3, 5e-3)
         ts = [0.0, 1e-3, 2e-3, 4e-3]
-        pts = [DataPoint(t, float(bell_curve(t, *truth, dm_flat, 1.0, 0.0)),
-                         0.02) for t in ts]
+        pts = [DataPoint(t, expected_bell(_source(*truth, 0.0), dm_flat, t,
+                                          1.0), 0.02) for t in ts]
         fit = fit_bell_model(pts, dm_flat, 1.0, 0.0)
         assert fit.werner_p0 == pytest.approx(0.8, abs=1e-6)
 
@@ -129,10 +121,6 @@ class TestFitBellModel:
         with pytest.raises(InsufficientStatisticsError,
                            match="storage time 0 s: model assigns zero"):
             fit_bell_model(points, DecayModel(0.0, 1e-3), 0.15, 0.0)
-
-    def test_curve_without_coincidences_is_zero(self):
-        assert bell_curve([0.0, 1e-3], 0.9, 1e-3, 2e-3, DecayModel(0.0, 1e-3),
-                          0.5, 0.0).tolist() == [0.0, 0.0]
 
     def test_deterministic(self):
         a = fit_bell_model(PAPER_BELL_POINTS, DM, 0.15, 1e-4)
@@ -200,8 +188,9 @@ def _decay_start_loop(ts, ys, ws):
 
 
 def _bell_start_loop(ts, ys, ws, dm, readout_eta, p_noise):
-    q = retrieval_efficiency(ts, dm) * readout_eta
-    scale = TSIRELSON_BOUND * (q / (q + p_noise))
+    # the model's S at unit visibility: h(t) rounds to 1 at these times
+    scale = expected_bell(_source(1.0, 1e300, 1e300, p_noise), dm, ts,
+                          readout_eta)
     span = max(ts.max(), 1e-9)
     grid = np.geomspace(span / 20.0, span * 20.0, 14)
     best = None
@@ -245,3 +234,31 @@ def test_start_grids_match_the_point_by_point_loops(n, seed, p_noise):
         _bell_start_loop(ts, ys, ws, dm, eta, p_noise)
     pts = [DataPoint(p.t, p.value / 3, p.sigma) for p in pts]
     assert _start_of(fit_decay, pts) == _decay_start_loop(ts, ys / 3, ws)
+
+
+# -- the fitted curve is the model's -----------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 7), seed=st.integers(0, 2 ** 32 - 1),
+       at_zero=st.booleans(),
+       p_noise=st.sampled_from([0.0, 1e-4, 0.3, 0.9]))
+def test_fit_curve_is_the_models_expected_bell(n, seed, at_zero, p_noise):
+    # residuals plus data give the curve the fit minimised; it must be the
+    # model's S for the fitted parameters. Where S is near 0 the model's
+    # own rounding (a few ulps of each E) sets the tolerance
+    rng = np.random.default_rng(seed)
+    ts = np.zeros(n) if at_zero else np.sort(rng.uniform(0.0, 5e-3, n))
+    pts = [DataPoint(t, y, s) for t, y, s in
+           zip(ts.tolist(), rng.uniform(0.0, 2.8, n).tolist(),
+               rng.uniform(0.01, 0.1, n).tolist())]
+    dm = DecayModel(float(rng.uniform(0.05, 1.0)),
+                    float(10 ** rng.uniform(-5, -1)))
+    eta = float(rng.uniform(0.01, 1.0))
+    try:
+        fit = fit_bell_model(pts, dm, eta, p_noise)
+    except FitConvergenceError as exc:
+        fit = exc.best
+    curve = np.array(fit.residuals) + [p.value for p in pts]
+    sp = _source(fit.werner_p0, fit.vis_tau_gauss, fit.vis_tau_exp, p_noise)
+    assert curve == pytest.approx(expected_bell(sp, dm, ts, eta), rel=1e-12,
+                                  abs=1e-14)

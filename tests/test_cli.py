@@ -318,6 +318,36 @@ class TestRepeater:
         assert err.count("\n") == 1 and "distance 1e-310 km" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("interpretation", ["total_elapsed_time",
+                                                "flight_time"])
+    def test_far_distances_are_unreachable_without_warnings(
+            self, capsys, interpretation):
+        # past 1.8e305 km the length in m passes the largest float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, out, err = run(capsys, "repeater", "--l-min-km", "1e-3",
+                               "--l-max-km", "1e308", "--points", "3",
+                               "--interpretation", interpretation,
+                               "--format", "json")
+        assert rc == 0 and err == ""
+        rows = json.loads(out)["rows"]
+        assert [r["status"] for r in rows] == ["ok", "unreachable",
+                                               "unreachable"]
+        assert [r["t0_s"] for r in rows[1:]] == [math.inf, math.inf]
+
+    def test_link_time_underflow_exits_2_naming_the_distance(
+            self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, _, err = run(capsys, "repeater", "--l-min-km", "1e-320",
+                             "--l-max-km", "1e-300", "--points", "3",
+                             "--out", str(out))
+        assert rc == 2
+        assert err == ("error: distance 1e-320 km: one-link time "
+                       "underflows to 0 s\n")
+        assert not out.exists()
+
     def test_too_many_points_exits_2_before_any_work(self, tmp_path, capsys,
                                                      monkeypatch):
         def refuse(*args, **kwargs):

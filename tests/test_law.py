@@ -27,14 +27,15 @@ WORDS = 2 ** 64
 
 
 def _reference_law(sp, dm, t, eta, setting):
-    """``(a, joint)`` as ``_kernel_args`` and ``coincidence_probabilities``
-    wrote them before both came from ``readout_law``: scalar arithmetic,
-    the C library's exp for the visibility, and a joint clipped to 1."""
+    """``(a, joint)`` by the scalar formulas of ``_kernel_args`` and
+    ``coincidence_probabilities`` from before both came from
+    ``readout_law``, with numpy's exp for both decay laws and a joint
+    clipped to 1."""
     x = np.float64(t) / dm.tau0
     q = float(dm.r0 * (np.exp(-x * x) + np.exp(-x)) / 2.0) * eta
     xg = t / sp.vis_tau_gauss
     xe = t / sp.vis_tau_exp
-    vis = sp.werner_p0 * (math.exp(-xg * xg) + math.exp(-xe)) / 2.0
+    vis = sp.werner_p0 * (np.exp(-xg * xg) + np.exp(-xe)) / 2.0
     ts = math.radians(setting.theta_s)
     tas = math.radians(setting.theta_as)
     c = (math.cos(2 * ts) * math.cos(2 * tas)

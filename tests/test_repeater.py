@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dlczsim import repeater
+from dlczsim import model, repeater
 from dlczsim.errors import NotBracketedError
 from dlczsim.repeater import (
     LINK_CONVENTIONS,
@@ -228,6 +228,11 @@ class TestRate:
         assert pt.rate_per_s == pytest.approx(1.378823863364139e301,
                                               rel=1e-12)
 
+    def test_link_time_underflow_raises_naming_the_distance(self):
+        with pytest.raises(ValueError, match=r"^distance 1e-320 km: one-link "
+                                             r"time underflows to 0 s$"):
+            repeater_rate(FIG5, np.array([1e-300, 1e-320, 1e-322]))
+
     def test_probabilities_bounded(self):
         curve = sweep_distance(FIG5, 10.0, 5000.0, 60)
         assert np.all((0.0 <= curve.p0) & (curve.p0 <= 1.0))
@@ -437,8 +442,10 @@ class TestValidation:
         assert RepeaterParams(link_convention="L_over_2_pow_n").n_links == 16
 
     def test_chain_uses_numpy_ufuncs(self):
-        # the C library's elementwise maps stay in model for visibility only
+        # neither the chain nor the model's decay laws map the C library's
+        # functions over arrays
         assert not hasattr(repeater, "_libm")
+        assert not hasattr(model, "_libm")
 
     def test_sweep_grid_validation(self):
         with pytest.raises(ValueError):
