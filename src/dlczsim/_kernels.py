@@ -485,14 +485,16 @@ def records_kernel(b: HeraldBatch, n_slots: int, skip_slots: int):
     size = b.n_cycles * n_slots
     if skip_slots > 0 and b.flat.size:
         # the windows [flat + 1, stop) never overlap or touch, so a +1/-1
-        # edge array summed up marks exactly the blocked slots
+        # edge array summed up marks exactly the blocked slots, and the sum
+        # is 0 or 1: int8 holds it
         stop = np.minimum(b.flat + (skip_slots + 1),
                           (b.flat // n_slots + 1) * n_slots)
         open_ = stop > b.flat + 1
         edges = np.zeros(size + 1, dtype=np.int8)
         edges[b.flat[open_] + 1] = 1
         edges[stop[open_]] = -1
-        executed = np.flatnonzero(np.cumsum(edges[:size]) == 0)
+        blocked = np.cumsum(edges[:size], dtype=np.int8)
+        executed = np.flatnonzero(blocked == 0)
     else:
         executed = np.arange(size)
     at = np.searchsorted(executed, b.flat)

@@ -2,9 +2,10 @@
 
 Subcommands: ``efficiency``, ``bell``, ``repeater``, ``calibrate``,
 ``simulate``. All numeric output is deterministic under a fixed seed:
-the same invocation always produces byte-identical files. Configuration is
-validated in full before any output file is opened, and every output file
-is written under a temporary name and moved into place only once complete.
+the same invocation always produces byte-identical files. Output paths are
+checked before any other work, configuration is validated in full before
+any output file is opened, and every output file is written under a
+temporary name and moved into place only once complete.
 
 Exit codes: 0 success, 2 validation/usage error, 3 numerical failure
 (fit non-convergence, a rate curve without a nonzero point, or a Monte
@@ -75,6 +76,28 @@ def _replacing(path):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def _check_outputs(args) -> None:
+    """Refuse, before any work, an output that is a directory or whose
+    directory does not exist, and two outputs that are the same file. A
+    pipe or device is written in place and exempt."""
+    taken = {}
+    for name in ("out", "summary_out", "dump"):
+        path = getattr(args, name, None)
+        if path is None:
+            continue
+        given = f"--{name.replace('_', '-')} {path}"
+        real = os.path.realpath(path)  # "" is the working directory
+        if os.path.isdir(real):
+            raise ValueError(f"{given}: is a directory")
+        if os.path.exists(real) and not os.path.isfile(real):
+            continue  # a pipe or device, written in place
+        if not os.path.isdir(os.path.dirname(real)):
+            raise ValueError(f"{given}: no such directory")
+        if real in taken:
+            raise ValueError(f"{given}: same file as {taken[real]}")
+        taken[real] = given
 
 
 def _write_text(path, text: str) -> None:
@@ -425,6 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except (FitConvergenceError, InsufficientStatisticsError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -206,38 +206,56 @@ def run_trials(cfg: SequenceConfig, sp: SourceParams, dm: DecayModel,
 
 DUMP_HEADER = b"cycle,trial,herald,readout,background,t_ns\n"
 
-# A dump line is formatted as a row of 4-byte words and a mask of the bytes
-# it keeps. An integer field takes one word per four digits, its leading
-# zeros masked out; the fixed middle ",herald,readout,background," takes
-# three words looked up by its code; "," and "\n" take a word each, padded
-# with masked-out bytes. The kept bytes of a block of rows are its lines.
+# A dump line is formatted as a row of 4-byte words in which every byte the
+# line drops is NUL. An integer field takes one word per four digits,
+# filled from its units group up by uint64 floor division; a group with
+# nothing left above it takes its lead word, whose leading zeros are NUL.
+# The fixed middle ",herald,readout,background," takes three NUL-padded
+# words looked up by its code; "," and "\n" take a word each. A block's
+# words with their NULs deleted are its lines.
 
-# Rows per formatting block. A block's word and mask matrices take under
-# 200 B a row. Dumping a 10 s simulate run (about 450,000 rows), blocks of
-# 4,096 to 32,768 rows kept the peak memory within 0.7 MB (1%) of a
-# row-by-row writer's, while 65,536-row blocks raised it by 2-5 MB (4-9%).
+# Rows per formatting block. A block holds its words (40 B a row in a
+# simulate run, 80 B at most), their bytes and its lines. Dumping a 10 s
+# simulate run (about 450,000 rows), blocks of 1,024 to 16,384 rows kept
+# the peak RSS within 0.7 MB (2%) of each other, while 32,768-row blocks
+# raised it by 2.5 MB and 65,536-row blocks by 8 MB; 16,384-row blocks
+# wrote the dump fastest.
 DUMP_ROWS = 16_384
 
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)  # least values of 2..19 digits
-# the four ASCII digits of 0..9999 as one word each, built from uint8 index
-# grids: int64 digit arithmetic would add 1 MB to the import's peak memory
-_DIGIT_WORDS = np.ascontiguousarray(
-    np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")
-).view(np.uint32).ravel()
-# kept bytes of a digit word holding k = 0..4 significant digits
-_DIGIT_KEEP = np.array([[0] * (4 - k) + [1] * k for k in range(5)],
-                       dtype=np.uint8).view(np.uint32).ravel()
-_SEP_KEEP = np.frombuffer(b"\1\0\0\0", dtype=np.uint32)[0]
+
+
+def _group_words():
+    """The lead words of 0..9999, then their full four-digit words.
+
+    Built from a uint8 index grid: int64 digit arithmetic would add 1 MB to
+    the import's peak memory."""
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T
+    table = np.empty((2, 10_000, 4), dtype=np.uint8)
+    lead, full = table
+    np.add(digits, ord("0"), out=full)
+    # digit j of r (j = 0 the thousands) is a leading zero if r < 10**(3 - j)
+    shown = (np.arange(10_000, dtype=np.uint16)[:, None]
+             >= np.array([1000, 100, 10, 1], dtype=np.uint16))
+    np.multiply(full, shown, out=lead)
+    return table.view(np.uint32).ravel()
+
+
+# A group's table is indexed with min(q, q % 10**4 + 10**4), q the value
+# left at the group: below 10**4, its lead word, exactly when nothing is
+# left above the group. The lead word of a units group of 0 is "0".
+_GROUP_WORDS = _group_words()
+_UNITS_WORDS = _GROUP_WORDS.copy()
+_UNITS_WORDS[0] = np.frombuffer(b"\0\0\0" b"0", dtype=np.uint32)[0]
+_TEN_K = np.uint64(10_000)
 _COMMA = np.frombuffer(b",\0\0\0", dtype=np.uint32)[0]
 _NEWLINE = np.frombuffer(b"\n\0\0\0", dtype=np.uint32)[0]
 # the middle per code (herald * 5 + readout) * 2 + background
-_MIDDLE_BYTES = np.frombuffer(b"".join(
+_MIDDLE = np.frombuffer(b"".join(
     b"," + h + b"," + r + b"," + bg + b",\0\0\0"
     for h in (b"\0\0", b"D1", b"D2")
     for r in (b"\0\0", b"\0\0", b"\0\0", b"D3", b"D4")
-    for bg in (b"0", b"1")), dtype=np.uint8).reshape(30, 12)
-_MIDDLE = _MIDDLE_BYTES.view(np.uint32)
-_MIDDLE_KEEP = (_MIDDLE_BYTES != 0).astype(np.uint8).view(np.uint32)
+    for bg in (b"0", b"1")), dtype=np.uint32).reshape(30, 3)
 
 
 def _n_words(x) -> int:
@@ -245,15 +263,21 @@ def _n_words(x) -> int:
     return (int(np.searchsorted(_POW10, x.max(), side="right")) + 4) // 4
 
 
-def _put_digits(x, words, keep) -> None:
-    """Decimal digits of non-negative int64s, right-aligned in ``words``."""
-    n_digits = np.searchsorted(_POW10, x, side="right") + 1
-    q = x
-    for g in range(words.shape[1] - 1, -1, -1):
-        q, r = np.divmod(q, 10_000)
-        words[:, g] = _DIGIT_WORDS[r]
-        keep[:, g] = _DIGIT_KEEP[np.clip(n_digits, 0, 4)]
-        n_digits -= 4
+def _put_digits(x, words) -> None:
+    """Decimal digits of non-negative int64s, right-aligned in ``words``
+    with NUL in place of leading zeros."""
+    q = x.view(np.uint64)
+    table = _UNITS_WORDS
+    for g in range(words.shape[1] - 1, 0, -1):
+        above = q // _TEN_K
+        i = above * _TEN_K
+        np.subtract(q, i, out=i)
+        i += _TEN_K
+        np.minimum(i, q, out=i)
+        words[:, g] = table[i.view(np.intp)]
+        q = above
+        table = _GROUP_WORDS
+    words[:, 0] = table[q.view(np.intp)]
 
 
 def _record_lines(cyc, slot, her, read, bg, t_ns) -> bytes:
@@ -264,16 +288,14 @@ def _record_lines(cyc, slot, her, read, bg, t_ns) -> bytes:
     c3 = c2 + 3
     c4 = c3 + _n_words(t_ns)
     words = np.empty((cyc.size, c4 + 1), dtype=np.uint32)
-    keep = np.empty_like(words)
-    _put_digits(cyc, words[:, :c1], keep[:, :c1])
-    words[:, c1], keep[:, c1] = _COMMA, _SEP_KEEP
-    _put_digits(slot, words[:, c1 + 1:c2], keep[:, c1 + 1:c2])
+    _put_digits(cyc, words[:, :c1])
+    words[:, c1] = _COMMA
+    _put_digits(slot, words[:, c1 + 1:c2])
     code = (her.astype(np.intp) * 5 + read) * 2 + bg
     words[:, c2:c3] = np.take(_MIDDLE, code, axis=0)
-    keep[:, c2:c3] = np.take(_MIDDLE_KEEP, code, axis=0)
-    _put_digits(t_ns, words[:, c3:c4], keep[:, c3:c4])
-    words[:, c4], keep[:, c4] = _NEWLINE, _SEP_KEEP
-    return words.view(np.uint8)[keep.view(np.bool_)].tobytes()
+    _put_digits(t_ns, words[:, c3:c4])
+    words[:, c4] = _NEWLINE
+    return words.tobytes().translate(None, b"\0")
 
 
 def write_record_dump(fh, *cols) -> None:

@@ -193,6 +193,67 @@ class TestOutputFiles:
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
+    # each case exits 2 before any work, naming the option and the path as
+    # given, and leaves the directory as it was
+    @pytest.mark.parametrize("argv, named", [
+        (["simulate", "--seconds", "200", "--dump", "ok.csv",
+          "--out", "nodir/s.json"], "--out nodir/s.json: no such directory"),
+        (["simulate", "--dump", "nodir/d.csv"],
+         "--dump nodir/d.csv: no such directory"),
+        (["bell", "--mode", "montecarlo", "--t-ms", "0",
+          "--out", "nodir/b.csv"], "--out nodir/b.csv: no such directory"),
+        (["efficiency", "--montecarlo", "--t-ms", "0",
+          "--out", "nodir/e.csv"], "--out nodir/e.csv: no such directory"),
+        (["repeater", "--out", "r.csv", "--summary-out", "nodir/r.json"],
+         "--summary-out nodir/r.json: no such directory"),
+        (["simulate", "--dump", "x.csv", "--out", "x.csv"],
+         "--dump x.csv: same file as --out x.csv"),
+        (["simulate", "--dump", "x.csv", "--out", "./sub/../x.csv"],
+         "--dump x.csv: same file as --out ./sub/../x.csv"),
+        (["repeater", "--out", "r.csv", "--summary-out", "r.csv"],
+         "--summary-out r.csv: same file as --out r.csv"),
+        (["bell", "--out", "sub"], "--out sub: is a directory"),
+        (["simulate", "--dump", "sub/"], "--dump sub/: is a directory"),
+        (["bell", "--out", ""], "--out : is a directory"),
+    ])
+    def test_bad_output_exits_2_before_any_work(self, argv, named, tmp_path,
+                                                capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        _refuse_work(monkeypatch, "output path")
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == "" and err == f"error: {named}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+        assert list((tmp_path / "sub").iterdir()) == []
+
+    def test_symlink_to_another_output_exits_2(self, tmp_path, capsys,
+                                               monkeypatch):
+        _refuse_work(monkeypatch, "output path")
+        dump = tmp_path / "dump.csv"
+        link = tmp_path / "link.json"
+        link.symlink_to(dump)
+        rc, _, err = run(capsys, "simulate", "--dump", str(dump),
+                         "--out", str(link))
+        assert rc == 2
+        assert err == f"error: --dump {dump}: same file as --out {link}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["link.json"]
+
+    def test_outputs_to_one_pipe_are_written_in_place(self, tmp_path,
+                                                      capsys):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            rc, _, _ = run(capsys, "repeater", "--points", "3",
+                           "--out", str(fifo), "--summary-out", str(fifo))
+            assert rc == 0
+            text = os.read(reader, 65536)
+        finally:
+            os.close(reader)
+        assert text.startswith(b"L_km,") and b'"status_counts"' in text
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
 
 class TestRepeater:
     def test_csv_header_is_pinned(self, capsys):
@@ -655,6 +716,7 @@ def _refuse_work(monkeypatch, what):
         raise AssertionError(f"work started despite a bad {what}")
 
     monkeypatch.setattr(montecarlo, "run_trials", refuse)
+    monkeypatch.setattr(repeater, "sweep_distance", refuse)
     monkeypatch.setattr(cli, "load_config", refuse)
 
 

@@ -369,6 +369,22 @@ class TestRecordDump:
         assert got == _reference_bytes(cols)
         assert got.count(b"\n") == n + 1
 
+    def test_full_blocks_mix_widths_and_codes(self):
+        # two and a half blocks at the real DUMP_ROWS: every field runs
+        # through every width crossing, zeros among them, at its own pace,
+        # so each block mixes the widths of all three fields, and every
+        # middle code (herald * 5 + readout) * 2 + background appears
+        n = 5 * montecarlo.DUMP_ROWS // 2
+        vals = np.array(WIDTH_CROSSINGS)
+        k = vals.size
+        i = np.arange(n)
+        code = i % 30
+        cols = _columns(vals[i % k], vals[i // k % k], code // 10,
+                        code // 2 % 5, code % 2, vals[(7 * i + i // 29) % k])
+        got = _written(cols)
+        assert got == _reference_bytes(cols)
+        assert got.count(b"\n") == n + 1
+
     def test_recorded_run_matches_reference(self):
         kw = dict(n_cycles=4, seed=SeedSpec(63), **BUSY)
         res, got = _dumped(**kw)
