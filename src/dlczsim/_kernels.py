@@ -11,35 +11,49 @@ two agree for every word and every ``p`` (the scaling by ``2**53`` is
 exact, and an integer is below a real exactly when it is below its
 ceiling), so the counts are those of the uniforms.
 
-``herald_batches`` is the only sampler. It finds the accepted heralds of
-its cycles by one of two paths, which give the same heralds:
+``cycle_keys`` mixes the cycle link of the chain once per cycle, and
+``trial_uniforms_numpy`` goes on from those keys with the slot and the
+draw; it makes every hash of the sampler. The trial itself is written once,
+in ``herald_batches``'s docstring, and both consumers below find the
+accepted heralds of their cycles by one of two paths, which give the same
+heralds:
 
 * the full-hash path draws the draw 0 of every slot of a batch of whole
   cycles with one ``trial_uniforms_numpy`` call, then resolves the
   storage-blocking windows by walking next-candidate pointers for all
   cycles of the batch in step. Where candidates are dense, its hash
   words, candidate mask and prefix count go into one ``_Workspace`` a
-  batch long, made once per ``herald_batches`` call and reused by each
-  batch, so a dense run does not allocate and fault in these arrays anew
-  for every batch;
-* the lane scan runs one lane per cycle over a group of whole batches and
-  draws only short windows from each lane's next open slot, so the slots a
-  herald blocks are never hashed.
+  batch long, made once per call and reused by each batch, so a dense run
+  does not allocate and fault in these arrays anew for every batch;
+* the lane scan (``_scan``) runs one lane per cycle key and draws only
+  short windows from each lane's next open slot, so the slots a herald
+  blocks are never hashed.
 
 ``_scan_window`` picks the path from a cost model fitted to measured times:
-the scan where storage blocking skips much of a cycle and a cycle holds few
-heralds, the full path where nothing or little is blocked. Either way the
-readouts of the heralds are drawn once per batch or lane group and the
-heralds come out as one ``HeraldBatch`` per batch of about ``CHUNK_SLOTS``
-slots. The working set is bounded whatever the number of cycles: a
-batch's hashes and candidates on the full path, a step of about
-``LANE_SLOTS`` uniforms and a group of about ``GROUP_HERALDS`` heralds on
-the scan.
+the scan where storage blocking skips much of a cycle, a cycle holds few
+heralds and there are lanes enough to share each step's fixed cost, the
+full path where nothing or little is blocked.
 
-``counts_kernel`` reduces the batches and, for a record dump, hands each
-batch expanded by ``records_kernel`` to one row per executed trial to a
-callback before sampling the next, so counts and records come from one
-tally and the rows of a run are never held at once.
+The counts path, ``count_runs``, samples several runs at once that share
+everything but their seed and readout law, such as the four CHSH settings
+of a storage time: the lanes of its scan are (run, cycle) pairs, each with
+its own cycle key. Counts do not depend on order, so its heralds are never
+sorted: a ``_Tally`` holds about ``GROUP_HERALDS`` of them at a time, draws
+their readouts, bins them by run and drops them. ``counts_kernel`` without
+``rows`` is its one-run case.
+
+The dump path, ``herald_batches``, yields the heralds of one run in flat
+order, one ``HeraldBatch`` per batch of about ``CHUNK_SLOTS`` slots: it
+sorts the heralds of each lane group of the scan before it splits them
+into batches. ``counts_kernel`` with ``rows`` reduces these batches and
+hands each, expanded by ``records_kernel`` to one row per executed trial,
+to a callback before sampling the next, so the counts and the records of
+a dump come from one tally and its rows are never held at once.
+
+The working set is bounded whatever the number of cycles: a batch's
+hashes and candidates on the full path, a step of at most ``LANE_SLOTS``
+uniforms on the scan, and about ``GROUP_HERALDS`` heralds (on the dump
+path, a lane group of whole batches with about that many).
 """
 
 from __future__ import annotations
@@ -64,22 +78,30 @@ _U64_MASK = 0xFFFFFFFFFFFFFFFF
 CHUNK_SLOTS = 196_608
 MIX_SLOTS = 65_536
 
-# Lane scan: windows of at most SCAN_WINDOW_MAX slots, and lane groups of
-# whole batches with at most LANE_SLOTS uniforms per step (lanes x window,
-# the working set of a step, no larger than a batch's) and about
-# GROUP_HERALDS heralds (their arrays and readout draws).
+# Lane scan: windows of at most SCAN_WINDOW_MAX slots and lane groups with
+# at most LANE_SLOTS uniforms per step (lanes x window, the working set of a
+# step, no larger than a batch's). In one group, the 5,000 lanes of four
+# sparse runs (p_herald 0.003, 1250 cycles each) ran 1.15-1.2x slower at
+# 270 and 575 blocked slots. The counts path draws readouts for about GROUP_HERALDS heralds at a time; the
+# dump path's lane groups are whole batches of about that many heralds.
 SCAN_WINDOW_MAX = 128
 LANE_SLOTS = 65_536
 GROUP_HERALDS = CHUNK_SLOTS // 8
 
-# Costs of the dispatch rule in draw-0 hashes (about 9 ns each): a scan
+# Costs of the dispatch rule in draw-0 hashes (about 10 ns each): a scan
 # step's fixed numpy overhead, and the full path's acceptance walk per
-# herald. Fitted by least squares to three timings of both paths on 65
-# cases (p_herald 0.001-0.49, 1-3000 blocked slots, 300 and 1250 cycles of
-# 4000 slots; 2-CPU x86 VM, numpy 2.4): the rule picks the faster path in
-# 193 of the 195, and the other two are within 20% of a tie.
-SCAN_STEP_COST = 7800
-WALK_HERALD_COST = 20
+# herald. Fitted by least squares, with a per-herald readout cost common to
+# both paths, to the best of three timings of each path of ``count_runs``
+# on 297 cases: 9 p_herald values from 0.001 to 0.7, 11 blocking lengths
+# from 1 to 3000 slots, and 1 run of 300 cycles, 4 runs of 300 or 4 runs of
+# 1250 (4000 slots a cycle; 2-CPU x86 VM, numpy 2.4). The rule picks the
+# faster path in 266 cases, and its picks take 2.0% longer than the faster
+# path's on average; the worst pick, 1.85x, is one run of 300 cycles at
+# p_herald 0.7 and 25 blocked slots. The earlier fit (7800, 20), made for a
+# scan that sorted its heralds and bounded its lane groups by them, takes
+# 3.4% longer on these cases.
+SCAN_STEP_COST = 5500
+WALK_HERALD_COST = 5
 
 
 def mix64(z: int) -> int:
@@ -112,17 +134,27 @@ def _mix_inplace(z, tmp):
     return z
 
 
-def trial_uniforms_numpy(master_seed: int, cycles, slots, draw: int,
-                         out=None, tmp=None):
+def cycle_keys(master_seed, cycles):
+    """Key of each cycle of a stream: the cycle link of the hash chain,
+    mixed once, which ``trial_uniforms_numpy`` goes on from with the slot
+    and the draw. ``master_seed``, an integer or a uint64 array, broadcasts
+    against ``cycles``, so one call keys the cycles of several streams."""
+    c = np.asarray(cycles, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        k = (c * _CYCLE_KEY) ^ np.asarray(master_seed, dtype=np.uint64)
+        return _mix_inplace(k, np.empty_like(k))
+
+
+def trial_uniforms_numpy(keys, slots, draw: int, out=None, tmp=None):
     """Vectorized per-(cycle, slot) hash words (uint64) for one draw index.
 
-    Each word ``h`` stands for the uniform ``(h >> 11) * 2**-53``; the
-    sampler compares words with ``_threshold`` keys and never forms the
-    uniform. ``cycles`` and ``slots`` broadcast against each other: a column
-    of cycles against a row of slots gives one row of words per cycle, and
-    each cycle key is mixed once however many slots it meets. The slot
-    mixes run ``MIX_SLOTS`` elements at a time, so the piece being mixed
-    and its shift buffer stay in cache.
+    ``keys`` are ``cycle_keys`` of the cycles. Each word ``h`` stands for
+    the uniform ``(h >> 11) * 2**-53``; the sampler compares words with
+    ``_threshold`` keys and never forms the uniform. ``keys`` and ``slots``
+    broadcast against each other: a column of keys against a row of slots
+    gives one row of words per cycle. The slot mixes run ``MIX_SLOTS``
+    elements at a time, so the piece being mixed and its shift buffer stay
+    in cache. Every hash the sampler makes is made here.
 
     ``out`` and ``tmp``, when given, are 1-D uint64 buffers at least as
     large as the result and as the shift buffer (``MIX_SLOTS`` or the
@@ -130,18 +162,15 @@ def trial_uniforms_numpy(master_seed: int, cycles, slots, draw: int,
     front of ``out``, so a caller that hashes batch after batch can write
     every batch into the same memory.
     """
-    c = np.atleast_1d(np.asarray(cycles, dtype=np.uint64))
+    k = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
     s = np.atleast_1d(np.asarray(slots, dtype=np.uint64))
     with np.errstate(over="ignore"):
-        cycle_h = c * _CYCLE_KEY
-        cycle_h ^= np.uint64(master_seed)
-        _mix_inplace(cycle_h, np.empty_like(cycle_h))
         if out is None:
-            h = cycle_h ^ (s * _SLOT_KEY)
+            h = k ^ (s * _SLOT_KEY)
         else:
-            shape = np.broadcast_shapes(c.shape, s.shape)
+            shape = np.broadcast_shapes(k.shape, s.shape)
             h = out[:math.prod(shape)].reshape(shape)
-            np.bitwise_xor(cycle_h, s * _SLOT_KEY, out=h)
+            np.bitwise_xor(k, s * _SLOT_KEY, out=h)
         flat = h.reshape(-1)
         if tmp is None:
             tmp = np.empty(min(flat.size, MIX_SLOTS), dtype=np.uint64)
@@ -235,30 +264,62 @@ class HeraldBatch(NamedTuple):
     n_blocked: int
 
 
-def _readouts(master_seed, cycles, slots, is_d1, keys):
-    """Readout code (0/3/4) and background flag of each herald.
+class _Law(NamedTuple):
+    """Readout keys of the runs of a call.
 
-    ``keys`` are the ``_threshold`` keys of ``a13``, ``a13 + a14``,
-    ``a23``, ``a23 + a24``, ``p_noise`` and ``p_noise / 2``.
+    ``k3`` and ``k34`` hold, at ``2 * run + is_d1``, the ``_threshold`` keys
+    of ``a23``/``a13`` and of ``a23 + a24``/``a13 + a14`` of each run,
+    shifted right by 11 bits: a key ``T`` is a multiple of ``2**11``, so
+    ``h < T`` exactly when ``h >> 11 < T >> 11``, and ``2**64 >> 11`` fits a
+    uint64 where ``2**64`` does not. ``k34`` is raised to ``k3`` where it is
+    below, which changes no readout: D4 is drawn below ``k34`` and not below
+    ``k3``. ``k_noise`` and ``k_noise3`` are the keys of ``p_noise`` and
+    ``p_noise / 2``, which the runs share.
     """
-    k3_d1, k34_d1, k3_d2, k34_d2, k_noise, k_noise3 = keys
-    readout = np.zeros(is_d1.size, dtype=np.uint8)
-    background = np.zeros(is_d1.size, dtype=bool)
-    if not is_d1.size:
-        return readout, background
-    h1 = trial_uniforms_numpy(master_seed, cycles, slots, 1)
-    hit3 = np.where(is_d1, h1 < k3_d1, h1 < k3_d2)
-    hit4 = ~hit3 & np.where(is_d1, h1 < k34_d1, h1 < k34_d2)
-    readout[hit3] = 3
-    readout[hit4] = 4
-    miss = np.flatnonzero(~hit3 & ~hit4)
-    if k_noise and miss.size:
-        h2 = trial_uniforms_numpy(master_seed, cycles[miss], slots[miss], 2)
-        bg = h2 < k_noise
-        bg3 = bg & (h2 < k_noise3)
-        readout[miss[bg3]] = 3
-        readout[miss[bg & ~bg3]] = 4
-        background[miss[bg]] = True
+
+    k3: np.ndarray
+    k34: np.ndarray
+    k_noise: int
+    k_noise3: int
+
+    @classmethod
+    def of(cls, laws, p_noise):
+        """Keys of the readout laws ``(a13, a14, a23, a24)``, one a run."""
+        k3, k34 = [], []
+        for a13, a14, a23, a24 in laws:
+            for b3, b4 in ((a23, a24), (a13, a14)):
+                t3 = _threshold(b3)
+                k3.append(t3 >> 11)
+                k34.append(max(t3, _threshold(b3 + b4)) >> 11)
+        return cls(np.array(k3, dtype=np.uint64),
+                   np.array(k34, dtype=np.uint64), _threshold(p_noise),
+                   _threshold(p_noise * 0.5))
+
+
+def _readouts(keys, slots, sel, law):
+    """Readout code (uint8 0/3/4) and background flag of each herald.
+
+    ``keys`` and ``slots`` are the heralds' cycle keys and slots, ``sel``
+    their ``2 * run + is_d1`` entries in the ``_Law`` tables. Every choice
+    is taken by arithmetic on the comparisons, none by a branch per herald.
+    """
+    if not sel.size:
+        return np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=bool)
+    u = trial_uniforms_numpy(keys, slots, 1)
+    u >>= np.uint64(11)
+    hit3 = u < law.k3.take(sel)
+    hit34 = u < law.k34.take(sel)
+    del u  # freed before draw 2
+    # a hit below k3 is one below k34 too: 4 - 1 for D3, 4 for D4
+    readout = hit34 * np.uint8(4) - hit3
+    background = np.zeros(sel.size, dtype=bool)
+    miss = np.flatnonzero(~hit34)
+    if law.k_noise and miss.size:
+        h2 = trial_uniforms_numpy(keys[miss], slots[miss], 2)
+        bg = h2 < law.k_noise
+        # p_noise / 2 <= p_noise, so a hit below k_noise3 is a background one
+        readout[miss] = bg * np.uint8(4) - (h2 < law.k_noise3)
+        background[miss] = bg
     return readout, background
 
 
@@ -268,39 +329,38 @@ def _open_slots(n_slots, p_herald, skip_slots) -> float:
     return n_slots / (1.0 + p_herald * skip_slots)
 
 
-def _scan_batches(n_slots, p_herald, skip_slots, w) -> int:
-    """Whole batches per lane group of the scan: about ``LANE_SLOTS``
-    uniforms per step and ``GROUP_HERALDS`` heralds per group."""
+def _dump_group_batches(n_slots, p_herald, skip_slots) -> int:
+    """Whole batches per lane group of the scan on the dump path, which
+    holds a group's heralds to put them in order: about ``GROUP_HERALDS``."""
     step = max(1, CHUNK_SLOTS // max(n_slots, 1))
     heralds = step * p_herald * _open_slots(n_slots, p_herald, skip_slots)
-    return max(1, min(int(GROUP_HERALDS // max(heralds, 1.0)),
-                      LANE_SLOTS // w // step))
+    return max(1, int(GROUP_HERALDS // max(heralds, 1.0)))
 
 
-def _scan_window(p_herald, skip_slots, n_slots, n_cycles) -> int:
-    """Window of the lane scan, or 0 where the full-hash path is faster.
+def _scan_window(p_herald, skip_slots, n_slots, lanes) -> int:
+    """Window of the lane scan over ``lanes`` lanes (cycles of one run or
+    of several), or 0 where the full-hash path is faster.
 
     The window is the power of two at or above the mean candidate spacing
     ``1/p_herald``, at most ``SCAN_WINDOW_MAX`` and ``skip_slots + 1``.
     Per cycle, in draw-0 hashes, the full path costs ``n_slots`` plus
     ``WALK_HERALD_COST`` per herald for its acceptance walk, and the scan
-    ``windows * (w + SCAN_STEP_COST / lanes)``: each window hashes ``w``
-    slots and shares one step's fixed numpy overhead with the other lanes.
-    A cycle has about ``heralds + open / w`` windows, ``open`` being its
-    expected open slots. The scan runs where it is cheaper.
+    ``windows * (w + SCAN_STEP_COST / group)``: each window hashes ``w``
+    slots and shares one step's fixed numpy overhead with the other lanes
+    of its group, at most ``LANE_SLOTS / w`` lanes. A cycle has about
+    ``heralds + open / w`` windows, ``open`` being its expected open slots.
+    The scan runs where it is cheaper.
     """
     if skip_slots <= 0 or not 0.0 < p_herald < 1.0:
         return 0
     w = min(1 << -math.floor(math.log2(p_herald)), SCAN_WINDOW_MAX,
             skip_slots + 1)
-    step = max(1, CHUNK_SLOTS // max(n_slots, 1))
-    lanes = min(n_cycles,
-                step * _scan_batches(n_slots, p_herald, skip_slots, w))
-    if lanes <= 0:
+    group = min(lanes, LANE_SLOTS // w)
+    if group <= 0:
         return 0
     open_slots = _open_slots(n_slots, p_herald, skip_slots)
     heralds = p_herald * open_slots
-    scan = (heralds + open_slots / w) * (w + SCAN_STEP_COST / lanes)
+    scan = (heralds + open_slots / w) * (w + SCAN_STEP_COST / group)
     return w if scan < n_slots + WALK_HERALD_COST * heralds else 0
 
 
@@ -311,11 +371,11 @@ class _Workspace(NamedTuple):
     copies of their mixes, ``mask`` the candidate mask and ``count`` its
     prefix count in ``_accept``.
 
-    ``herald_batches`` makes one where candidates are dense, from one in
-    eight slots: there a batch's temporaries are large enough that the
-    allocator hands their memory back and faults it in again for the next
-    batch. Sparser batches allocate per batch, which costs no faults, and
-    a workspace kept across their batches would only fragment the heap.
+    A call makes one where candidates are dense, from one in eight slots:
+    there a batch's temporaries are large enough that the allocator hands
+    their memory back and faults it in again for the next batch. Sparser
+    batches allocate per batch, which costs no faults, and a workspace
+    kept across their batches would only fragment the heap.
     """
 
     hashes: np.ndarray
@@ -335,18 +395,18 @@ class _Workspace(NamedTuple):
                    scratch[:4 * size].view(np.int32))
 
 
-def _full(master_seed, lo, hi, slots, key, skip_slots, work):
-    """Accepted heralds of cycles ``[lo, hi)`` from the draw 0 of every
+def _full(keys, slots, key, skip_slots, work):
+    """Accepted heralds of the cycles of ``keys`` from the draw 0 of every
     slot, a candidate where the hash is below ``key``. Returns their
-    ascending flat indices from ``lo`` and the draw-0 hash of each.
+    ascending flat indices ``i * n_slots + slot`` (``i`` the cycle's index
+    in ``keys``) and the draw-0 hash of each.
 
     With ``work``, a ``_Workspace``, the hash, the mask and the prefix
     count go into the fronts of its buffers, so a run of batches reuses
     the same memory; with None they are allocated for the batch and the
     next candidates are found by binary search."""
     hashes, shift, mask, count = work or (None,) * 4
-    cycles = np.arange(lo, hi)
-    h = trial_uniforms_numpy(master_seed, cycles[:, None], slots, 0,
+    h = trial_uniforms_numpy(keys[:, None], slots, 0,
                              out=hashes, tmp=shift).reshape(-1)
     if mask is None:
         is_cand = h < key
@@ -358,52 +418,64 @@ def _full(master_seed, lo, hi, slots, key, skip_slots, work):
     return flat, h[flat]
 
 
-def _scan(master_seed, lo, hi, n_slots, key, skip_slots, w):
-    """Accepted heralds of cycles ``[lo, hi)`` by a lane scan.
+def _scan(keys, n_slots, key, skip_slots, w, piece):
+    """Accepted heralds of one lane per cycle key in ``keys``, by a lane
+    scan.
 
-    One lane per cycle holds its next open slot. At each step every live
+    Each lane holds its cycle's next open slot. At each step every live
     lane draws the draw 0 of the ``w`` slots from there and takes the first
     candidate, a hash below ``key``, then goes on ``skip_slots + 1`` slots
     past it, or ``w`` slots on when the window holds none. With
-    ``w <= skip_slots + 1`` a window never holds a second herald. Returns
-    the ascending flat indices of the heralds from ``lo`` and the draw-0
-    hash of each.
+    ``w <= skip_slots + 1`` a window never holds a second herald.
+
+    Yields the heralds as ``(lane, slot, h0)``: the lane's index in
+    ``keys``, the slot (int64) and the draw-0 hash, in no set order. A
+    piece is yielded once the steps since the last one found at least
+    ``piece`` heralds, and when the last lane ends.
     """
     offsets = np.arange(w, dtype=np.uint64)
-    rows = np.arange(hi - lo)
-    cycle = np.arange(lo, hi, dtype=np.uint64)
-    start = np.zeros(hi - lo, dtype=np.uint64)
+    rows = lane = np.arange(keys.size)
+    start = np.zeros(keys.size, dtype=np.uint64)
     end = np.uint64(n_slots)
-    found = []
-    while cycle.size:
-        h = trial_uniforms_numpy(master_seed, cycle[:, None],
-                                 start[:, None] + offsets, 0)
+    width = np.uint64(w)
+    past = np.uint64(skip_slots + 1 - w)  # a herald's lane goes w + past on
+    found, held = [], 0
+    while lane.size:
+        h = trial_uniforms_numpy(keys[:, None], start[:, None] + offsets, 0)
         # argmax is 0 for a window without a candidate
         k = (h < key).argmax(axis=1)
-        h_k = h[rows[:cycle.size], k]
+        h_k = h[rows[:lane.size], k]
         got = h_k < key
         slot = start + k.view(np.uint64)
-        found.append((cycle[got], slot[got], h_k[got]))
-        start = slot + np.where(got, np.uint64(skip_slots + 1),
-                                np.uint64(w))
+        found.append((lane[got], slot[got], h_k[got]))
+        held += found[-1][0].size
+        start = slot + width + got * past
         live = start < end
         if not live.all():
-            cycle = cycle[live]
-            start = start[live]
-    cycle, slot, h0 = (np.concatenate(c) for c in zip(*found))
-    del found
-    # a window that crosses the cycle end may find a candidate past it
-    inside = slot < end
-    flat = (cycle[inside] - np.uint64(lo)) * end + slot[inside]
-    flat = flat.view(np.int64)
+            keys, lane, start = keys[live], lane[live], start[live]
+        if held >= piece or not lane.size:
+            lanes, slots, h0 = (np.concatenate(c) for c in zip(*found))
+            found, held = [], 0
+            # a window crossing the cycle end may find a candidate past it
+            inside = slots < end
+            yield lanes[inside], slots[inside].view(np.int64), h0[inside]
+
+
+def _sorted_scan(keys, n_slots, key, skip_slots, w):
+    """``_scan``'s heralds of a lane group in one piece, as ``_full``
+    returns them: ascending flat indices and the draw-0 hash of each."""
+    lane, slot, h0 = next(_scan(keys, n_slots, key, skip_slots, w,
+                                math.inf))
+    flat = lane * n_slots + slot
     order = np.argsort(flat, kind="stable")
-    return flat[order], h0[inside][order]
+    return flat[order], h0[order]
 
 
 def herald_batches(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
                    a13, a14, a23, a24, p_noise, skip_slots):
     """Yield one ``HeraldBatch`` per batch of whole cycles, together about
-    ``CHUNK_SLOTS`` slots (at least one cycle).
+    ``CHUNK_SLOTS`` slots (at least one cycle): the heralds of a record
+    dump, in order.
 
     Per executed trial: draw 0 heralds when ``u0 < p_herald`` (D1 when
     ``u0 < p_herald/2``); a herald blocks the next ``skip_slots`` slots of
@@ -418,19 +490,21 @@ def herald_batches(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
 
     ``_scan_window`` picks the path: the full-hash path samples and yields
     one batch at a time, the lane scan a group of whole batches (see
-    ``_scan_batches``), whose batches are then yielded in turn. The stream
-    of batches is the same on either path. From one candidate in eight
-    slots the full path makes one ``_Workspace`` per call, as long as its
-    first batch, and every batch writes into it; a call owns its
-    workspace, so worker threads that run calls side by side share no
-    buffer.
+    ``_dump_group_batches``), whose heralds it sorts and then yields batch
+    by batch. The stream of batches is the same on either path. From one
+    candidate in eight slots the full path makes one ``_Workspace`` per
+    call, as long as its first batch, and every batch writes into it; a
+    call owns its workspace, so worker threads that run calls side by side
+    share no buffer.
     """
     n_slots = int(n_slots)
     skip_slots = int(skip_slots)
     step = max(1, CHUNK_SLOTS // max(n_slots, 1))
-    w = _scan_window(p_herald, skip_slots, n_slots, cycle_hi - cycle_lo)
+    per_group = _dump_group_batches(n_slots, p_herald, skip_slots)
+    w = _scan_window(p_herald, skip_slots, n_slots,
+                     min(cycle_hi - cycle_lo, step * per_group))
     # the scan runs a lane group of whole batches, the full path a batch
-    group = step * (_scan_batches(n_slots, p_herald, skip_slots, w)
+    group = step * (max(1, min(per_group, LANE_SLOTS // w // step))
                     if w else 1)
     slots = np.arange(n_slots)
     work = None
@@ -438,17 +512,18 @@ def herald_batches(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
         work = _Workspace.of(max(0, min(group, cycle_hi - cycle_lo)) * n_slots)
     key = _threshold(p_herald)
     key_d1 = _threshold(p_herald * 0.5)
-    keys = (_threshold(a13), _threshold(a13 + a14), _threshold(a23),
-            _threshold(a23 + a24), _threshold(p_noise),
-            _threshold(p_noise * 0.5))
+    law = _Law.of([(a13, a14, a23, a24)], p_noise)
 
-    def batches(lo, hi, flat, h0):
+    def split(lo, hi, keys, flat, h0):
         # readouts of the heralds of cycles [lo, hi), one batch per step
         is_d1 = h0 < key_d1
-        herald = np.where(is_d1, np.uint8(1), np.uint8(2))
-        readout, background = _readouts(
-            master_seed, flat // n_slots + lo, flat % n_slots, is_d1, keys)
-        blocked = np.minimum(skip_slots, n_slots - 1 - flat % n_slots)
+        herald = 2 - is_d1.view(np.uint8)
+        slot = flat % n_slots
+        readout, background = _readouts(keys[flat // n_slots], slot,
+                                        is_d1.view(np.uint8), law)
+        # a herald blocks skip_slots slots, or the rest of its cycle
+        blocked = np.subtract(n_slots - 1, slot, out=slot)
+        np.minimum(blocked, skip_slots, out=blocked)
         bounds = list(range(0, hi - lo, step)) + [hi - lo]
         edges = np.searchsorted(flat, np.array(bounds) * n_slots).tolist()
         for c0, c1, i, j in zip(bounds, bounds[1:], edges, edges[1:]):
@@ -458,12 +533,139 @@ def herald_batches(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
 
     for lo in range(cycle_lo, cycle_hi, group):
         hi = min(lo + group, cycle_hi)
+        keys = cycle_keys(master_seed, np.arange(lo, hi))
         if w:
-            found = _scan(master_seed, lo, hi, n_slots, key, skip_slots, w)
+            found = _sorted_scan(keys, n_slots, key, skip_slots, w)
         else:
-            found = _full(master_seed, lo, hi, slots, key, skip_slots, work)
-        yield from batches(lo, hi, *found)
+            found = _full(keys, slots, key, skip_slots, work)
+        yield from split(lo, hi, keys, *found)
         del found  # freed before the next group is sampled
+
+
+class _Tally:
+    """Per-run counts of accepted heralds handed over in pieces.
+
+    ``add`` holds a piece; once about ``GROUP_HERALDS`` heralds are held,
+    their readouts are drawn, they are binned by run and outcome, and they
+    are dropped. Bins, blocked slots and background readouts are sums, so
+    the order in which the heralds come does not matter.
+    """
+
+    def __init__(self, n_runs, n_slots, skip_slots, key_d1, law):
+        self.n_slots = n_slots
+        self.skip_slots = skip_slots
+        self.key_d1 = key_d1
+        self.law = law
+        self.bins = np.zeros(10 * n_runs, dtype=np.int64)
+        self.blocked = np.zeros(n_runs, dtype=np.int64)
+        self.background = np.zeros(n_runs, dtype=np.int64)
+        self.parts = []
+        self.held = 0
+
+    def add(self, keys, runs, slot, h0):
+        """Heralds at ``slot`` of the cycles of key ``keys`` in runs
+        ``runs`` (intp), with draw-0 hashes ``h0``. The tally owns the
+        arrays from here on."""
+        if h0.size >= GROUP_HERALDS:
+            self.flush()  # alone, a large piece is binned without a copy
+        self.parts.append((keys, runs, slot, h0))
+        self.held += h0.size
+        if self.held >= GROUP_HERALDS:
+            self.flush()
+
+    def flush(self):
+        """Draw the readouts of the held heralds, bin them and drop them."""
+        if not self.parts:
+            return
+        if len(self.parts) == 1:
+            keys, runs, slot, h0 = self.parts[0]
+        else:
+            keys, runs, slot, h0 = (np.concatenate(c)
+                                    for c in zip(*self.parts))
+        self.parts, self.held = [], 0
+        n_runs = self.blocked.size
+        if self.skip_slots > 0:
+            # a herald blocks skip_slots slots, or the rest of its cycle
+            blocked = self.n_slots - 1 - slot
+            np.minimum(blocked, self.skip_slots, out=blocked)
+            self.blocked += np.bincount(runs, blocked,
+                                        minlength=n_runs).astype(np.int64)
+            del blocked
+        sel = runs  # 2 * run + is_d1, in place
+        sel *= 2
+        sel += h0 < self.key_d1
+        readout, background = _readouts(keys, slot, sel, self.law)
+        self.background += np.bincount(sel[background] >> 1,
+                                       minlength=n_runs)
+        # bin (2 * run + is_d2) * 5 + readout: per run D1 then D2, as _bins
+        sel ^= 1
+        sel *= 5
+        sel += readout
+        self.bins += np.bincount(sel, minlength=self.bins.size)
+
+    def counts(self, n_cycles):
+        """One row ``(c13, c14, c23, c24, s1, s2, n_trials, n_background)``
+        per run, over ``n_cycles`` cycles."""
+        self.flush()
+        b = self.bins.reshape(-1, 10)
+        return np.column_stack((
+            b[:, 3], b[:, 4], b[:, 8], b[:, 9], b[:, :5].sum(axis=1),
+            b[:, 5:].sum(axis=1), n_cycles * self.n_slots - self.blocked,
+            self.background))
+
+
+def count_runs(master_seeds, cycle_lo, cycle_hi, n_slots, p_herald, laws,
+               p_noise, skip_slots):
+    """Coincidence counts of several runs over one range of cycles.
+
+    Run ``r`` draws from ``master_seeds[r]`` with the readout law
+    ``laws[r]``, its ``(a13, a14, a23, a24)``; the runs share the slots per
+    cycle, ``p_herald``, ``p_noise`` and ``skip_slots`` (the trial is that
+    of ``herald_batches``). Returns an int64 array with one row
+    ``(c13, c14, c23, c24, s1, s2, n_trials, n_background)`` per run, the
+    counts of that run alone.
+
+    The lanes of the scan are the (run, cycle) pairs of all runs, in groups
+    of at most ``LANE_SLOTS / w``, so runs too short to fill a scan step
+    share one; the full path takes the runs one after another, a batch at a
+    time. Either way the heralds go to one ``_Tally``, none is sorted, and
+    the working set is a step or a batch and ``GROUP_HERALDS`` heralds,
+    whatever the number of cycles.
+    """
+    seeds = np.array([int(s) for s in master_seeds], dtype=np.uint64)
+    n_slots = int(n_slots)
+    skip_slots = int(skip_slots)
+    n_cycles = max(cycle_hi - cycle_lo, 0)
+    lanes = seeds.size * n_cycles if n_slots > 0 else 0
+    key = _threshold(p_herald)
+    tally = _Tally(seeds.size, n_slots, skip_slots,
+                   _threshold(p_herald * 0.5), _Law.of(laws, p_noise))
+    w = _scan_window(p_herald, skip_slots, n_slots, lanes)
+    if w:
+        size = max(1, LANE_SLOTS // w)
+        for g in range(0, lanes, size):
+            runs, cycle = np.divmod(np.arange(g, min(g + size, lanes)),
+                                    n_cycles)
+            keys = cycle_keys(seeds[runs], cycle + cycle_lo)
+            for lane, slot, h0 in _scan(keys, n_slots, key, skip_slots, w,
+                                        GROUP_HERALDS):
+                tally.add(keys[lane], runs[lane], slot, h0)
+    elif lanes:
+        step = max(1, CHUNK_SLOTS // n_slots)
+        slots = np.arange(n_slots)
+        work = None
+        if 8 * p_herald >= 1:
+            work = _Workspace.of(min(step, n_cycles) * n_slots)
+        for r, seed in enumerate(seeds):
+            for lo in range(cycle_lo, cycle_hi, step):
+                keys = cycle_keys(seed, np.arange(lo, min(lo + step,
+                                                          cycle_hi)))
+                flat, h0 = _full(keys, slots, key, skip_slots, work)
+                keys = keys[flat // n_slots]
+                flat %= n_slots  # the heralds' slots
+                tally.add(keys, np.full(h0.size, r), flat, h0)
+                del keys, flat, h0  # freed before the next batch is sampled
+    return tally.counts(n_cycles)
 
 
 def _bins(herald, readout):
@@ -512,10 +714,16 @@ def counts_kernel(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
     """Accumulate coincidence counts for a contiguous range of cycles.
 
     Returns ``(c13, c14, c23, c24, s1, s2, n_trials, n_background)``.
-    ``rows``, when given, is called with the ``records_kernel`` arrays of
-    each batch in turn, before the next batch is sampled, so the rows of
-    the whole range are never held at once.
+    Without ``rows`` this is ``count_runs`` of the one run. ``rows``, when
+    given, is called with the ``records_kernel`` arrays of each
+    ``herald_batches`` batch in turn, before the next batch is sampled, so
+    the rows of the whole range are never held at once.
     """
+    if rows is None:
+        (counts,) = count_runs([master_seed], cycle_lo, cycle_hi, n_slots,
+                               p_herald, [(a13, a14, a23, a24)], p_noise,
+                               skip_slots)
+        return tuple(int(v) for v in counts)
     bins = np.zeros(10, dtype=np.int64)
     n_blocked = 0
     n_bg = 0
@@ -525,8 +733,7 @@ def counts_kernel(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
         bins += _bins(b.herald, b.readout)
         n_blocked += b.n_blocked
         n_bg += np.count_nonzero(b.background)
-        if rows is not None:
-            rows(*records_kernel(b, n_slots, skip_slots))
+        rows(*records_kernel(b, n_slots, skip_slots))
     n_trials = max(cycle_hi - cycle_lo, 0) * n_slots - n_blocked
     return (int(bins[3]), int(bins[4]), int(bins[8]), int(bins[9]),
             int(bins[:5].sum()), int(bins[5:].sum()), int(n_trials),

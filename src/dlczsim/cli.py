@@ -80,9 +80,12 @@ def _replacing(path):
 
 def _check_outputs(args) -> None:
     """Refuse, before any work, an output that is a directory or whose
-    directory does not exist, and two outputs that are the same file. A
-    pipe or device is written in place and exempt."""
-    taken = {}
+    directory does not exist, and an output that is the same file as an
+    input (``--config``, ``--data``) or as another output. A pipe or
+    device is written in place and exempt."""
+    taken = {os.path.realpath(path): f"--{name} {path}"
+             for name in ("config", "data")
+             if (path := getattr(args, name, None)) is not None}
     for name in ("out", "summary_out", "dump"):
         path = getattr(args, name, None)
         if path is None:

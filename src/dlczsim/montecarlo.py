@@ -142,9 +142,33 @@ def _kernel_args(cfg: SequenceConfig, sp: SourceParams, dm: DecayModel,
             cfg.herald_skip_slots)
 
 
-def _cycle_chunks(n_cycles: int, n_workers: int):
+def _in_chunks(n_cycles: int, n_workers: int, count):
+    """Sum of ``count(lo, hi)`` over the cycle range split into one chunk
+    per worker, the chunks run side by side on ``n_workers`` threads."""
     step = max(1, math.ceil(n_cycles / max(1, n_workers)))
-    return [(lo, min(lo + step, n_cycles)) for lo in range(0, n_cycles, step)]
+    chunks = [(lo, min(lo + step, n_cycles))
+              for lo in range(0, n_cycles, step)]
+    if len(chunks) > 1 and n_workers > 1:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            parts = list(pool.map(lambda c: count(*c), chunks))
+    else:
+        parts = [count(*c) for c in chunks]
+    return np.sum(np.asarray(parts, dtype=np.int64), axis=0)
+
+
+def _result(row, n_cycles: int, n_slots: int) -> TrialRunResult:
+    """The run of a kernel row ``(c13, ..., n_trials, n_background)``."""
+    c13, c14, c23, c24, s1, s2, n_trials, n_bg = (int(v) for v in row)
+    counts = CoincidenceCounts(c13, c14, c23, c24, s1, s2, n_trials)
+    return TrialRunResult(counts=counts, n_cycles=n_cycles,
+                          n_trials=n_trials,
+                          n_blocked_slots=n_cycles * n_slots - n_trials,
+                          n_background_readouts=n_bg)
+
+
+def _check_cycles(n_cycles: int) -> None:
+    if n_cycles < 1:
+        raise ValueError("n_cycles must be >= 1")
 
 
 def run_trials(cfg: SequenceConfig, sp: SourceParams, dm: DecayModel,
@@ -164,10 +188,8 @@ def run_trials(cfg: SequenceConfig, sp: SourceParams, dm: DecayModel,
     the trials are sampled. A dumped run samples all cycles in the calling
     thread, whatever ``n_workers``.
     """
-    if n_cycles < 1:
-        raise ValueError("n_cycles must be >= 1")
+    _check_cycles(n_cycles)
     args = _kernel_args(cfg, sp, dm, write_eta, read_eta, settings)
-    n_slots = args[0]
 
     if dump is not None:
         period_ns = int(round(cfg.trial_period * 1e9))
@@ -179,29 +201,13 @@ def run_trials(cfg: SequenceConfig, sp: SourceParams, dm: DecayModel,
             write_record_dump(dump, cyc, slot, her, read, bg, t_ns)
 
         dump.write(DUMP_HEADER)
-        parts = [_kernels.counts_kernel(seed.master_seed, 0, n_cycles, *args,
-                                        rows=rows)]
+        row = _kernels.counts_kernel(seed.master_seed, 0, n_cycles, *args,
+                                     rows=rows)
     else:
-        chunks = _cycle_chunks(n_cycles, n_workers)
-
-        def work(chunk):
-            lo, hi = chunk
-            return _kernels.counts_kernel(seed.master_seed, lo, hi, *args)
-
-        if len(chunks) > 1 and n_workers > 1:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                parts = list(pool.map(work, chunks))
-        else:
-            parts = [work(c) for c in chunks]
-
-    agg = np.sum(np.asarray(parts, dtype=np.int64), axis=0)
-    c13, c14, c23, c24, s1, s2, n_trials, n_bg = (int(v) for v in agg)
-    counts = CoincidenceCounts(c13, c14, c23, c24, s1, s2, n_trials)
-    n_blocked = n_cycles * n_slots - n_trials
-
-    return TrialRunResult(counts=counts, n_cycles=n_cycles,
-                          n_trials=n_trials, n_blocked_slots=n_blocked,
-                          n_background_readouts=n_bg)
+        row = _in_chunks(n_cycles, n_workers, lambda lo, hi:
+                         _kernels.counts_kernel(seed.master_seed, lo, hi,
+                                                *args))
+    return _result(row, n_cycles, args[0])
 
 
 DUMP_HEADER = b"cycle,trial,herald,readout,background,t_ns\n"
@@ -448,20 +454,30 @@ def bell_sweep(ts: Sequence[float], cfg: SequenceConfig, sp: SourceParams,
     Per storage time, one run per canonical CHSH setting; at point ``i``
     setting ``j`` draws from ``seed.child(i, j)`` and the Poisson bootstrap
     of the error from ``seed.child(i, 9)``, with the same truncation
-    property as ``retrieval_sweep``. Returns one ``Estimate`` of S per
-    point; raises ``InsufficientStatisticsError`` naming the storage time
-    of a point without coincidences in some setting, or whose bootstrap
-    exhausts its redraws. ``n_resamples`` below 100 raises ``ValueError``
-    before any trial runs.
+    property as ``retrieval_sweep``. The four runs of a point share every
+    sampler input but the seed and the readout law, so one
+    ``_kernels.count_runs`` call per cycle chunk samples them together;
+    each run's counts are those ``run_trials`` gives it. Returns one
+    ``Estimate`` of S per point; raises ``InsufficientStatisticsError``
+    naming the storage time of a point without coincidences in some
+    setting, or whose bootstrap exhausts its redraws. ``n_resamples``
+    below 100 raises ``ValueError`` before any trial runs.
     """
     _check_resamples(n_resamples)
+    _check_cycles(n_cycles)
     out = []
     for i, t in enumerate(_grid(ts)):
         cfg_t = cfg.with_storage_time(t)
-        counts = [run_trials(cfg_t, sp, dm, write_eta, read_eta, setting,
-                             n_cycles, seed.child(i, j),
-                             n_workers=n_workers).counts
-                  for j, setting in enumerate(CANONICAL_SETTINGS)]
+        args = [_kernel_args(cfg_t, sp, dm, write_eta, read_eta, setting)
+                for setting in CANONICAL_SETTINGS]
+        n_slots, p_herald, *_, p_noise, skip_slots = args[0]
+        seeds = [seed.child(i, j).master_seed for j in range(len(args))]
+        laws = [a[2:6] for a in args]
+        rows = _in_chunks(n_cycles, n_workers, lambda lo, hi:
+                          _kernels.count_runs(seeds, lo, hi, n_slots,
+                                              p_herald, laws, p_noise,
+                                              skip_slots))
+        counts = [_result(row, n_cycles, n_slots).counts for row in rows]
         try:
             s = bell_parameter(*(correlation_E(c) for c in counts))
             errs = bootstrap_errors(counts, n_resamples, seed.child(i, 9))

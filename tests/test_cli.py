@@ -11,7 +11,7 @@ import warnings
 import pytest
 
 import dlczsim
-from dlczsim import calibration as cal, cli, montecarlo, repeater
+from dlczsim import _kernels, calibration as cal, cli, montecarlo, repeater
 from dlczsim.cli import main
 from dlczsim.config import load_config
 
@@ -159,6 +159,7 @@ class TestMonteCarloSweeps:
             raise AssertionError("a run started despite a bad --resamples")
 
         monkeypatch.setattr(montecarlo, "run_trials", refuse)
+        monkeypatch.setattr(_kernels, "count_runs", refuse)
         out = tmp_path / "out.csv"
         rc, _, err = run(capsys, "bell", "--mode", "montecarlo", "--t-ms",
                          "0", "--resamples", "50", "--out", str(out))
@@ -226,6 +227,35 @@ class TestOutputFiles:
         assert out == "" and err == f"error: {named}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["sub"]
         assert list((tmp_path / "sub").iterdir()) == []
+
+    # an output naming an input file exits 2 before any work, and the
+    # input is left as it was
+    @pytest.mark.parametrize("argv, named", [
+        (["calibrate", "--which", "decay", "--data", "pts.csv",
+          "--out", "pts.csv"], "--out pts.csv: same file as --data pts.csv"),
+        (["calibrate", "--which", "decay", "--data", "pts.csv",
+          "--config", "run.ini", "--out", "./sub/../run.ini"],
+         "--out ./sub/../run.ini: same file as --config run.ini"),
+        (["bell", "--mode", "montecarlo", "--t-ms", "0", "--config",
+          "run.ini", "--out", "run.ini"],
+         "--out run.ini: same file as --config run.ini")])
+    def test_output_naming_an_input_exits_2(self, argv, named, tmp_path,
+                                            capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        inputs = {"pts.csv": "t_s,value,sigma\n0,0.77,0.01\n"
+                             "0.00023,0.667,0.01\n0.00054,0.51,0.01\n",
+                  "run.ini": "[source]\nchi = 0.5\n"}
+        for name, text in inputs.items():
+            (tmp_path / name).write_text(text)
+        _refuse_work(monkeypatch, "output path")
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == "" and err == f"error: {named}\n"
+        for name, text in inputs.items():
+            assert (tmp_path / name).read_text() == text
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "pts.csv", "run.ini", "sub"]
 
     def test_symlink_to_another_output_exits_2(self, tmp_path, capsys,
                                                monkeypatch):
@@ -716,8 +746,10 @@ def _refuse_work(monkeypatch, what):
         raise AssertionError(f"work started despite a bad {what}")
 
     monkeypatch.setattr(montecarlo, "run_trials", refuse)
+    monkeypatch.setattr(_kernels, "count_runs", refuse)
     monkeypatch.setattr(repeater, "sweep_distance", refuse)
     monkeypatch.setattr(cli, "load_config", refuse)
+    monkeypatch.setattr(cal, "fit_decay", refuse)
 
 
 class TestRunSizeBound:

@@ -34,16 +34,15 @@ def _uniforms(h):
 
 
 def test_uniforms_in_unit_interval_and_roughly_uniform():
+    keys = _kernels.cycle_keys(987654321, np.zeros(200000, np.uint64))
     u = _uniforms(_kernels.trial_uniforms_numpy(
-        987654321, np.zeros(200000, np.uint64),
-        np.arange(200000, dtype=np.uint64), 0))
+        keys, np.arange(200000, dtype=np.uint64), 0))
     assert np.all(u >= 0.0) and np.all(u < 1.0)
     assert abs(u.mean() - 0.5) < 0.005
     assert abs(u.var() - 1.0 / 12.0) < 0.001
     # draws decorrelate between draw indices
     v = _uniforms(_kernels.trial_uniforms_numpy(
-        987654321, np.zeros(200000, np.uint64),
-        np.arange(200000, dtype=np.uint64), 1))
+        keys, np.arange(200000, dtype=np.uint64), 1))
     assert abs(np.corrcoef(u, v)[0, 1]) < 0.01
 
 
@@ -52,7 +51,8 @@ def test_vectorized_uniforms_match_scalar_chain():
     slots = np.array([0, 3999, 5, 17, 2 ** 63], dtype=np.uint64)
     for seed in (0, 12345, 2 ** 64 - 1):
         for draw in (0, 1, 2):
-            h = _kernels.trial_uniforms_numpy(seed, cycles, slots, draw)
+            h = _kernels.trial_uniforms_numpy(
+                _kernels.cycle_keys(seed, cycles), slots, draw)
             assert h.dtype == np.uint64 and h.shape == cycles.shape
             assert _uniforms(h).tolist() == [
                 trial_uniform_oracle(seed, int(c), int(s), draw)
@@ -83,10 +83,11 @@ def test_uniforms_into_buffers_match_the_allocating_call(
     # buffers longer than needed: the result takes the front of ``out``
     out = np.full(size + spare, garbage, dtype=np.uint64)
     tmp = np.full(min(size, mix_slots) + spare, garbage, dtype=np.uint64)
+    keys = _kernels.cycle_keys(seed, cycles)
     with mock.patch.object(_kernels, "MIX_SLOTS", mix_slots):
-        want = _kernels.trial_uniforms_numpy(seed, cycles, slots, draw)
-        got = _kernels.trial_uniforms_numpy(seed, cycles, slots, draw,
-                                            out=out, tmp=tmp)
+        want = _kernels.trial_uniforms_numpy(keys, slots, draw)
+        got = _kernels.trial_uniforms_numpy(keys, slots, draw, out=out,
+                                            tmp=tmp)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert np.array_equal(got, want)
     assert got.ctypes.data == out.ctypes.data
@@ -434,6 +435,30 @@ def test_counts_working_set_is_bounded():
     assert large < WORKING_SET_LIMIT
 
 
+LAWS = [(0.4, 0.1, 0.1, 0.4), (0.1, 0.4, 0.4, 0.1), (0.3, 0.2, 0.2, 0.3),
+        (0.25, 0.25, 0.1, 0.4)]
+
+
+def _runs_peak_bytes(n_cycles):
+    # the four CHSH runs of a dense storage time in one call
+    tracemalloc.start()
+    try:
+        _kernels.count_runs([3, 4, 5, 6], 0, n_cycles, 4000, 0.5, LAWS,
+                            1e-3, 5)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("window", [0, 2])  # the full path, the lane scan
+def test_runs_working_set_is_bounded(window):
+    with mock.patch.object(_kernels, "_scan_window", lambda *_: window):
+        small = _runs_peak_bytes(50)
+        large = _runs_peak_bytes(500)
+    assert large <= 1.1 * small
+    assert large < WORKING_SET_LIMIT
+
+
 # a dumped run also holds one batch's rows and one formatting block
 DUMP_WORKING_SET_LIMIT = 16 * 2 ** 20  # bytes
 
@@ -528,6 +553,89 @@ def test_scan_and_full_paths_agree(kw):
     assert full_out == scan_out == (counts_from_rows(rows), rows)
 
 
+runs_inputs = st.fixed_dictionaries(dict(
+    seeds=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=4),
+    laws=st.lists(st.tuples(probability, probability, probability,
+                            probability), min_size=4, max_size=4),
+    cycle_lo=st.integers(0, 2 ** 40),
+    n_cycles=st.integers(0, 6),
+    n_slots=st.integers(1, 40),
+    p_herald=st.one_of(st.sampled_from([0.0, 5e-324, 0.5, 1.0]),
+                       st.floats(0.0, 1.0)),
+    p_noise=probability,
+    skip_slots=st.integers(0, 40),
+    window=st.floats(0.0, 1.0),  # 1 .. skip_slots + 1 slots
+    chunk_slots=st.integers(1, 120),
+    mix_slots=st.integers(1, 50),
+    lane_slots=st.integers(1, 200),
+    group_heralds=st.integers(1, 60),
+))
+
+
+def _runs_call(kw):
+    """(seeds, laws, cycle range, shared inputs, scan window, sizes) of a
+    ``runs_inputs`` example. ``sizes(window)`` forces the path through the
+    dispatch rule, window 0 the full hash and a positive one the lane scan,
+    and makes lane groups and herald pieces small, so that a few cycles
+    span several of each and one group holds lanes of several runs."""
+    kw = dict(kw)
+    seeds = kw.pop("seeds")
+    laws = kw.pop("laws")[:len(seeds)]
+    lo = kw.pop("cycle_lo")
+    hi = lo + kw.pop("n_cycles")
+    w = 1 + int(kw.pop("window") * kw["skip_slots"])
+    chunk, mix, lanes, heralds = (kw.pop(k) for k in (
+        "chunk_slots", "mix_slots", "lane_slots", "group_heralds"))
+
+    @contextlib.contextmanager
+    def sizes(window):
+        with _batch_sizes(chunk, mix), \
+                mock.patch.object(_kernels, "LANE_SLOTS", lanes), \
+                mock.patch.object(_kernels, "GROUP_HERALDS", heralds), \
+                mock.patch.object(_kernels, "_scan_window",
+                                  lambda *_: window):
+            yield
+
+    return seeds, laws, lo, hi, kw, w, sizes
+
+
+def _runs(seeds, lo, hi, laws, n_slots, p_herald, p_noise, skip_slots):
+    return _kernels.count_runs(seeds, lo, hi, n_slots, p_herald, laws,
+                               p_noise, skip_slots)
+
+
+@settings(max_examples=100, deadline=None)
+@given(runs_inputs)
+def test_runs_count_as_each_run_alone(kw):
+    seeds, laws, lo, hi, shared, w, sizes = _runs_call(kw)
+    want = [counts_from_rows(trial_records_oracle(
+        seed, lo, hi, shared["n_slots"], shared["p_herald"], *law,
+        shared["p_noise"], shared["skip_slots"]))
+        for seed, law in zip(seeds, laws)]
+    for window in (0, w):
+        with sizes(window):
+            got = _runs(seeds, lo, hi, laws, **shared)
+            alone = [_kernels.counts_kernel(
+                seed, lo, hi, shared["n_slots"], shared["p_herald"], *law,
+                shared["p_noise"], shared["skip_slots"])
+                for seed, law in zip(seeds, laws)]
+        assert got.dtype == np.int64 and got.shape == (len(seeds), 8)
+        assert [tuple(row) for row in got.tolist()] == alone == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(runs_inputs, st.lists(st.integers(0, 6), max_size=3))
+def test_runs_partition_invariance(kw, cuts):
+    seeds, laws, lo, hi, shared, w, sizes = _runs_call(kw)
+    edges = [lo] + sorted(min(lo + c, hi) for c in cuts) + [hi]
+    for window in (0, w):
+        with sizes(window):
+            whole = _runs(seeds, lo, hi, laws, **shared)
+            parts = [_runs(seeds, a, b, laws, **shared)
+                     for a, b in zip(edges, edges[1:])]
+        assert np.array_equal(whole, np.sum(parts, axis=0))
+
+
 @contextlib.contextmanager
 def _hashes():
     """(draw, size, base) of each hash array drawn inside the block; the
@@ -535,8 +643,8 @@ def _hashes():
     trial_uniforms = _kernels.trial_uniforms_numpy
     drawn = []
 
-    def recording(seed, cycles, slots, draw, **kw):
-        u = trial_uniforms(seed, cycles, slots, draw, **kw)
+    def recording(keys, slots, draw, **kw):
+        u = trial_uniforms(keys, slots, draw, **kw)
         drawn.append((draw, u.size, u.base))
         return u
 
@@ -612,12 +720,12 @@ def test_concurrent_calls_hash_into_their_own_buffers():
     # stall an acceptance walk)
     trial_uniforms = _kernels.trial_uniforms_numpy
     both = threading.Barrier(2, timeout=30)
-    bases = {1: [], 2: []}
+    bases = {}  # by thread: each call runs in a thread of its own
 
-    def recording(seed, cycles, slots, draw, **kw):
-        u = trial_uniforms(seed, cycles, slots, draw, **kw)
+    def recording(keys, slots, draw, **kw):
+        u = trial_uniforms(keys, slots, draw, **kw)
         if draw == 0:
-            bases[seed].append(u.base)
+            bases.setdefault(threading.get_ident(), []).append(u.base)
             both.wait()
         return u
 
@@ -630,15 +738,16 @@ def test_concurrent_calls_hash_into_their_own_buffers():
             mock.patch.object(_kernels, "_scan_window", lambda *_: 0), \
             _batch_sizes(600, 700), ThreadPoolExecutor(2) as pool:
         list(pool.map(call, (1, 2)))
-    for seed in (1, 2):  # one buffer for the 3 batches of each call
-        assert len(bases[seed]) == 3 and bases[seed][0] is not None
-        assert all(base is bases[seed][0] for base in bases[seed])
-    assert bases[1][0] is not bases[2][0]
+    first, second = bases.values()
+    for call in (first, second):  # one buffer for the 3 batches of a call
+        assert len(call) == 3 and call[0] is not None
+        assert all(base is call[0] for base in call)
+    assert first[0] is not second[0]
 
 
 def test_dense_run_is_the_same_at_two_workers():
     # p_herald 0.49 and 12 blocked slots per herald, as the dense CHSH
-    # workload: each worker thread runs its own herald_batches call, with
+    # workload: each worker thread runs its own count_runs call, with
     # its own workspace, over several batches
     cfg = SequenceConfig(storage_time=12 * 2e-6)
     assert cfg.herald_skip_slots == 12

@@ -230,6 +230,26 @@ class TestSweep:
             sweep([0.54e-3], CFG, SourceParams(chi=0.0), DM, 0.15, 0.15, 2,
                   SeedSpec(0))
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("t, chi", [
+        (0.0, 0.3),     # no blocking: the full path
+        (24e-6, 0.5),   # 12 blocked slots at p_herald 0.49
+        (0.6e-3, 0.003)])  # 300 blocked slots: the scan
+    def test_bell_point_is_its_four_runs(self, t, chi, workers):
+        # the four settings of a point sampled in one call count as four
+        # run_trials calls on the same seeds
+        sp = calibrated_source(chi)
+        n_cycles = 60
+        (s,) = bell_sweep([t], CFG, sp, DM, 0.98, 0.5, n_cycles,
+                          SeedSpec(53), n_resamples=100, n_workers=workers)
+        counts = [run_trials(CFG.with_storage_time(t), sp, DM, 0.98, 0.5,
+                             setting, n_cycles, SeedSpec(53).child(0, j),
+                             n_workers=workers).counts
+                  for j, setting in enumerate(CANONICAL_SETTINGS)]
+        errs = bootstrap_errors(counts, 100, SeedSpec(53).child(0, 9))
+        assert s.value == bell_parameter(*map(correlation_E, counts))
+        assert s.error == errs.s_bell
+
     def test_empty_grid_rejected(self):
         for sweep in (retrieval_sweep, bell_sweep):
             with pytest.raises(ValueError):
