@@ -220,9 +220,15 @@ def cmd_repeater(args) -> int:
     for k, default in SWEEP_DEFAULTS.items():
         if getattr(args, k) is None:
             setattr(args, k, default)
-    if args.points > MAX_POINTS:
-        raise ValueError(f"--points must be at most {MAX_POINTS}, "
+    if not 2 <= args.points <= MAX_POINTS:
+        raise ValueError(f"--points must lie in [2, {MAX_POINTS}], "
                          f"got {args.points}")
+    if not (0.0 < args.target_rate < math.inf):
+        raise ValueError(f"--target-rate must be positive and finite, "
+                         f"got {args.target_rate!r}")
+    if not (0.0 < args.l_min_km < args.l_max_km < math.inf):
+        raise ValueError(f"need finite 0 < --l-min-km < --l-max-km, got "
+                         f"{args.l_min_km!r} and {args.l_max_km!r}")
     cfg = load_config(args.config, args.seed)
     params = cfg.repeater
     if args.link_convention:
@@ -240,8 +246,9 @@ def cmd_repeater(args) -> int:
             chi_values=(0.01, 0.02))
         payload = {
             "target_rate_per_s": args.target_rate,
-            "anchors_km": {"cpe": 1000.0, "cie": 430.0},
-            "tolerance_fraction": 0.15,
+            "anchors_km": {"cpe": repeater.ANCHOR_CPE_KM,
+                           "cie": repeater.ANCHOR_CIE_KM},
+            "tolerance_fraction": repeater.ANCHOR_TOLERANCE,
             "entries": [dataclasses.asdict(e) for e in entries],
             "matching": [dataclasses.asdict(e) for e in entries
                          if e.matches_anchors],

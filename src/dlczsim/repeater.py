@@ -19,8 +19,14 @@ All probability chains are evaluated in log space; a factor falling below
 a rate past the largest float is an error. Every function takes an array
 of distances (a scalar gives 0-d results) and evaluates the whole chain
 for all of them in one pass with numpy's ufuncs, whose exp, log, expm1 and
-log1p may differ from the C library's in the last bit. The rate formula
-follows Sangouard et al., Rev. Mod. Phys. 83, 33 (2011).
+log1p may differ from the C library's in the last bit; the swap levels
+are written into preallocated rows. The rate formula follows Sangouard et
+al., Rev. Mod. Phys. 83, 33 (2011).
+
+The anchor report fits chi by a bisection over whole sweeps. Its result
+is that of the plain bisection, but only the midpoints whose verdict the
+earlier sweeps leave open are swept, after a regula falsi search has
+placed sweeps near the root: 59 sweeps per default report, not 114.
 """
 
 from __future__ import annotations
@@ -90,10 +96,10 @@ class RepeaterParams:
         return 2 ** self.nest_level
 
 
-def _log(x) -> np.ndarray:
-    """Elementwise natural log with log 0 = -inf."""
-    pos = x > 0.0
-    return np.where(pos, np.log(np.where(pos, x, 1.0)), -math.inf)
+def _log(x: float) -> float:
+    """Natural log of a parameter with log 0 = -inf, by numpy's log, as the
+    distance columns are."""
+    return float(np.log(x)) if x > 0.0 else -math.inf
 
 
 def _flight_time_s(p: RepeaterParams, km):
@@ -154,20 +160,26 @@ def swap_chain(p: RepeaterParams, t0):
     if not np.all(t0 > 0.0):
         raise ValueError("t0 must be positive")
     n = p.nest_level
-    p_levels = np.zeros((n,) + t0.shape)
-    t_levels = np.full((n + 1,) + t0.shape, math.inf)
+    p_levels = np.empty((n,) + t0.shape)
+    t_levels = np.empty((n + 1,) + t0.shape)
     t_levels[0] = t0
-    collapsed_at = np.zeros(t0.shape, dtype=int)
+    log_pj = np.empty(t0.shape)
     base = 2.0 * _log(p.r0) + 2.0 * _log(p.eta_td) - math.log(2.0)
+    # rows as views: p_levels[j - 1] of a 0-d t0 would be a scalar copy
     for j in range(1, n + 1):
-        log_pj = base - 2.0 * t_levels[j - 1] / p.memory_lifetime
-        alive = log_pj >= _LOG_FLOOR  # false after a collapse: t is inf
-        collapsed_at = np.where((collapsed_at == 0) & ~alive, j, collapsed_at)
-        p_levels[j - 1] = np.where(alive, np.exp(log_pj), 0.0)
-        # a dead level divides by 0, a live one may pass the largest float
+        t_prev, p_j = t_levels[j - 1, ...], p_levels[j - 1, ...]
+        np.multiply(2.0, t_prev, out=log_pj)
+        np.divide(log_pj, p.memory_lifetime, out=log_pj)
+        np.subtract(base, log_pj, out=log_pj)
+        np.exp(log_pj, out=p_j)
+        # below the floor the level is dead (so is every level after a
+        # collapse: its t is inf); t_prev / 0 is then inf, as t_prev > 0,
+        # and a live level may pass the largest float
+        np.copyto(p_j, 0.0, where=log_pj < _LOG_FLOOR)
         with np.errstate(divide="ignore", over="ignore"):
-            t_levels[j] = np.where(alive, t_levels[j - 1] / p_levels[j - 1],
-                                   math.inf)
+            np.divide(t_prev, p_j, out=t_levels[j, ...])
+    dead = p_levels == 0.0
+    collapsed_at = np.where(dead.any(axis=0), dead.argmax(axis=0) + 1, 0)
     return p_levels, t_levels, collapsed_at
 
 
@@ -232,8 +244,10 @@ def repeater_rate(p: RepeaterParams, total_km) -> RateCurve:
     log_ppr = 2.0 * (_log(p.r0) + decay) - math.log(2.0)
     p_pr = np.where(completed & (log_ppr >= _LOG_FLOOR), np.exp(log_ppr),
                     0.0)
-    log_rate = (_log(p0_multi) + sum(_log(p_levels)) + _log(p_pr)
-                - np.log(_link_time_s(p, d)))
+    # every probability is >= 0, so log 0 = -inf is the only edge case
+    with np.errstate(divide="ignore"):
+        log_rate = (np.log(p0_multi) + sum(np.log(p_levels)) + np.log(p_pr)
+                    - np.log(_link_time_s(p, d)))
     over = np.flatnonzero(completed & (log_rate > _LOG_MAX))
     if over.size:
         raise ValueError(f"distance {float(d.flat[over[0]])!r} km: rate "
@@ -251,8 +265,8 @@ def repeater_rate(p: RepeaterParams, total_km) -> RateCurve:
 def sweep_distance(p: RepeaterParams, l_min_km: float, l_max_km: float,
                    points: int, grid: str = "log") -> RateCurve:
     """Evaluate the rate on a distance grid (log-spaced by default)."""
-    if not (0.0 < l_min_km < l_max_km):
-        raise ValueError("need 0 < l_min < l_max")
+    if not (0.0 < l_min_km < l_max_km < math.inf):
+        raise ValueError("need 0 < l_min < l_max, both finite")
     if points < 2:
         raise ValueError("need at least two grid points")
     if grid == "log":
@@ -272,8 +286,8 @@ def crossing_distance(distances_km, rates, target_rate: float) -> float:
     that grid distance. Raises NotBracketedError when the curve never spans
     the target.
     """
-    if target_rate <= 0.0:
-        raise ValueError("target rate must be positive")
+    if not (0.0 < target_rate < math.inf):
+        raise ValueError("target rate must be positive and finite")
     ls = np.asarray(distances_km, dtype=float)
     rs = np.asarray(rates, dtype=float)
     lo, hi = rs[:-1], rs[1:]
@@ -301,6 +315,11 @@ def crossing_distance(distances_km, rates, target_rate: float) -> float:
 
 CPE_R0 = 0.77
 CIE_R0 = 0.58
+# the published crossings of the high- (CPE) and low-efficiency (CIE)
+# memory, and the fraction of them within which an entry matches
+ANCHOR_CPE_KM = 1000.0
+ANCHOR_CIE_KM = 430.0
+ANCHOR_TOLERANCE = 0.15
 
 
 @dataclass(frozen=True)
@@ -315,13 +334,16 @@ class ReportEntry:
     note: str = ""
 
 
-def _crossing_or_none(p: RepeaterParams, target: float, l_min: float,
-                      l_max: float, points: int) -> Optional[float]:
+def _swept_crossing(p: RepeaterParams, target: float, l_min: float,
+                    l_max: float, points: int) -> tuple:
+    """``(crossing, curve)`` of one sweep; the crossing is None where the
+    sweep does not span ``target``."""
     curve = sweep_distance(p, l_min, l_max, points)
     try:
-        return crossing_distance(curve.distance_km, curve.rate_per_s, target)
+        c = crossing_distance(curve.distance_km, curve.rate_per_s, target)
     except NotBracketedError:
-        return None
+        c = None
+    return c, curve
 
 
 def _fit_chi_for_crossing(p: RepeaterParams, target_rate: float,
@@ -329,24 +351,107 @@ def _fit_chi_for_crossing(p: RepeaterParams, target_rate: float,
                           points: int) -> Optional[float]:
     """Bisect the excitation probability so the crossing lands on target_km.
 
-    The rate is monotone increasing in chi, so the crossing distance is too;
-    plain bisection suffices. Returns None when no chi in (1e-4, 0.99)
-    brackets the target.
+    The result is that of a plain bisection in log chi over (1e-4, 0.99):
+    a chi whose crossing is None or short of target_km is "below", the
+    midpoint ``sqrt(lo*hi)`` replaces the end of its kind until
+    ``hi/lo < 1 + 1e-10``, and ``sqrt(lo*hi)`` is returned. Returns None
+    when no chi in (1e-4, 0.99) brackets the target.
+
+    The bisection is replayed, and only the midpoints whose verdict the
+    sweeps so far leave open are swept. At every distance p0 rises with
+    chi, and so do each P_j (the chain waits less) and p_pr, so the rate
+    rises too; it falls with distance. Between two chis the rates at each
+    grid point are thus bounded by theirs, and so is the first grid point
+    below the target rate; a crossing, where there is one, rises with chi.
+    The verdict alone is not monotone: a crossing is also None where the
+    rate drops from above the target rate to a collapse (0) between two
+    grid points, which on a coarse grid recurs as chi rises. So a verdict
+    is implied for chi only
+
+    * below, by a swept chi at or above it that is below and whose last
+      grid point at or above the target rate (if any) lies short of
+      target_km: no smaller chi reaches further;
+    * not below, by a swept chi at or under it that is not below, and a
+      swept chi at or above it whose first grid point below the target
+      rate comes before the first zero rate of the former: every chi
+      between crosses by that point, without a collapse, and no shorter.
+
+    A regula falsi search (Illinois) in log chi first narrows the bracket
+    of swept verdicts, so that the replay finds most of its midpoints
+    implied. It stops at a verdict "below" that implies nothing, the sign
+    of a collapse on the grid past target_km.
     """
-    def crossing(chi: float) -> Optional[float]:
-        return _crossing_or_none(replace(p, chi=chi), target_rate, l_min,
-                                 l_max, points)
+    swept = []  # (chi, below, knee, zero) of every sweep
+    below_to = 0.0  # every chi up to this one is below
+
+    def probe(chi: float) -> tuple:
+        """``(below, crossing - target_km or None, implies)`` at chi;
+        ``implies`` is true where every smaller chi is below too."""
+        nonlocal below_to
+        c, curve = _swept_crossing(replace(p, chi=chi), target_rate, l_min,
+                                   l_max, points)
+        rates = curve.rate_per_s
+        # first grid index below the target rate, first with a zero rate
+        # (points where there is none)
+        knee, zero = (int(np.argmax(np.append(m, True)))
+                      for m in (rates < target_rate, rates <= 0.0))
+        below = c is None or c < target_km
+        implies = below and (knee == 0
+                             or curve.distance_km[knee - 1] < target_km)
+        if implies:
+            below_to = max(below_to, chi)
+        swept.append((chi, below, knee, zero))
+        return below, None if c is None else c - target_km, implies
+
+    def implied(chi: float) -> Optional[bool]:
+        """The verdict at chi where the sweeps so far imply it, else None."""
+        if chi <= below_to:
+            return True
+        zero = max((z for x, below, _, z in swept if x <= chi and not below),
+                   default=0)
+        knee = min((k for x, _, k, _ in swept if x >= chi), default=points)
+        return False if knee < zero else None
 
     lo, hi = 1e-4, 0.99
-    c_lo, c_hi = crossing(lo), crossing(hi)
-    if c_hi is None or c_hi < target_km:
+    hi_below, f_b, _ = probe(hi)
+    if hi_below:
         return None
-    if c_lo is not None and c_lo > target_km:
+    _, f_a, _ = probe(lo)
+    if f_a is not None and f_a > 0.0:
         return None
+    # regula falsi on crossing - target_km against log chi; a step
+    # bisects while a's crossing is None or the secant leaves (a, b)
+    a, b = lo, hi
+    side = None
+    for _ in range(60):
+        if b / a < 1.0 + 1e-10:
+            break
+        chi = math.sqrt(a * b)
+        if f_a is not None:
+            x_a, x_b = math.log(a), math.log(b)
+            step = math.exp(x_b - f_b * (x_b - x_a) / (f_b - f_a))
+            if a < step < b:
+                chi = step
+        is_below, f, implies = probe(chi)
+        if is_below and not implies:
+            break
+        if is_below:
+            a, f_a = chi, f
+            if side == "a":
+                f_b /= 2.0
+            side = "a"
+        else:
+            b, f_b = chi, f
+            if side == "b" and f_a is not None:
+                f_a /= 2.0
+            side = "b"
+    # the bisection, replayed
     for _ in range(60):
         mid = math.sqrt(lo * hi)
-        c_mid = crossing(mid)
-        if c_mid is None or c_mid < target_km:
+        is_below = implied(mid)
+        if is_below is None:
+            is_below = probe(mid)[0]
+        if is_below:
             lo = mid
         else:
             hi = mid
@@ -357,9 +462,9 @@ def _fit_chi_for_crossing(p: RepeaterParams, target_rate: float,
 
 def calibration_report(base: RepeaterParams = RepeaterParams(),
                        target_rate: float = 1e-4,
-                       anchor_cpe_km: float = 1000.0,
-                       anchor_cie_km: float = 430.0,
-                       tolerance: float = 0.15,
+                       anchor_cpe_km: float = ANCHOR_CPE_KM,
+                       anchor_cie_km: float = ANCHOR_CIE_KM,
+                       tolerance: float = ANCHOR_TOLERANCE,
                        chi_values: Sequence[float] = (0.01, 0.02),
                        l_min_km: float = 1.0, l_max_km: float = 50000.0,
                        points: int = 400) -> list:
@@ -389,10 +494,10 @@ def calibration_report(base: RepeaterParams = RepeaterParams(),
                         note="no chi reproduces the high-efficiency anchor"))
                     continue
                 pv = replace(variant, chi=chi)
-                cpe = _crossing_or_none(replace(pv, r0=CPE_R0), target_rate,
-                                        l_min_km, l_max_km, points)
-                cie = _crossing_or_none(replace(pv, r0=CIE_R0), target_rate,
-                                        l_min_km, l_max_km, points)
+                cpe = _swept_crossing(replace(pv, r0=CPE_R0), target_rate,
+                                      l_min_km, l_max_km, points)[0]
+                cie = _swept_crossing(replace(pv, r0=CIE_R0), target_rate,
+                                      l_min_km, l_max_km, points)[0]
                 ok = (cpe is not None and cie is not None
                       and abs(cpe - anchor_cpe_km) <= tolerance * anchor_cpe_km
                       and abs(cie - anchor_cie_km) <= tolerance * anchor_cie_km)

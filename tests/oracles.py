@@ -5,7 +5,8 @@ matrix is built explicitly and projected with explicit operators, the
 scalar formulas are evaluated in 50-digit decimal arithmetic, the repeater
 rate is evaluated one distance at a time with ``math``, and the trial
 sampler hashes one (cycle, slot, draw) triple at a time in plain Python,
-sharing only the pinned ``mix64`` finalizer with the package.
+sharing only the pinned ``mix64`` finalizer with the package, and the
+anchor report's chi fit is a plain bisection, one sweep per step.
 """
 
 import math
@@ -211,3 +212,31 @@ def repeater_rate_oracle(p, total_km: float) -> dict:
     row.update(p_pr=p_pr, rate_per_s=rate,
                status="ok" if rate > 0.0 else "collapsed")
     return row
+
+
+# --- the anchor report's chi fit --------------------------------------------
+
+def fit_chi_bisection_oracle(crossing, target_km: float):
+    """The plain bisection in log chi over (1e-4, 0.99) that
+    ``repeater._fit_chi_for_crossing`` replays, one crossing per step.
+
+    ``crossing(chi)`` is the swept crossing distance, None where the sweep
+    does not span the target rate. Returns None when the ends do not
+    bracket ``target_km``.
+    """
+    lo, hi = 1e-4, 0.99
+    c_lo, c_hi = crossing(lo), crossing(hi)
+    if c_hi is None or c_hi < target_km:
+        return None
+    if c_lo is not None and c_lo > target_km:
+        return None
+    for _ in range(60):
+        mid = math.sqrt(lo * hi)
+        c_mid = crossing(mid)
+        if c_mid is None or c_mid < target_km:
+            lo = mid
+        else:
+            hi = mid
+        if hi / lo < 1.0 + 1e-10:
+            break
+    return math.sqrt(lo * hi)

@@ -473,6 +473,36 @@ class TestRepeater:
         assert err.count("\n") == 1 and flag in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("--target-rate", "nan"), ("--target-rate", "inf"),
+        ("--target-rate", "0"), ("--target-rate", "-1"),
+        ("--anchor-report", "--target-rate", "nan"),
+        ("--anchor-report", "--target-rate", "inf"),
+        ("--anchor-report", "--target-rate", "0"),
+        ("--l-max-km", "inf"), ("--l-min-km", "nan"), ("--l-min-km", "0"),
+        ("--l-min-km", "100", "--l-max-km", "50"), ("--points", "1")])
+    def test_bad_sweep_input_exits_2_before_any_sweep(self, argv, tmp_path,
+                                                      capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+        monkeypatch.setattr(cli, "load_config", no_work)
+        monkeypatch.setattr(repeater, "calibration_report", no_work)
+        monkeypatch.setattr(repeater, "sweep_distance", no_work)
+        out = tmp_path / "out.json"
+        rc, stdout, err = run(capsys, "repeater", *argv, "--out", str(out))
+        assert rc == 2
+        assert stdout == ""
+        assert err.count("\n") == 1 and argv[-2] in err
+        assert not out.exists()
+
+    def test_anchor_report_header_names_the_report_anchors(self, capsys):
+        rc, out, _ = run(capsys, "repeater", "--anchor-report")
+        assert rc == 0
+        data = json.loads(out)
+        assert data["anchors_km"] == {"cpe": repeater.ANCHOR_CPE_KM,
+                                      "cie": repeater.ANCHOR_CIE_KM}
+        assert data["tolerance_fraction"] == repeater.ANCHOR_TOLERANCE
+
     def test_anchor_report_lists_all_combinations(self, capsys):
         rc, out, _ = run(capsys, "repeater", "--anchor-report")
         assert rc == 0

@@ -21,7 +21,12 @@ from dlczsim.repeater import (
     sweep_distance,
 )
 
-from oracles import multi_mode_oracle, p0_oracle, repeater_rate_oracle
+from oracles import (
+    fit_chi_bisection_oracle,
+    multi_mode_oracle,
+    p0_oracle,
+    repeater_rate_oracle,
+)
 
 FIG5 = RepeaterParams()  # spec defaults are the published parameter set
 
@@ -424,6 +429,53 @@ class TestReport:
         assert a == b
 
 
+class TestFitChi:
+    @settings(max_examples=150, deadline=None)
+    @given(convention=st.sampled_from(LINK_CONVENTIONS),
+           exponent=st.sampled_from(PR_EXPONENTS), r0=st.floats(0.3, 1.0),
+           target_km=st.floats(300.0, 3000.0), points=st.integers(40, 150))
+    # coarse grids on which a crossing falls between a rate above the
+    # target rate and a collapse for some chi above the fitted one, so
+    # that "below" is not monotone in chi
+    @example(convention="L_over_n", exponent="total_elapsed_time",
+             r0=0.9277315906735355, target_km=590.8728497098356, points=45)
+    @example(convention="L_over_2_pow_n", exponent="flight_time",
+             r0=0.7886394462896906, target_km=2023.629144652663, points=47)
+    # the default report's two fitted variants, on a test grid
+    @example(convention="L_over_2_pow_n", exponent="total_elapsed_time",
+             r0=repeater.CPE_R0, target_km=1000.0, points=120)
+    @example(convention="L_over_2_pow_n", exponent="flight_time",
+             r0=repeater.CPE_R0, target_km=1000.0, points=120)
+    def test_fit_is_the_plain_bisection(self, convention, exponent, r0,
+                                        target_km, points):
+        p = dataclasses.replace(FIG5, link_convention=convention,
+                                pr_exponent=exponent, r0=r0)
+
+        def crossing(chi):
+            return repeater._swept_crossing(
+                dataclasses.replace(p, chi=chi), 1e-4, 1.0, 20000.0,
+                points)[0]
+
+        got = repeater._fit_chi_for_crossing(p, 1e-4, target_km, 1.0,
+                                             20000.0, points)
+        assert got == fit_chi_bisection_oracle(crossing, target_km)
+
+    def test_default_report_sweeps_at_most_75_times(self, monkeypatch):
+        calls = []
+        sweep = repeater.sweep_distance
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(repeater, "sweep_distance", counted)
+        calibration_report()
+        # each of the 6 variants sweeps its two fixed chis at both r0 and
+        # the fit's end checks, a fitted chi at both r0 once more; the
+        # plain bisection took 114 sweeps, 74 of them in its two fits
+        assert len(calls) <= 75
+
+
 class TestValidation:
     def test_param_bounds(self):
         with pytest.raises(ValueError):
@@ -446,6 +498,18 @@ class TestValidation:
         # functions over arrays
         assert not hasattr(repeater, "_libm")
         assert not hasattr(model, "_libm")
+
+    @pytest.mark.parametrize("l_min, l_max", [
+        (10.0, math.inf), (math.nan, 100.0), (10.0, math.nan),
+        (-math.inf, 100.0)])
+    def test_sweep_bounds_must_be_finite(self, l_min, l_max):
+        with pytest.raises(ValueError, match="finite"):
+            sweep_distance(FIG5, l_min, l_max, 10)
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf, 0.0, -1e-4])
+    def test_crossing_target_must_be_positive_and_finite(self, target):
+        with pytest.raises(ValueError, match="target rate"):
+            crossing_distance([1.0, 2.0], [1.0, 1e-9], target)
 
     def test_sweep_grid_validation(self):
         with pytest.raises(ValueError):
