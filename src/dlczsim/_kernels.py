@@ -14,9 +14,8 @@ ceiling), so the counts are those of the uniforms.
 ``cycle_keys`` mixes the cycle link of the chain once per cycle, and
 ``trial_uniforms_numpy`` goes on from those keys with the slot and the
 draw; it makes every hash of the sampler. The trial itself is written once,
-in ``herald_batches``'s docstring, and both consumers below find the
-accepted heralds of their cycles by one of two paths, which give the same
-heralds:
+in ``count_runs``'s docstring, and ``count_runs`` finds the accepted
+heralds of its cycles by one of two paths, which give the same heralds:
 
 * the full-hash path draws the draw 0 of every slot of a batch of whole
   cycles with one ``trial_uniforms_numpy`` call, then resolves the
@@ -34,26 +33,20 @@ the scan where storage blocking skips much of a cycle, a cycle holds few
 heralds and there are lanes enough to share each step's fixed cost, the
 full path where nothing or little is blocked.
 
-The counts path, ``count_runs``, samples several runs at once that share
-everything but their seed and readout law, such as the four CHSH settings
-of a storage time: the lanes of its scan are (run, cycle) pairs, each with
-its own cycle key. Counts do not depend on order, so its heralds are never
-sorted: a ``_Tally`` holds about ``GROUP_HERALDS`` of them at a time, draws
-their readouts, bins them by run and drops them. ``counts_kernel`` without
-``rows`` is its one-run case.
-
-The dump path, ``herald_batches``, yields the heralds of one run in flat
-order, one ``HeraldBatch`` per batch of about ``CHUNK_SLOTS`` slots: it
-sorts the heralds of each lane group of the scan before it splits them
-into batches. ``counts_kernel`` with ``rows`` reduces these batches and
-hands each, expanded by ``records_kernel`` to one row per executed trial,
-to a callback before sampling the next, so the counts and the records of
-a dump come from one tally and its rows are never held at once.
+``count_runs`` samples several runs at once that share everything but
+their seed and readout law, such as the four CHSH settings of a storage
+time: the lanes of its scan are (run, cycle) pairs, each with its own cycle
+key. Its ``_Tally`` draws every herald's readout, sums the slots it blocks
+and bins it by run and outcome; counts take the heralds unsorted. A record
+dump is a row sink of a one-run call: its heralds reach the same tally in
+flat order, and ``records_kernel`` expands them a batch of whole cycles at
+a time, so a dump's counts and records come from one tally and its rows
+are never held at once.
 
 The working set is bounded whatever the number of cycles: a batch's
 hashes and candidates on the full path, a step of at most ``LANE_SLOTS``
-uniforms on the scan, and about ``GROUP_HERALDS`` heralds (on the dump
-path, a lane group of whole batches with about that many).
+uniforms on the scan, about ``GROUP_HERALDS`` heralds, and on a dump one
+batch's rows.
 """
 
 from __future__ import annotations
@@ -80,10 +73,9 @@ MIX_SLOTS = 65_536
 
 # Lane scan: windows of at most SCAN_WINDOW_MAX slots and lane groups with
 # at most LANE_SLOTS uniforms per step (lanes x window, the working set of a
-# step, no larger than a batch's). In one group, the 5,000 lanes of four
-# sparse runs (p_herald 0.003, 1250 cycles each) ran 1.15-1.2x slower at
-# 270 and 575 blocked slots. The counts path draws readouts for about GROUP_HERALDS heralds at a time; the
-# dump path's lane groups are whole batches of about that many heralds.
+# step, no larger than a batch's). The tally draws readouts for about
+# GROUP_HERALDS heralds at a time; a dump's lane groups are whole batches
+# with about that many heralds in all, sorted into flat order.
 SCAN_WINDOW_MAX = 128
 LANE_SLOTS = 65_536
 GROUP_HERALDS = CHUNK_SLOTS // 8
@@ -246,24 +238,6 @@ def _accept(cand, is_cand, n_slots: int, skip_slots: int, count):
     return np.flatnonzero(keep[:n])
 
 
-class HeraldBatch(NamedTuple):
-    """Accepted heralds of cycles ``[cycle_lo, cycle_lo + n_cycles)``.
-
-    ``flat`` is the ascending index ``(cycle - cycle_lo) * n_slots + slot``
-    of each herald; ``herald`` is 1/2 for D1/D2, ``readout`` 0/3/4 for
-    none/D3/D4, ``background`` marks readouts drawn from the noise floor.
-    ``n_blocked`` counts the write slots the storage windows skipped.
-    """
-
-    cycle_lo: int
-    n_cycles: int
-    flat: np.ndarray
-    herald: np.ndarray
-    readout: np.ndarray
-    background: np.ndarray
-    n_blocked: int
-
-
 class _Law(NamedTuple):
     """Readout keys of the runs of a call.
 
@@ -327,14 +301,6 @@ def _open_slots(n_slots, p_herald, skip_slots) -> float:
     """Expected write slots that run per cycle: each herald takes
     ``1/p_herald`` open slots on average and then blocks ``skip_slots``."""
     return n_slots / (1.0 + p_herald * skip_slots)
-
-
-def _dump_group_batches(n_slots, p_herald, skip_slots) -> int:
-    """Whole batches per lane group of the scan on the dump path, which
-    holds a group's heralds to put them in order: about ``GROUP_HERALDS``."""
-    step = max(1, CHUNK_SLOTS // max(n_slots, 1))
-    heralds = step * p_herald * _open_slots(n_slots, p_herald, skip_slots)
-    return max(1, int(GROUP_HERALDS // max(heralds, 1.0)))
 
 
 def _scan_window(p_herald, skip_slots, n_slots, lanes) -> int:
@@ -461,94 +427,14 @@ def _scan(keys, n_slots, key, skip_slots, w, piece):
             yield lanes[inside], slots[inside].view(np.int64), h0[inside]
 
 
-def _sorted_scan(keys, n_slots, key, skip_slots, w):
-    """``_scan``'s heralds of a lane group in one piece, as ``_full``
-    returns them: ascending flat indices and the draw-0 hash of each."""
-    lane, slot, h0 = next(_scan(keys, n_slots, key, skip_slots, w,
-                                math.inf))
-    flat = lane * n_slots + slot
-    order = np.argsort(flat, kind="stable")
-    return flat[order], h0[order]
-
-
-def herald_batches(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
-                   a13, a14, a23, a24, p_noise, skip_slots):
-    """Yield one ``HeraldBatch`` per batch of whole cycles, together about
-    ``CHUNK_SLOTS`` slots (at least one cycle): the heralds of a record
-    dump, in order.
-
-    Per executed trial: draw 0 heralds when ``u0 < p_herald`` (D1 when
-    ``u0 < p_herald/2``); a herald blocks the next ``skip_slots`` slots of
-    its cycle. Draw 1 picks the correlated readout, D3 with probability
-    ``a13``/``a23`` and D4 with ``a14``/``a24`` given D1/D2; when it misses,
-    draw 2 gives a background click with probability ``p_noise``, split
-    evenly between D3 and D4. Blocked slots consume no draws.
-
-    Every decision ``u < p`` is taken on the hash word as ``h < T``, with
-    ``T = _threshold(p)`` built once per call from the same probability;
-    the two are equivalent (see ``_threshold``), so no uniform is formed.
-
-    ``_scan_window`` picks the path: the full-hash path samples and yields
-    one batch at a time, the lane scan a group of whole batches (see
-    ``_dump_group_batches``), whose heralds it sorts and then yields batch
-    by batch. The stream of batches is the same on either path. From one
-    candidate in eight slots the full path makes one ``_Workspace`` per
-    call, as long as its first batch, and every batch writes into it; a
-    call owns its workspace, so worker threads that run calls side by side
-    share no buffer.
-    """
-    n_slots = int(n_slots)
-    skip_slots = int(skip_slots)
-    step = max(1, CHUNK_SLOTS // max(n_slots, 1))
-    per_group = _dump_group_batches(n_slots, p_herald, skip_slots)
-    w = _scan_window(p_herald, skip_slots, n_slots,
-                     min(cycle_hi - cycle_lo, step * per_group))
-    # the scan runs a lane group of whole batches, the full path a batch
-    group = step * (max(1, min(per_group, LANE_SLOTS // w // step))
-                    if w else 1)
-    slots = np.arange(n_slots)
-    work = None
-    if not w and 8 * p_herald >= 1:
-        work = _Workspace.of(max(0, min(group, cycle_hi - cycle_lo)) * n_slots)
-    key = _threshold(p_herald)
-    key_d1 = _threshold(p_herald * 0.5)
-    law = _Law.of([(a13, a14, a23, a24)], p_noise)
-
-    def split(lo, hi, keys, flat, h0):
-        # readouts of the heralds of cycles [lo, hi), one batch per step
-        is_d1 = h0 < key_d1
-        herald = 2 - is_d1.view(np.uint8)
-        slot = flat % n_slots
-        readout, background = _readouts(keys[flat // n_slots], slot,
-                                        is_d1.view(np.uint8), law)
-        # a herald blocks skip_slots slots, or the rest of its cycle
-        blocked = np.subtract(n_slots - 1, slot, out=slot)
-        np.minimum(blocked, skip_slots, out=blocked)
-        bounds = list(range(0, hi - lo, step)) + [hi - lo]
-        edges = np.searchsorted(flat, np.array(bounds) * n_slots).tolist()
-        for c0, c1, i, j in zip(bounds, bounds[1:], edges, edges[1:]):
-            yield HeraldBatch(lo + c0, c1 - c0, flat[i:j] - c0 * n_slots,
-                              herald[i:j], readout[i:j], background[i:j],
-                              int(blocked[i:j].sum()))
-
-    for lo in range(cycle_lo, cycle_hi, group):
-        hi = min(lo + group, cycle_hi)
-        keys = cycle_keys(master_seed, np.arange(lo, hi))
-        if w:
-            found = _sorted_scan(keys, n_slots, key, skip_slots, w)
-        else:
-            found = _full(keys, slots, key, skip_slots, work)
-        yield from split(lo, hi, keys, *found)
-        del found  # freed before the next group is sampled
-
-
 class _Tally:
-    """Per-run counts of accepted heralds handed over in pieces.
+    """Per-run counts of accepted heralds.
 
-    ``add`` holds a piece; once about ``GROUP_HERALDS`` heralds are held,
-    their readouts are drawn, they are binned by run and outcome, and they
-    are dropped. Bins, blocked slots and background readouts are sums, so
-    the order in which the heralds come does not matter.
+    ``draw`` takes a set of heralds at once: it draws their readouts and
+    adds them to the counts. ``add`` holds a piece instead and draws the
+    held heralds once about ``GROUP_HERALDS`` are held. Bins, blocked
+    slots and background readouts are sums, so the order in which the
+    heralds come does not matter.
     """
 
     def __init__(self, n_runs, n_slots, skip_slots, key_d1, law):
@@ -563,18 +449,17 @@ class _Tally:
         self.held = 0
 
     def add(self, keys, runs, slot, h0):
-        """Heralds at ``slot`` of the cycles of key ``keys`` in runs
-        ``runs`` (intp), with draw-0 hashes ``h0``. The tally owns the
+        """Hold heralds, given as ``draw`` takes them; the tally owns the
         arrays from here on."""
         if h0.size >= GROUP_HERALDS:
-            self.flush()  # alone, a large piece is binned without a copy
+            self.flush()  # alone, a large piece is drawn without a copy
         self.parts.append((keys, runs, slot, h0))
         self.held += h0.size
         if self.held >= GROUP_HERALDS:
             self.flush()
 
     def flush(self):
-        """Draw the readouts of the held heralds, bin them and drop them."""
+        """Draw the held heralds and drop them."""
         if not self.parts:
             return
         if len(self.parts) == 1:
@@ -583,6 +468,17 @@ class _Tally:
             keys, runs, slot, h0 = (np.concatenate(c)
                                     for c in zip(*self.parts))
         self.parts, self.held = [], 0
+        self.draw(keys, runs, slot, h0)
+
+    def draw(self, keys, runs, slot, h0):
+        """Count the heralds at ``slot`` (int64) of the cycles of key
+        ``keys`` in runs ``runs`` (intp, overwritten), with draw-0 hashes
+        ``h0``, and draw their readouts.
+
+        Returns each herald's bin ``(2 * run + is_d2) * 5 + readout``
+        (intp, readout 0/3/4 for none/D3/D4) and background flag, in the
+        order given.
+        """
         n_runs = self.blocked.size
         if self.skip_slots > 0:
             # a herald blocks skip_slots slots, or the rest of its cycle
@@ -597,11 +493,11 @@ class _Tally:
         readout, background = _readouts(keys, slot, sel, self.law)
         self.background += np.bincount(sel[background] >> 1,
                                        minlength=n_runs)
-        # bin (2 * run + is_d2) * 5 + readout: per run D1 then D2, as _bins
         sel ^= 1
         sel *= 5
         sel += readout
         self.bins += np.bincount(sel, minlength=self.bins.size)
+        return sel, background
 
     def counts(self, n_cycles):
         """One row ``(c13, c14, c23, c24, s1, s2, n_trials, n_background)``
@@ -615,22 +511,37 @@ class _Tally:
 
 
 def count_runs(master_seeds, cycle_lo, cycle_hi, n_slots, p_herald, laws,
-               p_noise, skip_slots):
+               p_noise, skip_slots, rows=None):
     """Coincidence counts of several runs over one range of cycles.
 
     Run ``r`` draws from ``master_seeds[r]`` with the readout law
     ``laws[r]``, its ``(a13, a14, a23, a24)``; the runs share the slots per
-    cycle, ``p_herald``, ``p_noise`` and ``skip_slots`` (the trial is that
-    of ``herald_batches``). Returns an int64 array with one row
-    ``(c13, c14, c23, c24, s1, s2, n_trials, n_background)`` per run, the
-    counts of that run alone.
+    cycle, ``p_herald``, ``p_noise`` and ``skip_slots``. Returns an int64
+    array with one row ``(c13, c14, c23, c24, s1, s2, n_trials,
+    n_background)`` per run, the counts of that run alone.
+
+    Per executed trial: draw 0 heralds when ``u0 < p_herald`` (D1 when
+    ``u0 < p_herald/2``); a herald blocks the next ``skip_slots`` slots of
+    its cycle. Draw 1 picks the correlated readout, D3 with probability
+    ``a13``/``a23`` and D4 with ``a14``/``a24`` given D1/D2; when it misses,
+    draw 2 gives a background click with probability ``p_noise``, split
+    evenly between D3 and D4. Blocked slots consume no draws. Every
+    decision ``u < p`` is taken on the hash word as ``h < T``, with
+    ``T = _threshold(p)`` built once per call from the same probability;
+    the two are equivalent (see ``_threshold``), so no uniform is formed.
 
     The lanes of the scan are the (run, cycle) pairs of all runs, in groups
     of at most ``LANE_SLOTS / w``, so runs too short to fill a scan step
     share one; the full path takes the runs one after another, a batch at a
-    time. Either way the heralds go to one ``_Tally``, none is sorted, and
-    the working set is a step or a batch and ``GROUP_HERALDS`` heralds,
+    time. Either way the heralds go to one ``_Tally``, unsorted, and the
+    working set is a step or a batch and ``GROUP_HERALDS`` heralds,
     whatever the number of cycles.
+
+    ``rows``, given to a one-run call, is called with the ``records_kernel``
+    arrays of each batch of whole cycles, together about ``CHUNK_SLOTS``
+    slots, in order and before the next is expanded. Its heralds reach the
+    tally in flat order: the full path's a batch at a time, the scan's a
+    lane group of whole batches with about ``GROUP_HERALDS`` heralds, sorted.
     """
     seeds = np.array([int(s) for s in master_seeds], dtype=np.uint64)
     n_slots = int(n_slots)
@@ -640,18 +551,47 @@ def count_runs(master_seeds, cycle_lo, cycle_hi, n_slots, p_herald, laws,
     key = _threshold(p_herald)
     tally = _Tally(seeds.size, n_slots, skip_slots,
                    _threshold(p_herald * 0.5), _Law.of(laws, p_noise))
-    w = _scan_window(p_herald, skip_slots, n_slots, lanes)
+    step = max(1, CHUNK_SLOTS // max(n_slots, 1))  # cycles per batch
+    if rows is None:
+        w = _scan_window(p_herald, skip_slots, n_slots, lanes)
+        size = max(1, LANE_SLOTS // max(w, 1))
+    else:  # a dump's lane group: whole batches of about GROUP_HERALDS heralds
+        heralds = step * p_herald * _open_slots(n_slots, p_herald, skip_slots)
+        batches = max(1, int(GROUP_HERALDS // max(heralds, 1.0)))
+        w = _scan_window(p_herald, skip_slots, n_slots,
+                         min(lanes, step * batches))
+        size = step * max(1, min(batches, LANE_SLOTS // max(w, 1) // step))
+
+    def emit(lo, keys, flat, h0):
+        # heralds of the cycles of keys from cycle lo on, in flat order
+        bins, background = tally.draw(keys[flat // n_slots],
+                                      np.zeros(flat.size, dtype=np.intp),
+                                      flat % n_slots, h0)
+        bounds = list(range(0, keys.size, step)) + [keys.size]
+        edges = np.searchsorted(flat, np.array(bounds) * n_slots).tolist()
+        for c0, c1, i, j in zip(bounds, bounds[1:], edges, edges[1:]):
+            rows(*records_kernel(flat[i:j] - c0 * n_slots, bins[i:j],
+                                 background[i:j], lo + c0, c1 - c0, n_slots,
+                                 skip_slots))
+
     if w:
-        size = max(1, LANE_SLOTS // w)
         for g in range(0, lanes, size):
             runs, cycle = np.divmod(np.arange(g, min(g + size, lanes)),
                                     n_cycles)
             keys = cycle_keys(seeds[runs], cycle + cycle_lo)
-            for lane, slot, h0 in _scan(keys, n_slots, key, skip_slots, w,
-                                        GROUP_HERALDS):
-                tally.add(keys[lane], runs[lane], slot, h0)
+            if rows is None:
+                for lane, slot, h0 in _scan(keys, n_slots, key, skip_slots,
+                                            w, GROUP_HERALDS):
+                    tally.add(keys[lane], runs[lane], slot, h0)
+                continue
+            lane, slot, h0 = next(_scan(keys, n_slots, key, skip_slots, w,
+                                        math.inf))
+            flat = lane * n_slots + slot
+            order = np.argsort(flat, kind="stable")
+            del lane, slot
+            emit(cycle_lo + g, keys, flat[order], h0[order])
+            del flat, order, h0  # freed before the next group is sampled
     elif lanes:
-        step = max(1, CHUNK_SLOTS // n_slots)
         slots = np.arange(n_slots)
         work = None
         if 8 * p_herald >= 1:
@@ -661,80 +601,57 @@ def count_runs(master_seeds, cycle_lo, cycle_hi, n_slots, p_herald, laws,
                 keys = cycle_keys(seed, np.arange(lo, min(lo + step,
                                                           cycle_hi)))
                 flat, h0 = _full(keys, slots, key, skip_slots, work)
-                keys = keys[flat // n_slots]
-                flat %= n_slots  # the heralds' slots
-                tally.add(keys, np.full(h0.size, r), flat, h0)
+                if rows is None:
+                    keys = keys[flat // n_slots]
+                    flat %= n_slots  # the heralds' slots
+                    tally.add(keys, np.full(h0.size, r), flat, h0)
+                else:
+                    emit(lo, keys, flat, h0)
                 del keys, flat, h0  # freed before the next batch is sampled
     return tally.counts(n_cycles)
 
 
-def _bins(herald, readout):
-    """Heralded trials binned by ``(herald - 1) * 5 + readout``.
+def records_kernel(flat, bins, background, cycle_lo, n_cycles, n_slots,
+                   skip_slots):
+    """Per-trial event arrays of cycles ``[cycle_lo, cycle_lo + n_cycles)``.
 
-    Bins 3, 4 are c13, c14 and 8, 9 are c23, c24; bins 0-4 and 5-9 sum to
-    s1 and s2. Trials without a herald (code 0) fall outside the bins.
+    ``flat`` holds the ascending index ``(cycle - cycle_lo) * n_slots +
+    slot`` of each accepted herald of these cycles, ``bins`` and
+    ``background`` its ``_Tally.draw`` bin and background flag. Returns
+    arrays (cycle, slot, herald, readout, background) covering every
+    executed trial in order. ``herald`` is 0/1/2 for none/D1/D2,
+    ``readout`` 0/3/4 for none/D3/D4.
     """
-    return np.bincount(herald.astype(np.intp) * 5 + readout, minlength=15)[5:]
-
-
-def records_kernel(b: HeraldBatch, n_slots: int, skip_slots: int):
-    """Per-trial event arrays of one batch (the dump path).
-
-    Returns arrays (cycle, slot, herald, readout, background) covering every
-    executed trial of the batch in order. ``herald`` is 0/1/2 for
-    none/D1/D2, ``readout`` 0/3/4 for none/D3/D4.
-    """
-    size = b.n_cycles * n_slots
-    if skip_slots > 0 and b.flat.size:
+    size = n_cycles * n_slots
+    if skip_slots > 0 and flat.size:
         # the windows [flat + 1, stop) never overlap or touch, so a +1/-1
         # edge array summed up marks exactly the blocked slots, and the sum
         # is 0 or 1: int8 holds it
-        stop = np.minimum(b.flat + (skip_slots + 1),
-                          (b.flat // n_slots + 1) * n_slots)
-        open_ = stop > b.flat + 1
+        stop = np.minimum(flat + (skip_slots + 1),
+                          (flat // n_slots + 1) * n_slots)
+        open_ = stop > flat + 1
         edges = np.zeros(size + 1, dtype=np.int8)
-        edges[b.flat[open_] + 1] = 1
+        edges[flat[open_] + 1] = 1
         edges[stop[open_]] = -1
         blocked = np.cumsum(edges[:size], dtype=np.int8)
         executed = np.flatnonzero(blocked == 0)
     else:
         executed = np.arange(size)
-    at = np.searchsorted(executed, b.flat)
+    at = np.searchsorted(executed, flat)
     her = np.zeros(executed.size, dtype=np.uint8)
     read = np.zeros(executed.size, dtype=np.uint8)
     bg = np.zeros(executed.size, dtype=bool)
-    her[at] = b.herald
-    read[at] = b.readout
-    bg[at] = b.background
-    return executed // n_slots + b.cycle_lo, executed % n_slots, her, read, bg
+    her[at] = bins // 5 + 1
+    read[at] = bins % 5
+    bg[at] = background
+    return executed // n_slots + cycle_lo, executed % n_slots, her, read, bg
 
 
 def counts_kernel(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
                   a13, a14, a23, a24, p_noise, skip_slots, rows=None):
-    """Accumulate coincidence counts for a contiguous range of cycles.
-
-    Returns ``(c13, c14, c23, c24, s1, s2, n_trials, n_background)``.
-    Without ``rows`` this is ``count_runs`` of the one run. ``rows``, when
-    given, is called with the ``records_kernel`` arrays of each
-    ``herald_batches`` batch in turn, before the next batch is sampled, so
-    the rows of the whole range are never held at once.
-    """
-    if rows is None:
-        (counts,) = count_runs([master_seed], cycle_lo, cycle_hi, n_slots,
-                               p_herald, [(a13, a14, a23, a24)], p_noise,
-                               skip_slots)
-        return tuple(int(v) for v in counts)
-    bins = np.zeros(10, dtype=np.int64)
-    n_blocked = 0
-    n_bg = 0
-    for b in herald_batches(master_seed, cycle_lo, cycle_hi, n_slots,
-                            p_herald, a13, a14, a23, a24, p_noise,
-                            skip_slots):
-        bins += _bins(b.herald, b.readout)
-        n_blocked += b.n_blocked
-        n_bg += np.count_nonzero(b.background)
-        rows(*records_kernel(b, n_slots, skip_slots))
-    n_trials = max(cycle_hi - cycle_lo, 0) * n_slots - n_blocked
-    return (int(bins[3]), int(bins[4]), int(bins[8]), int(bins[9]),
-            int(bins[:5].sum()), int(bins[5:].sum()), int(n_trials),
-            int(n_bg))
+    """``count_runs`` of one run, as the tuple ``(c13, c14, c23, c24, s1,
+    s2, n_trials, n_background)``; ``rows`` is passed on."""
+    (counts,) = count_runs([master_seed], cycle_lo, cycle_hi, n_slots,
+                           p_herald, [(a13, a14, a23, a24)], p_noise,
+                           skip_slots, rows)
+    return tuple(int(v) for v in counts)

@@ -12,9 +12,9 @@ Sampling is counter-based and deterministic: identical seed and
 configuration give bit-identical counts for any worker count. Counts come
 from the chunked numpy sampler in ``_kernels``; worker threads only split
 the cycle range between them. A run with a click-record dump is the same
-counts pass in the calling thread, and ``write_record_dump`` writes each
-batch's rows to the dump before the next batch is sampled, so its memory
-does not grow with the number of cycles.
+counts pass in the calling thread, with a row sink: ``write_record_dump``
+writes the rows of each batch of cycles to the dump before the next batch
+is expanded, so its memory does not grow with the number of cycles.
 """
 
 from __future__ import annotations

@@ -508,23 +508,14 @@ path_inputs = st.fixed_dictionaries(dict(
     chunk_slots=st.integers(1, 120),
     mix_slots=st.integers(1, 50),
     lane_slots=st.integers(1, 200),
+    group_heralds=st.integers(1, 60),
 ))
 
 # a 13-slot window in 10-slot cycles: every window crosses a cycle end
 WINDOW_PAST_CYCLE_END = dict(
     master_seed=5, cycle_lo=3, n_cycles=4, n_slots=10, p_herald=0.3,
     a13=0.3, a14=0.2, a23=0.1, a24=0.5, p_noise=0.3, skip_slots=12,
-    window=1.0, chunk_slots=20, mix_slots=7, lane_slots=26)
-
-
-def _same_batches(a, b):
-    assert len(a) == len(b)
-    for x, y in zip(a, b):
-        assert (x.cycle_lo, x.n_cycles, x.n_blocked) == \
-            (y.cycle_lo, y.n_cycles, y.n_blocked)
-        for field in ("flat", "herald", "readout", "background"):
-            u, v = getattr(x, field), getattr(y, field)
-            assert u.dtype == v.dtype and np.array_equal(u, v), field
+    window=1.0, chunk_slots=20, mix_slots=7, lane_slots=26, group_heralds=5)
 
 
 @settings(max_examples=200, deadline=None)
@@ -532,9 +523,11 @@ def _same_batches(a, b):
 @example(WINDOW_PAST_CYCLE_END)
 def test_scan_and_full_paths_agree(kw):
     # each path forced through the dispatch rule: window 0 runs the full
-    # hash, a positive one the lane scan, in lane groups of few cycles
+    # hash, a positive one the lane scan, whose dump lane groups are one
+    # batch or several as GROUP_HERALDS is small or large
     kw = dict(kw)
-    sizes = (kw.pop("chunk_slots"), kw.pop("mix_slots"), kw.pop("lane_slots"))
+    sizes = [kw.pop(k) for k in ("chunk_slots", "mix_slots", "lane_slots",
+                                 "group_heralds")]
     w = 1 + int(kw.pop("window") * kw["skip_slots"])
     seed = kw.pop("master_seed")
     lo = kw.pop("cycle_lo")
@@ -543,14 +536,12 @@ def test_scan_and_full_paths_agree(kw):
     for window in (0, w):
         with _batch_sizes(*sizes[:2]), \
                 mock.patch.object(_kernels, "LANE_SLOTS", sizes[2]), \
+                mock.patch.object(_kernels, "GROUP_HERALDS", sizes[3]), \
                 mock.patch.object(_kernels, "_scan_window",
                                   lambda *_: window):
-            out.append((list(_kernels.herald_batches(*args, **kw)),
-                        _counts_and_rows(*args, **kw)))
-    (full, full_out), (scan, scan_out) = out
-    _same_batches(full, scan)
+            out.append(_counts_and_rows(*args, **kw))
     rows = trial_records_oracle(*args, **kw)
-    assert full_out == scan_out == (counts_from_rows(rows), rows)
+    assert out[0] == out[1] == (counts_from_rows(rows), rows)
 
 
 runs_inputs = st.fixed_dictionaries(dict(
