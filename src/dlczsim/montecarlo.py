@@ -350,9 +350,16 @@ def _poisson_resample(rng, base: np.ndarray, need_coinc_rows, need_singles_rows,
     return out
 
 
+# Upper bound on the bootstrap resamples: a bootstrap holds its resamples'
+# counts, up to 16 int64 each, beside a Poisson draw of the same size, so
+# 10**8 resamples would ask for about 25 GB; 100,000 take about 26 MB.
+MAX_RESAMPLES = 100_000
+
+
 def _check_resamples(n_resamples: int) -> None:
-    if n_resamples < 100:
-        raise ValueError("n_resamples must be >= 100")
+    if not 100 <= n_resamples <= MAX_RESAMPLES:
+        raise ValueError(f"n_resamples must lie in [100, {MAX_RESAMPLES}], "
+                         f"got {n_resamples}")
 
 
 def bootstrap_errors(counts, n_resamples: int = 1000,
@@ -461,7 +468,8 @@ def bell_sweep(ts: Sequence[float], cfg: SequenceConfig, sp: SourceParams,
     ``Estimate`` of S per point; raises ``InsufficientStatisticsError``
     naming the storage time of a point without coincidences in some
     setting, or whose bootstrap exhausts its redraws. ``n_resamples``
-    below 100 raises ``ValueError`` before any trial runs.
+    outside [100, ``MAX_RESAMPLES``] raises ``ValueError`` before any
+    trial runs.
     """
     _check_resamples(n_resamples)
     _check_cycles(n_cycles)

@@ -31,7 +31,9 @@ placed sweeps near the root: 59 sweeps per default report, not 114.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -262,20 +264,32 @@ def repeater_rate(p: RepeaterParams, total_km) -> RateCurve:
                      status=status, collapsed_at=collapsed_at)
 
 
+@functools.lru_cache(maxsize=4)
+def _distance_grid(l_min_km: float, l_max_km: float, points: int,
+                   grid: str) -> np.ndarray:
+    """A sweep's distance grid, read-only, so that every sweep over the same
+    bounds shares one array (the anchor report's 59 sweeps, say); the last
+    four grids are kept."""
+    space = np.geomspace if grid == "log" else np.linspace
+    ls = space(l_min_km, l_max_km, points)
+    ls.flags.writeable = False
+    return ls
+
+
 def sweep_distance(p: RepeaterParams, l_min_km: float, l_max_km: float,
                    points: int, grid: str = "log") -> RateCurve:
-    """Evaluate the rate on a distance grid (log-spaced by default)."""
+    """Evaluate the rate on a distance grid (log-spaced by default).
+
+    The grid is read-only and shared with other sweeps over the same bounds.
+    """
     if not (0.0 < l_min_km < l_max_km < math.inf):
         raise ValueError("need 0 < l_min < l_max, both finite")
     if points < 2:
         raise ValueError("need at least two grid points")
-    if grid == "log":
-        ls = np.geomspace(l_min_km, l_max_km, points)
-    elif grid == "linear":
-        ls = np.linspace(l_min_km, l_max_km, points)
-    else:
+    if grid not in ("log", "linear"):
         raise ValueError("grid must be 'log' or 'linear'")
-    return repeater_rate(p, ls)
+    return repeater_rate(p, _distance_grid(float(l_min_km), float(l_max_km),
+                                           operator.index(points), grid))
 
 
 def crossing_distance(distances_km, rates, target_rate: float) -> float:

@@ -160,12 +160,18 @@ class TestMonteCarloSweeps:
 
         monkeypatch.setattr(montecarlo, "run_trials", refuse)
         monkeypatch.setattr(_kernels, "count_runs", refuse)
+        monkeypatch.setattr(montecarlo, "_poisson_resample", refuse)
         out = tmp_path / "out.csv"
-        rc, _, err = run(capsys, "bell", "--mode", "montecarlo", "--t-ms",
-                         "0", "--resamples", "50", "--out", str(out))
-        assert rc == 2
-        assert "n_resamples" in err
-        assert list(tmp_path.iterdir()) == []
+        # past the upper bound only MAX_RESAMPLES + 1 is tried: it is
+        # refused before any allocation, where a huge value accepted would
+        # allocate
+        for resamples in ("50", str(montecarlo.MAX_RESAMPLES + 1)):
+            rc, _, err = run(capsys, "bell", "--mode", "montecarlo", "--t-ms",
+                             "0", "--resamples", resamples, "--out", str(out))
+            assert rc == 2
+            assert f"n_resamples must lie in [100, {montecarlo.MAX_RESAMPLES}]" \
+                in err
+            assert list(tmp_path.iterdir()) == []
 
 
 class TestOutputFiles:
@@ -816,6 +822,29 @@ class TestRunSizeBound:
         assert out == "" and "--trials" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--points", "1"), ("--points", str(cli.MAX_POINTS + 1)),
+        pytest.param("--t-ms", ",".join(["0"] * (cli.MAX_POINTS + 1)),
+                     id=f"--t-ms-{cli.MAX_POINTS + 1}-entries")])
+    @pytest.mark.parametrize("argv", [
+        ["efficiency"], ["efficiency", "--montecarlo"],
+        ["bell"], ["bell", "--mode", "montecarlo"]],
+        ids=["efficiency", "efficiency-mc", "bell", "bell-mc"])
+    def test_storage_time_grid_out_of_bounds_exits_2(self, argv, flag, value,
+                                                     tmp_path, capsys,
+                                                     monkeypatch):
+        _refuse_work(monkeypatch, flag)
+        rc, out, err = run(capsys, *argv, flag, value,
+                           "--out", str(tmp_path / "out.csv"))
+        assert rc == 2
+        assert out == "" and flag in err and str(cli.MAX_POINTS) in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_storage_time_grid_at_the_bound_runs(self, capsys):
+        rc, out, _ = run(capsys, "bell", "--points", str(cli.MAX_POINTS))
+        assert rc == 0
+        assert len(out.splitlines()) == cli.MAX_POINTS + 1
+
 
 class TestWorkersBound:
     COMMANDS = {
@@ -847,6 +876,45 @@ class TestWorkersBound:
         assert "--workers" in err
         assert list(tmp_path.iterdir()) == []
         assert threading.active_count() == threads
+
+
+class TestParserReuse:
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def test_a_call_leaves_nothing_to_the_next(self, capsys):
+        rc, alone, _ = run(capsys, "repeater")
+        assert rc == 0
+        with pytest.raises(SystemExit) as usage:
+            main(["repeater", "--grid", "hex"])
+        assert usage.value.code == 2
+        assert run(capsys, "repeater", "--points", "1")[0] == 2
+        assert run(capsys, "repeater", "--points", "5")[0] == 0
+        # cmd_repeater fills the grid flags into its namespace: a shared
+        # namespace would carry --points 5 into the default run
+        rc, again, _ = run(capsys, "repeater")
+        assert rc == 0
+        assert again == alone
+
+    def test_main_builds_one_parser(self, capsys, monkeypatch):
+        assert cli.build_parser() is not cli.build_parser()
+        built = []
+        build = cli.build_parser
+
+        def counted():
+            built.append(build())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        assert run(capsys, "efficiency", "--t-ms", "0")[0] == 0
+        assert run(capsys, "bell", "--t-ms", "0")[0] == 0
+        assert run(capsys, "repeater", "--points", "3")[0] == 0
+        with pytest.raises(SystemExit):
+            main(["simulate", "--seconds", "x"])
+        assert len(built) == 1
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -511,6 +511,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="target rate"):
             crossing_distance([1.0, 2.0], [1.0, 1e-9], target)
 
+    @pytest.mark.parametrize("grid, space", [("log", np.geomspace),
+                                             ("linear", np.linspace)])
+    def test_sweeps_over_equal_bounds_share_a_read_only_grid(self, grid,
+                                                             space):
+        a = sweep_distance(FIG5, 10.0, 5000.0, 60, grid=grid)
+        b = sweep_distance(dataclasses.replace(FIG5, chi=0.01), 10, 5000,
+                           60, grid=grid)
+        assert np.array_equal(a.distance_km, space(10.0, 5000.0, 60))
+        assert np.array_equal(b.distance_km, a.distance_km)
+        for curve in (a, b):
+            with pytest.raises(ValueError, match="read-only"):
+                curve.distance_km[0] = 1.0
+        assert a.distance_km[0] == 10.0
+
     def test_sweep_grid_validation(self):
         with pytest.raises(ValueError):
             sweep_distance(FIG5, 100.0, 50.0, 10)
