@@ -676,6 +676,90 @@ class TestSimulate:
 
 
 class TestConfigStrictness:
+    # every INI key (but calibration_json, which sets no field) with a
+    # value off its default, and the RunConfig attribute it must set, in SI
+    KEYS = [
+        ("source", "chi", "0.03", "source", "chi", 0.03),
+        ("source", "p_noise", "2e-4", "source", "p_noise", 2e-4),
+        ("source", "werner_p0", "0.8", "source", "werner_p0", 0.8),
+        ("source", "vis_tau_gauss_ms", "2.5", "source", "vis_tau_gauss",
+         2.5 * 1e-3),
+        ("source", "vis_tau_exp_ms", "6.1", "source", "vis_tau_exp",
+         6.1 * 1e-3),
+        ("source", "phase_write_rad", "0.5", "source", "phase_write", 0.5),
+        ("source", "phase_read_rad", "1.25", "source", "phase_read", 1.25),
+        ("decay", "r0", "0.6", "decay", "r0", 0.6),
+        ("decay", "tau0_ms", "1.9", "decay", "tau0", 1.9 * 1e-3),
+        ("detection.write", "t_ocm", "0.25", "detection_write", "t_ocm",
+         0.25),
+        ("detection.write", "cavity_loss", "0.1", "detection_write",
+         "cavity_loss", 0.1),
+        ("detection.write", "eta_smf", "0.7", "detection_write", "eta_smf",
+         0.7),
+        ("detection.write", "eta_filter", "0.5", "detection_write",
+         "eta_filter", 0.5),
+        ("detection.write", "eta_mmf", "0.9", "detection_write", "eta_mmf",
+         0.9),
+        ("detection.write", "eta_det", "0.6", "detection_write", "eta_det",
+         0.6),
+        ("detection.write", "eta_fc", "0.4", "detection_write", "eta_fc",
+         0.4),
+        ("detection.read", "t_ocm", "0.3", "detection_read", "t_ocm", 0.3),
+        ("detection.read", "cavity_loss", "0.12", "detection_read",
+         "cavity_loss", 0.12),
+        ("detection.read", "eta_smf", "0.65", "detection_read", "eta_smf",
+         0.65),
+        ("detection.read", "eta_filter", "0.55", "detection_read",
+         "eta_filter", 0.55),
+        ("detection.read", "eta_mmf", "0.95", "detection_read", "eta_mmf",
+         0.95),
+        ("detection.read", "eta_det", "0.66", "detection_read", "eta_det",
+         0.66),
+        ("detection.read", "eta_fc", "0.33", "detection_read", "eta_fc",
+         0.33),
+        ("sequence", "prep_ms", "40", "sequence", "prep_duration",
+         40.0 * 1e-3),
+        ("sequence", "run_ms", "10", "sequence", "run_duration", 10.0 * 1e-3),
+        ("sequence", "write_ns", "310", "sequence", "write_pulse",
+         310.0 * 1e-9),
+        ("sequence", "trial_period_ns", "2500", "sequence", "trial_period",
+         2500.0 * 1e-9),
+        ("sequence", "storage_us", "540", "sequence", "storage_time",
+         540.0 * 1e-6),
+        ("repeater", "nest_level", "3", "repeater", "nest_level", 3),
+        ("repeater", "mode_count", "500", "repeater", "mode_count", 500),
+        ("repeater", "memory_lifetime_s", "8.5", "repeater",
+         "memory_lifetime", 8.5),
+        ("repeater", "eta_td", "0.8", "repeater", "eta_td", 0.8),
+        ("repeater", "eta_fc", "0.4", "repeater", "eta_fc", 0.4),
+        ("repeater", "chi", "0.01", "repeater", "chi", 0.01),
+        ("repeater", "l_att_km", "20", "repeater", "attenuation_length",
+         20.0),
+        ("repeater", "r0", "0.7", "repeater", "r0", 0.7),
+        ("repeater", "fiber_speed_m_per_s", "1.9e8", "repeater",
+         "fiber_speed", 1.9e8),
+        ("repeater", "link_convention", "L_over_2_pow_n", "repeater",
+         "link_convention", "L_over_2_pow_n"),
+        ("repeater", "pr_exponent", "flight_time", "repeater",
+         "pr_exponent", "flight_time"),
+        ("output", "seed", "7", "seed", "master_seed", 7),
+    ]
+
+    @pytest.mark.parametrize("section, key, text, group, attr, value", KEYS,
+                             ids=[f"{k[0]}.{k[1]}" for k in KEYS])
+    def test_every_key_sets_its_field_in_si(self, section, key, text, group,
+                                            attr, value, tmp_path):
+        cfg = tmp_path / "one.ini"
+        cfg.write_text(f"[{section}]\n{key} = {text}\n")
+        got = load_config(str(cfg))
+        assert getattr(getattr(got, group), attr) == value
+        assert type(getattr(getattr(got, group), attr)) is type(value)
+        # the key sets that field alone
+        base = load_config()
+        assert getattr(getattr(base, group), attr) != value
+        assert got == dataclasses.replace(base, **{group: dataclasses.replace(
+            getattr(base, group), **{attr: value})})
+
     def test_unknown_key_rejected_no_partial_output(self, tmp_path, capsys):
         # an unknown key after a valid one; then keys of earlier versions
         # that nothing read, each after a valid key of its section
