@@ -210,29 +210,73 @@ def read_datapoints_csv(path) -> list:
         return points
 
 
+# The calibration file's format: JSON section -> JSON key -> the field it
+# sets, of SourceParams (and BellFit) for "bell" and of DecayModel for
+# "decay". Every value is in SI units.
+FILE_FORMAT = {
+    "bell": {"werner_p0": "werner_p0", "vis_tau_gauss_s": "vis_tau_gauss",
+             "vis_tau_exp_s": "vis_tau_exp"},
+    "decay": {"r0": "r0", "tau0_s": "tau0"},
+}
+
+
+def _finite_number(value) -> bool:
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def calibration_fields(cal, origin: str) -> dict:
+    """The fields a calibration JSON object sets: section -> field -> value.
+
+    The ``bell`` and ``decay`` sections are each optional, but a section
+    that is present must hold every one of its keys as a finite number.
+    """
+    if not isinstance(cal, dict):
+        raise ValueError(f"calibration {origin}: not a JSON object")
+    fields: dict = {}
+    for section, keys in FILE_FORMAT.items():
+        if section not in cal:
+            continue
+        if not isinstance(cal[section], dict):
+            raise ValueError(
+                f"calibration {origin}: {section!r} is not a JSON object")
+        fields[section] = {}
+        for key, field in keys.items():
+            if key not in cal[section]:
+                raise ValueError(
+                    f"calibration {origin}: {section}.{key} is missing")
+            value = cal[section][key]
+            if not _finite_number(value):
+                raise ValueError(f"calibration {origin}: {section}.{key} "
+                                 f"must be a finite number, got {value!r}")
+            fields[section][field] = value
+    return fields
+
+
+def _to_file(section: str, params) -> dict:
+    return {key: getattr(params, field)
+            for key, field in FILE_FORMAT[section].items()}
+
+
 def calibration_to_dict(decay: Optional[DecayFit] = None,
                         bell: Optional[BellFit] = None) -> dict:
     out: dict = {}
     if decay is not None:
-        out["decay"] = {
-            "r0": decay.model.r0,
-            "tau0_s": decay.model.tau0,
-            "residuals": list(decay.residuals),
-        }
+        out["decay"] = dict(_to_file("decay", decay.model),
+                            residuals=list(decay.residuals))
     if bell is not None:
-        out["bell"] = {
-            "werner_p0": bell.werner_p0,
-            "vis_tau_gauss_s": bell.vis_tau_gauss,
-            "vis_tau_exp_s": bell.vis_tau_exp,
-            "residuals": list(bell.residuals),
-            "decay_constrained": bell.decay_constrained,
-        }
+        out["bell"] = dict(_to_file("bell", bell),
+                           residuals=list(bell.residuals),
+                           decay_constrained=bell.decay_constrained)
     return out
 
 
 def load_calibration_json(path) -> dict:
+    """``calibration_fields`` of the calibration file at ``path``."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return calibration_fields(json.load(fh), path)
 
 
 def default_calibration() -> dict:
@@ -242,14 +286,16 @@ def default_calibration() -> dict:
     return json.loads(payload)
 
 
+def default_calibration_fields() -> dict:
+    """``calibration_fields`` of the packaged calibration fixture."""
+    return calibration_fields(default_calibration(), "packaged default")
+
+
 def default_decay_model() -> DecayModel:
-    cal = default_calibration()["decay"]
-    return DecayModel(r0=cal["r0"], tau0=cal["tau0_s"])
+    return DecayModel(**default_calibration_fields()["decay"])
 
 
 def default_source_params(chi: float = 0.02,
                           p_noise: float = 1e-4) -> SourceParams:
-    cal = default_calibration()["bell"]
-    return SourceParams(chi=chi, werner_p0=cal["werner_p0"],
-                        vis_tau_gauss=cal["vis_tau_gauss_s"],
-                        vis_tau_exp=cal["vis_tau_exp_s"], p_noise=p_noise)
+    return SourceParams(chi=chi, p_noise=p_noise,
+                        **default_calibration_fields()["bell"])

@@ -140,12 +140,12 @@ def _parse_grid_ms(args) -> list:
         if not 2 <= args.points <= MAX_POINTS:
             raise ValueError(f"--points must lie in [2, {MAX_POINTS}], "
                              f"got {args.points}")
-        if not (0.0 <= args.t_min_ms < args.t_max_ms):
-            raise ValueError("need 0 <= --t-min-ms < --t-max-ms")
+        if not (0.0 <= args.t_min_ms < args.t_max_ms < math.inf):
+            raise ValueError("need finite 0 <= --t-min-ms < --t-max-ms")
         step = (args.t_max_ms - args.t_min_ms) / (args.points - 1)
         ts = [args.t_min_ms + i * step for i in range(args.points)]
-    if any(t < 0 for t in ts):
-        raise ValueError("storage times must be >= 0")
+    if not all(0.0 <= t < math.inf for t in ts):
+        raise ValueError("storage times must be finite and >= 0")
     return ts
 
 

@@ -78,8 +78,11 @@ class SourceParams:
             v = getattr(self, name)
             if not (v > 0.0) or not np.isfinite(v):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
-        object.__setattr__(self, "phase_write", self.phase_write % TWO_PI)
-        object.__setattr__(self, "phase_read", self.phase_read % TWO_PI)
+        for name in ("phase_write", "phase_read"):
+            v = getattr(self, name)
+            if not np.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
+            object.__setattr__(self, name, v % TWO_PI)
 
     @property
     def phase_total(self) -> float:

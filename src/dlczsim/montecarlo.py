@@ -62,12 +62,17 @@ class SequenceConfig:
     def __post_init__(self) -> None:
         for name in ("prep_duration", "run_duration", "write_pulse",
                      "trial_period"):
-            if not (getattr(self, name) > 0.0):
-                raise ValueError(f"{name} must be positive")
-        if self.storage_time < 0.0:
-            raise ValueError("storage_time must be >= 0")
+            v = getattr(self, name)
+            if not (0.0 < v < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {v!r}")
+        if not (0.0 <= self.storage_time < math.inf):
+            raise ValueError("storage_time must be finite and >= 0")
         if self.trial_period < self.write_pulse:
             raise ValueError("trial_period must cover the write pulse")
+        if not (self.run_duration / self.trial_period < math.inf
+                and self.trials_per_run >= 1):
+            raise ValueError("run_duration must hold at least one "
+                             "trial_period, and finitely many")
 
     @property
     def trials_per_run(self) -> int:

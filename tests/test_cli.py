@@ -786,11 +786,37 @@ class TestConfigStrictness:
         rc, _, err = run(capsys, "efficiency", "--config", str(cfg))
         assert rc == 2
 
-    def test_invalid_value_rejected(self, tmp_path, capsys):
+    INVALID = [
+        ("source", "chi", "1.5", "chi"),
+        ("source", "phase_write_rad", "inf", "phase_write"),
+        ("source", "phase_read_rad", "nan", "phase_read"),
+        ("sequence", "prep_ms", "inf", "prep_duration"),
+        ("sequence", "run_ms", "inf", "run_duration"),
+        ("sequence", "write_ns", "nan", "write_pulse"),
+        ("sequence", "trial_period_ns", "inf", "trial_period"),
+        # finite, but longer than the 8 ms run: no slot in a run
+        ("sequence", "trial_period_ns", "9000000", "trial_period"),
+        ("sequence", "storage_us", "nan", "storage_time"),
+        ("sequence", "storage_us", "inf", "storage_time"),
+    ]
+
+    @pytest.mark.parametrize("argv", [
+        ["bell", "--t-ms", "0"],
+        ["bell", "--mode", "montecarlo", "--trials", "1", "--t-ms", "0"],
+        ["efficiency", "--montecarlo", "--trials", "1", "--t-ms", "0"],
+        ["simulate", "--seconds", "0.05"]],
+        ids=["bell", "bell-mc", "efficiency-mc", "simulate"])
+    @pytest.mark.parametrize("section, key, text, field", INVALID,
+                             ids=[f"{k[1]}={k[2]}" for k in INVALID])
+    def test_invalid_value_rejected(self, section, key, text, field, argv,
+                                    tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
-        cfg.write_text("[source]\nchi = 1.5\n")
-        rc, _, err = run(capsys, "bell", "--config", str(cfg))
+        cfg.write_text(f"[{section}]\n{key} = {text}\n")
+        rc, out, err = run(capsys, *argv, "--config", str(cfg),
+                           "--out", str(tmp_path / "out.txt"))
         assert rc == 2
+        assert out == "" and field in err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_missing_config_file(self, capsys):
         rc, _, err = run(capsys, "bell", "--config", "/nonexistent.ini")
@@ -922,6 +948,22 @@ class TestRunSizeBound:
                            "--out", str(tmp_path / "out.csv"))
         assert rc == 2
         assert out == "" and flag in err and str(cli.MAX_POINTS) in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--t-ms", "inf"), ("--t-ms", "nan"), ("--t-ms", "0,1,inf"),
+        ("--t-max-ms", "inf")])
+    @pytest.mark.parametrize("argv", [
+        ["efficiency"], ["efficiency", "--montecarlo"],
+        ["bell"], ["bell", "--mode", "montecarlo"]],
+        ids=["efficiency", "efficiency-mc", "bell", "bell-mc"])
+    def test_non_finite_storage_time_exits_2_before_any_work(
+            self, argv, flag, value, tmp_path, capsys, monkeypatch):
+        _refuse_work(monkeypatch, flag)
+        rc, out, err = run(capsys, *argv, f"{flag}={value}",
+                           "--out", str(tmp_path / "out.csv"))
+        assert rc == 2
+        assert out == "" and "finite" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_storage_time_grid_at_the_bound_runs(self, capsys):

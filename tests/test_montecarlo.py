@@ -63,6 +63,12 @@ class TestSequenceConfig:
         with pytest.raises(ValueError):
             SequenceConfig(run_duration=-1.0)
 
+    def test_slot_count_past_the_largest_float_is_refused(self):
+        # each duration is finite, but the run holds over 1e308 slots
+        with pytest.raises(ValueError, match="run_duration"):
+            SequenceConfig(run_duration=1e300, write_pulse=1e-309,
+                           trial_period=1e-309)
+
 
 class TestRunTrials:
     def test_one_second_is_80000_trials(self):
