@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._keys import defaults
 from .errors import FitConvergenceError
 from .model import (DecayModel, SourceParams, decay_law, expected_bell,
                     retrieval_efficiency)
@@ -295,7 +296,7 @@ def default_decay_model() -> DecayModel:
     return DecayModel(**default_calibration_fields()["decay"])
 
 
-def default_source_params(chi: float = 0.02,
-                          p_noise: float = 1e-4) -> SourceParams:
-    return SourceParams(chi=chi, p_noise=p_noise,
-                        **default_calibration_fields()["bell"])
+def default_source_params(**fields) -> SourceParams:
+    """The configuration's default source, with ``fields`` set over it."""
+    return SourceParams(**{**defaults("source"),
+                           **default_calibration_fields()["bell"], **fields})

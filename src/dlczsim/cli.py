@@ -253,8 +253,7 @@ def cmd_repeater(args) -> int:
 
     if args.anchor_report:
         entries = repeater.calibration_report(
-            base=params, target_rate=args.target_rate,
-            chi_values=(0.01, 0.02))
+            base=params, target_rate=args.target_rate)
         payload = {
             "target_rate_per_s": args.target_rate,
             "anchors_km": {"cpe": repeater.ANCHOR_CPE_KM,

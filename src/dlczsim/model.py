@@ -23,12 +23,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._keys import defaults
 from .errors import InsufficientStatisticsError
 
-# Spec'd physical constants: vacuum light speed for cavity arithmetic,
-# fiber group velocity for communication times.
-SPEED_OF_LIGHT_VACUUM = 2.998e8  # m/s
-FIBER_LIGHT_SPEED = 2.0e8  # m/s
+SPEED_OF_LIGHT_VACUUM = 2.998e8  # m/s, for cavity arithmetic
 
 TWO_PI = 2.0 * math.pi
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -52,6 +50,7 @@ def _check_unit_interval(name: str, value, *, lo_open: bool = False,
 @dataclass(frozen=True)
 class SourceParams:
     """Per-trial source parameters of the write/read entanglement source.
+    Its defaults are neutral and noise-free, not a run's (the key table's).
 
     chi            per-trial probability of creating an entangled pair
     phase_write    relative phase between the two write-out field paths
@@ -109,7 +108,7 @@ class DetectionChain:
 
     The cavity escape factor is derived from the output-coupler transmission
     and the round-trip loss; the remaining factors multiply directly. The
-    frequency-conversion factor defaults to 1 (no telecom interface).
+    frequency-conversion factor's default is that of no telecom interface.
     """
 
     t_ocm: float
@@ -118,7 +117,7 @@ class DetectionChain:
     eta_filter: float
     eta_mmf: float
     eta_det: float
-    eta_fc: float = 1.0
+    eta_fc: float = defaults("detection.write")["eta_fc"]
 
     def __post_init__(self) -> None:
         for name in ("t_ocm", "cavity_loss", "eta_smf", "eta_filter",
@@ -242,10 +241,7 @@ def retrieval_efficiency(t, model: DecayModel):
 
 def escape_efficiency(chain: DetectionChain) -> float:
     """Probability that an intracavity photon leaves through the output coupler."""
-    denom = chain.t_ocm + chain.cavity_loss
-    if denom <= 0.0:
-        raise ValueError("t_ocm + cavity_loss must be > 0")
-    return chain.t_ocm / denom
+    return chain.t_ocm / (chain.t_ocm + chain.cavity_loss)
 
 
 def total_detection_efficiency(chain: DetectionChain) -> float:

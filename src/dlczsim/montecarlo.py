@@ -27,6 +27,7 @@ from typing import BinaryIO, Optional, Sequence
 import numpy as np
 
 from . import _kernels
+from ._keys import defaults
 from .errors import InsufficientStatisticsError
 from .model import (
     CANONICAL_SETTINGS,
@@ -53,11 +54,11 @@ def _floor_snapped(ratio: float) -> int:
 class SequenceConfig:
     """Timing constants of the cyclic experimental state machine (seconds)."""
 
-    prep_duration: float = 42e-3
-    run_duration: float = 8e-3
-    write_pulse: float = 300e-9
-    trial_period: float = 2000e-9
-    storage_time: float = 1e-6
+    prep_duration: float = defaults("sequence")["prep_duration"]
+    run_duration: float = defaults("sequence")["run_duration"]
+    write_pulse: float = defaults("sequence")["write_pulse"]
+    trial_period: float = defaults("sequence")["trial_period"]
+    storage_time: float = defaults("sequence")["storage_time"]
 
     def __post_init__(self) -> None:
         for name in ("prep_duration", "run_duration", "write_pulse",

@@ -40,8 +40,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._keys import defaults
 from .errors import NotBracketedError
-from .model import FIBER_LIGHT_SPEED
 
 LINK_CONVENTIONS = ("L_over_n", "L_over_2_pow_n")
 PR_EXPONENTS = ("literal_L_over_tau", "total_elapsed_time", "flight_time")
@@ -61,17 +61,17 @@ MAX_NEST_LEVEL = 16
 class RepeaterParams:
     """Node and link parameters of the nested multiplexed repeater."""
 
-    nest_level: int = 4
-    mode_count: int = 1000
-    memory_lifetime: float = 16.0  # s
-    eta_td: float = 0.90
-    eta_fc: float = 0.33
-    chi: float = 0.02
-    attenuation_length: float = 22.0  # km
-    r0: float = 0.77
-    fiber_speed: float = FIBER_LIGHT_SPEED  # m/s
-    link_convention: str = "L_over_n"
-    pr_exponent: str = "total_elapsed_time"
+    nest_level: int = defaults("repeater")["nest_level"]
+    mode_count: int = defaults("repeater")["mode_count"]
+    memory_lifetime: float = defaults("repeater")["memory_lifetime"]
+    eta_td: float = defaults("repeater")["eta_td"]
+    eta_fc: float = defaults("repeater")["eta_fc"]
+    chi: float = defaults("repeater")["chi"]
+    attenuation_length: float = defaults("repeater")["attenuation_length"]
+    r0: float = defaults("repeater")["r0"]
+    fiber_speed: float = defaults("repeater")["fiber_speed"]
+    link_convention: str = defaults("repeater")["link_convention"]
+    pr_exponent: str = defaults("repeater")["pr_exponent"]
 
     def __post_init__(self) -> None:
         if not 1 <= self.nest_level <= MAX_NEST_LEVEL:
