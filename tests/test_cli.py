@@ -760,6 +760,26 @@ class TestConfigStrictness:
         assert got == dataclasses.replace(base, **{group: dataclasses.replace(
             getattr(base, group), **{attr: value})})
 
+    def test_library_defaults_are_the_configs(self):
+        # the key table is the only place a default is written, so a type
+        # built without arguments is the one a config without keys builds,
+        # to the last bit (repr) and field type
+        cfg = load_config()
+        chains = [dlczsim.DetectionChain(**{
+            k: v for k, v in dataclasses.asdict(chain).items()
+            if k != "eta_fc"}) for chain in (cfg.detection_write,
+                                              cfg.detection_read)]
+        for got, want in (
+                (cfg.sequence, montecarlo.SequenceConfig()),
+                (cfg.repeater, repeater.RepeaterParams()),
+                (cfg.source, cal.default_source_params()),
+                (cfg.decay, cal.default_decay_model()),
+                (cfg.detection_write, chains[0]),
+                (cfg.detection_read, chains[1])):
+            assert repr(got) == repr(want)
+            assert [type(v) for v in dataclasses.astuple(got)] \
+                == [type(v) for v in dataclasses.astuple(want)]
+
     def test_unknown_key_rejected_no_partial_output(self, tmp_path, capsys):
         # an unknown key after a valid one; then keys of earlier versions
         # that nothing read, each after a valid key of its section
