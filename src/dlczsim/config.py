@@ -53,10 +53,29 @@ class RunConfig:
         return total_detection_efficiency(self.detection_read)
 
 
+def _syntax_error(path, exc: configparser.Error) -> ValueError:
+    """An INI syntax error as a ValueError that names the file and line."""
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        line, what = exc.lineno, f"{exc.line.strip()!r} precedes any [section]"
+    elif isinstance(exc, configparser.ParsingError):
+        line, what = exc.errors[0][0], "not a [section] or a key = value"
+    elif isinstance(exc, configparser.DuplicateOptionError):
+        line, what = exc.lineno, f"[{exc.section}] {exc.option} given twice"
+    elif isinstance(exc, configparser.DuplicateSectionError):
+        line, what = exc.lineno, f"section [{exc.section}] given twice"
+    else:
+        return ValueError(f"config file {path}: {exc}")
+    return ValueError(f"config file {path}, line {line}: {what}")
+
+
 def _parse_file(path) -> dict:
     """section -> field -> SI value; calibration_json keeps its own name."""
     parser = configparser.ConfigParser(interpolation=None)
-    if not parser.read(path, encoding="utf-8"):
+    try:
+        found = parser.read(path, encoding="utf-8")
+    except configparser.Error as exc:
+        raise _syntax_error(path, exc) from None
+    if not found:
         raise ValueError(f"config file {path!r} not found or unreadable")
     raw: dict = {}
     for section in parser.sections():
