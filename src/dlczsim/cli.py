@@ -128,6 +128,7 @@ def _json_text(payload) -> str:
 
 
 def _parse_grid_ms(args) -> list:
+    """The storage times in ms; each must be finite in the t_us column."""
     if args.t_ms is not None:
         entries = [v for v in args.t_ms.split(",") if v.strip() != ""]
         if not entries:
@@ -135,7 +136,7 @@ def _parse_grid_ms(args) -> list:
         if len(entries) > MAX_POINTS:
             raise ValueError(f"--t-ms lists {len(entries)} storage times, "
                              f"at most {MAX_POINTS} are allowed")
-        ts = [float(v) for v in entries]
+        ts, flag = [float(v) for v in entries], "--t-ms"
     else:
         if not 2 <= args.points <= MAX_POINTS:
             raise ValueError(f"--points must lie in [2, {MAX_POINTS}], "
@@ -144,8 +145,10 @@ def _parse_grid_ms(args) -> list:
             raise ValueError("need finite 0 <= --t-min-ms < --t-max-ms")
         step = (args.t_max_ms - args.t_min_ms) / (args.points - 1)
         ts = [args.t_min_ms + i * step for i in range(args.points)]
-    if not all(0.0 <= t < math.inf for t in ts):
-        raise ValueError("storage times must be finite and >= 0")
+        flag = "--t-max-ms"
+    if not all(0.0 <= t * 1e3 < math.inf for t in ts):
+        raise ValueError(f"{flag}: storage times must be >= 0 and finite "
+                         f"in microseconds")
     return ts
 
 

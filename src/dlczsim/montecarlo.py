@@ -50,6 +50,13 @@ def _floor_snapped(ratio: float) -> int:
     return int(ratio)
 
 
+# Upper bound on the write slots of a run window. A batch of the sampler
+# holds at least one whole run, so its working set grows with the window;
+# at the batch size, ``_kernels.CHUNK_SLOTS`` (a 393 ms run of 2 us slots,
+# where the paper's is 8 ms), a batch stays near 10-13 MiB.
+MAX_SLOTS_PER_RUN = 196_608
+
+
 @dataclass(frozen=True)
 class SequenceConfig:
     """Timing constants of the cyclic experimental state machine (seconds)."""
@@ -70,10 +77,12 @@ class SequenceConfig:
             raise ValueError("storage_time must be finite and >= 0")
         if self.trial_period < self.write_pulse:
             raise ValueError("trial_period must cover the write pulse")
-        if not (self.run_duration / self.trial_period < math.inf
-                and self.trials_per_run >= 1):
-            raise ValueError("run_duration must hold at least one "
-                             "trial_period, and finitely many")
+        slots = self.run_duration / self.trial_period
+        if not (slots < math.inf
+                and 1 <= self.trials_per_run <= MAX_SLOTS_PER_RUN):
+            raise ValueError(f"run_duration must hold 1 to "
+                             f"{MAX_SLOTS_PER_RUN} trial_periods, "
+                             f"got {slots:.6g}")
 
     @property
     def trials_per_run(self) -> int:
@@ -91,8 +100,10 @@ class SequenceConfig:
 
     @property
     def herald_skip_slots(self) -> int:
-        """Write slots blocked after a herald while the excitation is stored."""
-        return _floor_snapped(self.storage_time / self.trial_period)
+        """Write slots blocked after a herald while the excitation is
+        stored, at most ``trials_per_run``: the rest of the run either way."""
+        return _floor_snapped(min(self.storage_time / self.trial_period,
+                                  self.trials_per_run))
 
     def with_storage_time(self, t: float) -> "SequenceConfig":
         return replace(self, storage_time=t)

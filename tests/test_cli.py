@@ -782,7 +782,8 @@ class TestConfigStrictness:
 
     def test_unknown_key_rejected_no_partial_output(self, tmp_path, capsys):
         # an unknown key after a valid one; then keys of earlier versions
-        # that nothing read, each after a valid key of its section
+        # that nothing read, each after a valid key of its section; then
+        # INI syntax errors, named by file and line
         for text, key in (
                 ("[source]\nchi = 0.02\ntypo_key = 1\n", "typo_key"),
                 ("[sequence]\nwrite_ns = 300\nread_ns = 1\n", "read_ns"),
@@ -790,7 +791,12 @@ class TestConfigStrictness:
                 ("[sequence]\nwrite_ns = 300\npost_read_gap_ns = 1\n",
                  "post_read_gap_ns"),
                 ("[repeater]\nnest_level = 4\nr0_compare = 1\n",
-                 "r0_compare")):
+                 "r0_compare"),
+                ("[source]\nchi = 0.02\n[source]\np_noise = 0\n",
+                 "bad.ini, line 3"),
+                ("chi = 0.02\n[source]\n", "bad.ini, line 1"),
+                ("[source]\nchi = 0.02\nchi = 0.03\n", "bad.ini, line 3"),
+                ("[source]\nchi = 0.02\nno key here\n", "bad.ini, line 3")):
             cfg = tmp_path / "bad.ini"
             cfg.write_text(text)
             out = tmp_path / "never.csv"
@@ -985,6 +991,43 @@ class TestRunSizeBound:
         assert rc == 2
         assert out == "" and "finite" in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--t-ms", "1e308"), ("--t-ms", "0,1e306"), ("--t-max-ms", "1e308")])
+    @pytest.mark.parametrize("argv", [
+        ["efficiency"], ["efficiency", "--montecarlo"],
+        ["bell"], ["bell", "--mode", "montecarlo"]],
+        ids=["efficiency", "efficiency-mc", "bell", "bell-mc"])
+    def test_storage_time_past_the_float_range_in_us_exits_2(
+            self, argv, flag, value, tmp_path, capsys, monkeypatch):
+        # finite in ms, but the t_us column would read inf
+        _refuse_work(monkeypatch, flag)
+        rc, out, err = run(capsys, *argv, f"{flag}={value}",
+                           "--out", str(tmp_path / "out.csv"))
+        assert rc == 2
+        assert out == "" and flag in err and "finite" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("run_ms", ["1e12", "393.218"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--seconds", "1"],
+        ["efficiency", "--montecarlo", "--t-ms", "0"],
+        ["bell", "--mode", "montecarlo", "--t-ms", "0"]],
+        ids=["simulate", "efficiency-mc", "bell-mc"])
+    def test_slots_per_run_past_the_bound_exits_2(self, argv, run_ms,
+                                                   tmp_path, capsys,
+                                                   monkeypatch):
+        # 5e14 and 196,609 slots of 2 us: refused before any allocation
+        _refuse_work(monkeypatch, "[sequence] run_ms")
+        monkeypatch.setattr(cli, "load_config", load_config)
+        cfg = tmp_path / "big.ini"
+        cfg.write_text(f"[sequence]\nrun_ms = {run_ms}\n")
+        rc, out, err = run(capsys, *argv, "--config", str(cfg),
+                           "--out", str(tmp_path / "out.txt"))
+        assert rc == 2
+        assert out == "" and "run_duration" in err
+        assert str(montecarlo.MAX_SLOTS_PER_RUN) in err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_storage_time_grid_at_the_bound_runs(self, capsys):
         rc, out, _ = run(capsys, "bell", "--points", str(cli.MAX_POINTS))

@@ -69,6 +69,18 @@ class TestSequenceConfig:
             SequenceConfig(run_duration=1e300, write_pulse=1e-309,
                            trial_period=1e-309)
 
+    def test_slots_per_run_are_bounded(self):
+        top = montecarlo.MAX_SLOTS_PER_RUN
+        assert SequenceConfig(run_duration=top * 2e-6).trials_per_run == top
+        with pytest.raises(ValueError, match=f"run_duration must hold 1 to "
+                                             f"{top} trial_periods"):
+            SequenceConfig(run_duration=(top + 1) * 2e-6)
+
+    @pytest.mark.parametrize("storage_time", [9e-3, 1e305])
+    def test_skip_slots_stop_at_the_end_of_the_run(self, storage_time):
+        # past the run, and past the largest float in slots at 1e305 s
+        assert CFG.with_storage_time(storage_time).herald_skip_slots == 4000
+
 
 class TestRunTrials:
     def test_one_second_is_80000_trials(self):
@@ -435,8 +447,9 @@ class TestRecordDump:
         kw = dict(BUSY, cfg=SequenceConfig(run_duration=n_slots * 2e-6,
                                            storage_time=skip_slots * 2e-6),
                   sp=SourceParams(chi=0.6, werner_p0=0.887, p_noise=0.3))
+        # a herald blocks at most the rest of its run
         assert (kw["cfg"].trials_per_run, kw["cfg"].herald_skip_slots) \
-            == (n_slots, skip_slots)
+            == (n_slots, min(skip_slots, n_slots))
         with mock.patch.object(_kernels, "CHUNK_SLOTS", chunk_slots), \
                 mock.patch.object(montecarlo, "DUMP_ROWS", block_rows):
             res, got = _dumped(n_cycles=n_cycles, seed=SeedSpec(seed), **kw)
