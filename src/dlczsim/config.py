@@ -54,17 +54,17 @@ class RunConfig:
 
 
 def _syntax_error(path, exc: configparser.Error) -> ValueError:
-    """An INI syntax error as a ValueError that names the file and line."""
-    if isinstance(exc, configparser.MissingSectionHeaderError):
-        line, what = exc.lineno, f"{exc.line.strip()!r} precedes any [section]"
-    elif isinstance(exc, configparser.ParsingError):
-        line, what = exc.errors[0][0], "not a [section] or a key = value"
-    elif isinstance(exc, configparser.DuplicateOptionError):
-        line, what = exc.lineno, f"[{exc.section}] {exc.option} given twice"
+    """An INI syntax error as a ValueError that names the file and line: a
+    ParsingError lists the lines it failed on, the other errors carry one."""
+    if isinstance(exc, configparser.DuplicateOptionError):
+        what = f"[{exc.section}] {exc.option} given twice"
     elif isinstance(exc, configparser.DuplicateSectionError):
-        line, what = exc.lineno, f"section [{exc.section}] given twice"
+        what = f"section [{exc.section}] given twice"
+    elif isinstance(exc, configparser.MissingSectionHeaderError):
+        what = "a key before any [section] header"
     else:
-        return ValueError(f"config file {path}: {exc}")
+        what = "not a [section] or a key = value"
+    line = getattr(exc, "lineno", None) or exc.errors[0][0]
     return ValueError(f"config file {path}, line {line}: {what}")
 
 
@@ -73,7 +73,8 @@ def _parse_file(path) -> dict:
     parser = configparser.ConfigParser(interpolation=None)
     try:
         found = parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
+    except (configparser.ParsingError, configparser.DuplicateSectionError,
+            configparser.DuplicateOptionError) as exc:
         raise _syntax_error(path, exc) from None
     if not found:
         raise ValueError(f"config file {path!r} not found or unreadable")
