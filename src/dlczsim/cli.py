@@ -129,6 +129,7 @@ def _json_text(payload) -> str:
 
 def _parse_grid_ms(args) -> list:
     """The storage times in ms; each must be finite in the t_us column."""
+    flag = "--t-ms" if args.t_ms is not None else "--t-max-ms"
     if args.t_ms is not None:
         entries = [v for v in args.t_ms.split(",") if v.strip() != ""]
         if not entries:
@@ -136,7 +137,7 @@ def _parse_grid_ms(args) -> list:
         if len(entries) > MAX_POINTS:
             raise ValueError(f"--t-ms lists {len(entries)} storage times, "
                              f"at most {MAX_POINTS} are allowed")
-        ts, flag = [float(v) for v in entries], "--t-ms"
+        ts = [float(v) for v in entries]
     else:
         if not 2 <= args.points <= MAX_POINTS:
             raise ValueError(f"--points must lie in [2, {MAX_POINTS}], "
@@ -145,7 +146,6 @@ def _parse_grid_ms(args) -> list:
             raise ValueError("need finite 0 <= --t-min-ms < --t-max-ms")
         step = (args.t_max_ms - args.t_min_ms) / (args.points - 1)
         ts = [args.t_min_ms + i * step for i in range(args.points)]
-        flag = "--t-max-ms"
     if not all(0.0 <= t * 1e3 < math.inf for t in ts):
         raise ValueError(f"{flag}: storage times must be >= 0 and finite "
                          f"in microseconds")
