@@ -26,7 +26,7 @@ al., Rev. Mod. Phys. 83, 33 (2011).
 The anchor report fits chi by a bisection over whole sweeps. Its result
 is that of the plain bisection, but only the midpoints whose verdict the
 earlier sweeps leave open are swept, after a regula falsi search has
-placed sweeps near the root: 59 sweeps per default report, not 114.
+placed sweeps near the root: 56 sweeps per default report, not 114.
 """
 
 from __future__ import annotations
@@ -268,7 +268,7 @@ def repeater_rate(p: RepeaterParams, total_km) -> RateCurve:
 def _distance_grid(l_min_km: float, l_max_km: float, points: int,
                    grid: str) -> np.ndarray:
     """A sweep's distance grid, read-only, so that every sweep over the same
-    bounds shares one array (the anchor report's 59 sweeps, say); the last
+    bounds shares one array (the anchor report's 56 sweeps, say); the last
     four grids are kept."""
     space = np.geomspace if grid == "log" else np.linspace
     ls = space(l_min_km, l_max_km, points)
@@ -297,17 +297,19 @@ def crossing_distance(distances_km, rates, target_rate: float) -> float:
 
     Log-linear interpolation (log rate against distance) between the first
     bracketing grid pair; an exact grid hit at or before that pair returns
-    that grid distance. Raises NotBracketedError when the curve never spans
-    the target.
+    that grid distance. A rate under the collapse floor, 0 at a collapsed
+    or unreachable point, reads as the floor (about 1e-300), so a drop
+    into a collapse is a crossing and a target under the floor is never
+    crossed. Raises NotBracketedError when the curve never spans the
+    target.
     """
     if not (0.0 < target_rate < math.inf):
         raise ValueError("target rate must be positive and finite")
     ls = np.asarray(distances_km, dtype=float)
-    rs = np.asarray(rates, dtype=float)
+    rs = np.maximum(np.asarray(rates, dtype=float), math.exp(_LOG_FLOOR))
     lo, hi = rs[:-1], rs[1:]
     hits = np.flatnonzero(rs == target_rate)
-    spans = (lo - target_rate) * (hi - target_rate) < 0.0
-    brackets = np.flatnonzero((lo > 0.0) & (hi > 0.0) & spans)
+    brackets = np.flatnonzero((lo - target_rate) * (hi - target_rate) < 0.0)
     if hits.size and not (brackets.size and brackets[0] < hits[0]):
         return float(ls[hits[0]])
     if brackets.size:
@@ -374,63 +376,28 @@ def _fit_chi_for_crossing(p: RepeaterParams, target_rate: float,
     The bisection is replayed, and only the midpoints whose verdict the
     sweeps so far leave open are swept. At every distance p0 rises with
     chi, and so do each P_j (the chain waits less) and p_pr, so the rate
-    rises too; it falls with distance. Between two chis the rates at each
-    grid point are thus bounded by theirs, and so is the first grid point
-    below the target rate; a crossing, where there is one, rises with chi.
-    The verdict alone is not monotone: a crossing is also None where the
-    rate drops from above the target rate to a collapse (0) between two
-    grid points, which on a coarse grid recurs as chi rises. So a verdict
-    is implied for chi only
-
-    * below, by a swept chi at or above it that is below and whose last
-      grid point at or above the target rate (if any) lies short of
-      target_km: no smaller chi reaches further;
-    * not below, by a swept chi at or under it that is not below, and a
-      swept chi at or above it whose first grid point below the target
-      rate comes before the first zero rate of the former: every chi
-      between crosses by that point, without a collapse, and no shorter.
+    rises too, and with it the rate read at the collapse floor; it falls
+    with distance. So the first grid point below the target rate, and the
+    interpolated crossing, rise with chi. Once 0.99 is not below, every
+    sweep crosses or lies below the target rate throughout, and the
+    verdict is monotone: every chi at or under a swept "below" is below,
+    and every chi at or above a swept "not below" is not.
 
     A regula falsi search (Illinois) in log chi first narrows the bracket
-    of swept verdicts, so that the replay finds most of its midpoints
-    implied. It stops at a verdict "below" that implies nothing, the sign
-    of a collapse on the grid past target_km.
+    (a, b) of swept verdicts, so that the replay sweeps only the midpoints
+    inside it.
     """
-    swept = []  # (chi, below, knee, zero) of every sweep
-    below_to = 0.0  # every chi up to this one is below
-
     def probe(chi: float) -> tuple:
-        """``(below, crossing - target_km or None, implies)`` at chi;
-        ``implies`` is true where every smaller chi is below too."""
-        nonlocal below_to
-        c, curve = _swept_crossing(replace(p, chi=chi), target_rate, l_min,
-                                   l_max, points)
-        rates = curve.rate_per_s
-        # first grid index below the target rate, first with a zero rate
-        # (points where there is none)
-        knee, zero = (int(np.argmax(np.append(m, True)))
-                      for m in (rates < target_rate, rates <= 0.0))
-        below = c is None or c < target_km
-        implies = below and (knee == 0
-                             or curve.distance_km[knee - 1] < target_km)
-        if implies:
-            below_to = max(below_to, chi)
-        swept.append((chi, below, knee, zero))
-        return below, None if c is None else c - target_km, implies
-
-    def implied(chi: float) -> Optional[bool]:
-        """The verdict at chi where the sweeps so far imply it, else None."""
-        if chi <= below_to:
-            return True
-        zero = max((z for x, below, _, z in swept if x <= chi and not below),
-                   default=0)
-        knee = min((k for x, _, k, _ in swept if x >= chi), default=points)
-        return False if knee < zero else None
+        """``(below, crossing - target_km or None)`` at chi."""
+        c = _swept_crossing(replace(p, chi=chi), target_rate, l_min, l_max,
+                            points)[0]
+        return c is None or c < target_km, None if c is None else c - target_km
 
     lo, hi = 1e-4, 0.99
-    hi_below, f_b, _ = probe(hi)
+    hi_below, f_b = probe(hi)
     if hi_below:
         return None
-    _, f_a, _ = probe(lo)
+    _, f_a = probe(lo)
     if f_a is not None and f_a > 0.0:
         return None
     # regula falsi on crossing - target_km against log chi; a step
@@ -446,9 +413,7 @@ def _fit_chi_for_crossing(p: RepeaterParams, target_rate: float,
             step = math.exp(x_b - f_b * (x_b - x_a) / (f_b - f_a))
             if a < step < b:
                 chi = step
-        is_below, f, implies = probe(chi)
-        if is_below and not implies:
-            break
+        is_below, f = probe(chi)
         if is_below:
             a, f_a = chi, f
             if side == "a":
@@ -459,13 +424,11 @@ def _fit_chi_for_crossing(p: RepeaterParams, target_rate: float,
             if side == "b" and f_a is not None:
                 f_a /= 2.0
             side = "b"
-    # the bisection, replayed
+    # the bisection, replayed; a midpoint swept here becomes lo or hi, so
+    # later midpoints lie inside it and (a, b) need not narrow
     for _ in range(60):
         mid = math.sqrt(lo * hi)
-        is_below = implied(mid)
-        if is_below is None:
-            is_below = probe(mid)[0]
-        if is_below:
+        if mid <= a or (mid < b and probe(mid)[0]):
             lo = mid
         else:
             hi = mid
