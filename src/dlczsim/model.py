@@ -219,10 +219,13 @@ class CavityParams:
 def decay_law(t, amplitude, tau_gauss, tau_exp):
     """The decay family of both the retrieval efficiency and the
     visibility, ``amplitude * (exp(-(t/tau_gauss)^2) + exp(-t/tau_exp)) / 2``,
-    with numpy's exp. ``t`` broadcasts against the other three.
+    with numpy's exp. ``t`` broadcasts against the other three. A square
+    past the largest float is inf, whose exp(-inf) is 0.
     """
     xg = t / tau_gauss
-    return amplitude * (np.exp(-xg * xg) + np.exp(-t / tau_exp)) / 2.0
+    with np.errstate(over="ignore"):
+        xg2 = xg * xg
+    return amplitude * (np.exp(-xg2) + np.exp(-t / tau_exp)) / 2.0
 
 
 def retrieval_efficiency(t, model: DecayModel):

@@ -325,6 +325,17 @@ class TestRepeater:
         assert data["pr_nonphysical_units"] is False
         assert data["link_convention"] == "L_over_n"
 
+    def test_crossing_into_a_collapse_is_reported(self, capsys):
+        # the rate falls from above 1e-4 straight to a collapse between the
+        # grid points at 435.8 and 545.8 km (a fine sweep crosses at 442 km)
+        rc, out, _ = run(capsys, "repeater", "--link-convention", "L_over_n",
+                         "--interpretation", "total_elapsed_time",
+                         "--r0", "0.9277315906735355", "--chi", "0.1",
+                         "--l-min-km", "1", "--l-max-km", "20000",
+                         "--points", "45", "--format", "json")
+        assert rc == 0
+        assert 435.8 <= json.loads(out)["crossing_km"] <= 545.8
+
     def test_literal_interpretation_flagged(self, capsys):
         rc, out, _ = run(capsys, "repeater", "--points", "10",
                          "--l-min-km", "10", "--l-max-km", "100",
@@ -1007,6 +1018,27 @@ class TestRunSizeBound:
         assert rc == 2
         assert out == "" and flag in err and "finite" in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, row", [
+        (["efficiency"], "1e+203,0"), (["bell"], "1e+203,0,0")],
+        ids=["efficiency", "bell"])
+    def test_storage_time_past_the_decay_square_reads_zero(self, argv, row,
+                                                           capsys):
+        # (t / tau_gauss)**2 passes the largest float: exp(-inf) is 0,
+        # with no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, out, err = run(capsys, *argv, "--t-ms", "1e200")
+        assert rc == 0 and err == ""
+        assert out.splitlines()[1:] == [row]
+
+    def test_montecarlo_storage_time_past_the_decay_square_runs(self,
+                                                                capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, _, _ = run(capsys, "efficiency", "--montecarlo",
+                           "--t-ms", "1e200")
+        assert rc in (0, 3)
 
     @pytest.mark.parametrize("run_ms", ["1e12", "393.218"])
     @pytest.mark.parametrize("argv", [

@@ -345,6 +345,17 @@ class TestCrossing:
             == pytest.approx(150.0)
         assert crossing_distance(ls, [1e-3, 1e-4, 1e-5, 1e-3], 1e-4) == 200.0
 
+    def test_drop_into_a_collapse_interpolates_towards_the_floor(self):
+        # a zero rate reads as the collapse floor, about 1e-300: the target
+        # lies 2 of the 298 decades from 1e-2 down to it
+        assert crossing_distance([100, 200, 300], [1e-2, 0.0, 0.0], 1e-4) \
+            == pytest.approx(100.0 + 100.0 * 2.0 / 298.0, rel=1e-12)
+
+    @pytest.mark.parametrize("rates", [[1e-2, 0.0, 0.0], [1e-2, 1e-320, 0.0]])
+    def test_target_under_the_floor_never_crossed(self, rates):
+        with pytest.raises(NotBracketedError):
+            crossing_distance([100, 200, 300], rates, 1e-310)
+
     def test_flat_zero_curve_not_bracketed(self):
         with pytest.raises(NotBracketedError):
             crossing_distance([100, 200, 300], [0.0, 0.0, 0.0], 1e-4)
@@ -434,9 +445,9 @@ class TestFitChi:
     @given(convention=st.sampled_from(LINK_CONVENTIONS),
            exponent=st.sampled_from(PR_EXPONENTS), r0=st.floats(0.3, 1.0),
            target_km=st.floats(300.0, 3000.0), points=st.integers(40, 150))
-    # coarse grids on which a crossing falls between a rate above the
-    # target rate and a collapse for some chi above the fitted one, so
-    # that "below" is not monotone in chi
+    # coarse grids on which, for some chi above the fitted one, the rate
+    # falls from above the target rate straight to a collapse between two
+    # grid points: read at the collapse floor, that drop is a crossing
     @example(convention="L_over_n", exponent="total_elapsed_time",
              r0=0.9277315906735355, target_km=590.8728497098356, points=45)
     @example(convention="L_over_2_pow_n", exponent="flight_time",
@@ -459,6 +470,21 @@ class TestFitChi:
         got = repeater._fit_chi_for_crossing(p, 1e-4, target_km, 1.0,
                                              20000.0, points)
         assert got == fit_chi_bisection_oracle(crossing, target_km)
+
+    @pytest.mark.parametrize("convention, exponent, r0, points", [
+        ("L_over_n", "total_elapsed_time", 0.9277315906735355, 45),
+        ("L_over_2_pow_n", "flight_time", 0.7886394462896906, 47)])
+    def test_crossing_rises_with_chi_through_collapses(self, convention,
+                                                       exponent, r0, points):
+        # the coarse grids of the examples above, where the rate falls into
+        # a collapse between two grid points at many chis
+        p = dataclasses.replace(FIG5, link_convention=convention,
+                                pr_exponent=exponent, r0=r0)
+        crossings = [repeater._swept_crossing(
+            dataclasses.replace(p, chi=chi), 1e-4, 1.0, 20000.0, points)[0]
+            for chi in np.geomspace(1e-3, 0.99, 200)]
+        assert None not in crossings
+        assert all(a <= b for a, b in zip(crossings, crossings[1:]))
 
     def test_default_report_sweeps_at_most_75_times(self, monkeypatch):
         calls = []
