@@ -424,8 +424,8 @@ def _fit_chi_for_crossing(p: RepeaterParams, target_rate: float,
             if side == "b" and f_a is not None:
                 f_a /= 2.0
             side = "b"
-    # the bisection, replayed; a midpoint swept here becomes lo or hi, so
-    # later midpoints lie inside it and (a, b) need not narrow
+    # the bisection, replayed; (a, b) stays as it is, since a midpoint
+    # swept here becomes lo or hi, which bound every later midpoint
     for _ in range(60):
         mid = math.sqrt(lo * hi)
         if mid <= a or (mid < b and probe(mid)[0]):
