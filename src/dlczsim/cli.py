@@ -1,7 +1,9 @@
 """Command line front end: reproducible CSV/JSON outputs for every figure.
 
 Subcommands: ``efficiency``, ``bell``, ``repeater``, ``calibrate``,
-``simulate``. All numeric output is deterministic under a fixed seed:
+``simulate``. The first three write a table in ``--format`` CSV or JSON;
+the anchor report, ``calibrate`` and ``simulate`` write JSON and take no
+``--format``. All numeric output is deterministic under a fixed seed:
 the same invocation always produces byte-identical files. Output paths are
 checked before any other work, configuration is validated in full before
 any output file is opened, and every output file is written under a
@@ -52,12 +54,6 @@ MAX_POINTS = 10_000
 # an explicit one can be told apart: the anchor report sweeps its own grid.
 SWEEP_DEFAULTS = {"l_min_km": 10.0, "l_max_km": 5000.0, "points": 120,
                   "grid": "log"}
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".12g")
-    return str(x)
 
 
 @contextlib.contextmanager
@@ -117,20 +113,41 @@ def _write_text(path, text: str) -> None:
             fh.write(text)
 
 
-def _csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write_table(args, header, rows, summary=None, extras=None) -> None:
+    """Write float ``rows`` under ``header`` to ``--out`` in ``--format``:
+    CSV with one ``%.12g`` format string per row, or JSON of ``summary``
+    and one object per row, with the row's entry of ``extras``. The
+    summary also goes to ``--summary-out``, in either format."""
+    if args.format == "json":
+        objs = [dict(zip(header, r), **x)
+                for r, x in zip(rows, extras or [{}] * len(rows))]
+        _write_text(args.out, _json_text({**(summary or {}), "rows": objs}))
+    else:
+        line = ",".join(["%.12g"] * len(header)) + "\n"
+        _write_text(args.out, ",".join(header) + "\n"
+                    + "".join([line % tuple(r) for r in rows]))
+    if getattr(args, "summary_out", None):
+        _write_text(args.summary_out, _json_text(summary))
+
+
+def _refuse_given(args, names, owner: str) -> None:
+    """Refuse each flag of ``names`` given with ``owner``, which sets it."""
+    flags = ", ".join("--" + n.replace("_", "-") for n in names
+                      if getattr(args, n) is not None)
+    if flags:
+        raise ValueError(f"{owner}; {flags} cannot be given with it")
 
 
 def _parse_grid_ms(args) -> list:
     """The storage times in ms; each must be finite in the t_us column."""
     flag = "--t-ms" if args.t_ms is not None else "--t-max-ms"
     if args.t_ms is not None:
+        _refuse_given(args, args.grid_defaults,
+                      "--t-ms lists its own storage times")
         entries = [v for v in args.t_ms.split(",") if v.strip() != ""]
         if not entries:
             raise ValueError("--t-ms list is empty")
@@ -139,6 +156,8 @@ def _parse_grid_ms(args) -> list:
                              f"at most {MAX_POINTS} are allowed")
         ts = [float(v) for v in entries]
     else:
+        vars(args).update({k: v for k, v in args.grid_defaults.items()
+                           if getattr(args, k) is None})
         if not 2 <= args.points <= MAX_POINTS:
             raise ValueError(f"--points must lie in [2, {MAX_POINTS}], "
                              f"got {args.points}")
@@ -189,11 +208,7 @@ def cmd_efficiency(args) -> int:
             row += [est.qubit.value, est.qubit.error]
 
     header = ["t_us", "R_model"] + (["R_mc", "R_mc_err"] if args.montecarlo else [])
-    if args.format == "json":
-        payload = {"rows": [dict(zip(header, r)) for r in rows]}
-        _write_text(args.out, _json_text(payload))
-    else:
-        _write_text(args.out, _csv_text(header, rows))
+    _write_table(args, header, rows)
     return EXIT_OK
 
 
@@ -216,24 +231,21 @@ def cmd_bell(args) -> int:
         rows = [[t_ms * 1e3, est.value, est.error]
                 for t_ms, est in zip(ts_ms, ests)]
 
-    header = ["t_us", "S", "S_err"]
-    if args.format == "json":
-        _write_text(args.out, _json_text(
-            {"rows": [dict(zip(header, r)) for r in rows]}))
-    else:
-        _write_text(args.out, _csv_text(header, rows))
+    _write_table(args, ["t_us", "S", "S_err"], rows)
     return EXIT_OK
 
 
 def cmd_repeater(args) -> int:
-    given = [k for k in SWEEP_DEFAULTS if getattr(args, k) is not None]
-    if args.anchor_report and given:
-        flags = ", ".join("--" + k.replace("_", "-") for k in given)
-        raise ValueError(f"--anchor-report sweeps its own grid; {flags} "
-                         f"cannot be given with it")
-    for k, default in SWEEP_DEFAULTS.items():
-        if getattr(args, k) is None:
-            setattr(args, k, default)
+    # repeater flag -> the RepeaterParams field it sets; the anchor report
+    # sets these fields itself, with its own grid and output
+    fields = {"r0": "r0", "chi": "chi", "link_convention": "link_convention",
+              "interpretation": "pr_exponent"}
+    if args.anchor_report:
+        _refuse_given(args, [*SWEEP_DEFAULTS, *fields, "format",
+                             "summary_out"],
+                      "--anchor-report sets its own grid, model and output")
+    vars(args).update({k: v for k, v in SWEEP_DEFAULTS.items()
+                       if getattr(args, k) is None})
     if not 2 <= args.points <= MAX_POINTS:
         raise ValueError(f"--points must lie in [2, {MAX_POINTS}], "
                          f"got {args.points}")
@@ -244,15 +256,9 @@ def cmd_repeater(args) -> int:
         raise ValueError(f"need finite 0 < --l-min-km < --l-max-km, got "
                          f"{args.l_min_km!r} and {args.l_max_km!r}")
     cfg = load_config(args.config, args.seed)
-    params = cfg.repeater
-    if args.link_convention:
-        params = dataclasses.replace(params, link_convention=args.link_convention)
-    if args.interpretation:
-        params = dataclasses.replace(params, pr_exponent=args.interpretation)
-    if args.chi is not None:
-        params = dataclasses.replace(params, chi=args.chi)
-    if args.r0 is not None:
-        params = dataclasses.replace(params, r0=args.r0)
+    params = dataclasses.replace(cfg.repeater, **{
+        field: getattr(args, flag) for flag, field in fields.items()
+        if getattr(args, flag) is not None})
 
     if args.anchor_report:
         entries = repeater.calibration_report(
@@ -302,18 +308,9 @@ def cmd_repeater(args) -> int:
             curve.distance_km, curve.rate_per_s, args.target_rate)
     except NotBracketedError:
         summary["crossing_km"] = None
-
-    if args.format == "json":
-        payload = dict(summary)
-        payload["rows"] = [
-            dict(zip(header, r), status=s, collapsed_at=c or None)
-            for r, s, c in zip(rows, curve.status.tolist(),
-                               curve.collapsed_at.tolist())]
-        _write_text(args.out, _json_text(payload))
-    else:
-        _write_text(args.out, _csv_text(header, rows))
-        if args.summary_out:
-            _write_text(args.summary_out, _json_text(summary))
+    _write_table(args, header, rows, summary, extras=[
+        {"status": s, "collapsed_at": c or None}
+        for s, c in zip(curve.status.tolist(), curve.collapsed_at.tolist())])
     return EXIT_OK
 
 
@@ -381,20 +378,25 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, table: bool = False) -> None:
     p.add_argument("--config", default=None, help="INI config file")
     p.add_argument("--seed", type=int, default=None,
                    help="override the [output] seed")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    if table:
+        p.add_argument("--format", choices=("csv", "json"), default=None,
+                       help="default csv")
 
 
 def _add_grid(p: argparse.ArgumentParser, t_max: float, points: int) -> None:
+    # the grid flags default to None, so that --t-ms can refuse a given one
     p.add_argument("--t-ms", default=None,
                    help="comma-separated storage times in ms")
-    p.add_argument("--t-min-ms", type=float, default=0.0)
-    p.add_argument("--t-max-ms", type=float, default=t_max)
-    p.add_argument("--points", type=int, default=points)
+    p.add_argument("--t-min-ms", type=float, default=None)
+    p.add_argument("--t-max-ms", type=float, default=None)
+    p.add_argument("--points", type=int, default=None)
+    p.set_defaults(grid_defaults={"t_min_ms": 0.0, "t_max_ms": t_max,
+                                  "points": points})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("efficiency",
                        help="retrieval-efficiency curve (analytic, plus "
                             "optional Monte Carlo estimates)")
-    _add_common(p)
+    _add_common(p, table=True)
     _add_grid(p, t_max=3.0, points=61)
     p.add_argument("--montecarlo", action="store_true")
     p.add_argument("--trials", type=int, default=200000,
@@ -415,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_efficiency)
 
     p = sub.add_parser("bell", help="CHSH parameter versus storage time")
-    _add_common(p)
+    _add_common(p, table=True)
     _add_grid(p, t_max=2.6, points=14)
     p.add_argument("--mode", choices=("analytic", "montecarlo"),
                    default="analytic")
@@ -427,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bell)
 
     p = sub.add_parser("repeater", help="rate-versus-distance sweeps")
-    _add_common(p)
+    _add_common(p, table=True)
     p.add_argument("--l-min-km", type=float, default=None, help="default 10")
     p.add_argument("--l-max-km", type=float, default=None,
                    help="default 5000")
@@ -443,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interpretation", choices=repeater.PR_EXPONENTS,
                    default=None, help="pair-distribution decay exponent")
     p.add_argument("--summary-out", default=None,
-                   help="also write a JSON summary beside the CSV")
+                   help="also write the JSON summary of the table")
     p.add_argument("--anchor-report", action="store_true",
                    help="enumerate crossing distances for every "
                         "interpretation and chi combination")

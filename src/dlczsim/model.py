@@ -32,8 +32,7 @@ TWO_PI = 2.0 * math.pi
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
 
-def _check_unit_interval(name: str, value, *, lo_open: bool = False,
-                         hi_open: bool = False) -> None:
+def _check_unit_interval(name: str, value, *, hi_open: bool = False) -> None:
     # an array is checked at its extremes, which are NaN if it holds one
     lo, hi = ((value.min(), value.max()) if isinstance(value, np.ndarray)
               else (value, value))
@@ -41,8 +40,6 @@ def _check_unit_interval(name: str, value, *, lo_open: bool = False,
         raise ValueError(f"{name} must be finite, got {value!r}")
     if lo < 0.0 or hi > 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    if lo_open and lo == 0.0:
-        raise ValueError(f"{name} must be > 0")
     if hi_open and hi == 1.0:
         raise ValueError(f"{name} must be < 1")
 

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -8,7 +9,9 @@ import sys
 import threading
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import dlczsim
 from dlczsim import _kernels, calibration as cal, cli, montecarlo, repeater
@@ -290,6 +293,34 @@ class TestOutputFiles:
         assert text.startswith(b"L_km,") and b'"status_counts"' in text
         assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [
+        ["calibrate", "--which", "decay", "--data", "pts.csv"],
+        ["simulate", "--dump", "dump.csv"]], ids=["calibrate", "simulate"])
+    def test_format_on_a_json_command_exits_2(self, argv, fmt, tmp_path,
+                                              capsys, monkeypatch):
+        # calibrate and simulate write JSON only, so they take no --format
+        monkeypatch.chdir(tmp_path)
+        _refuse_work(monkeypatch, "--format")
+        with pytest.raises(SystemExit) as usage:
+            main([*argv, "--format", fmt, "--out", "out.json"])
+        assert usage.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --format" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_csv_cells_are_format_12g(self, tmp_path):
+        # one "%.12g" format string per row writes the digits of
+        # format(x, ".12g"), for a float and a numpy float alike
+        values = [1e16, 5e-324, -0.0, math.inf, -math.inf, math.nan,
+                  0.1 + 0.2]
+        out = tmp_path / "table.csv"
+        args = cli.build_parser().parse_args(["bell", "--out", str(out)])
+        cli._write_table(args, ["x", "y"],
+                         [[v, np.float64(-v)] for v in values])
+        assert out.read_text().splitlines() == ["x,y"] + [
+            f"{format(v, '.12g')},{format(-v, '.12g')}" for v in values]
+
 
 class TestRepeater:
     def test_csv_header_is_pinned(self, capsys):
@@ -414,6 +445,17 @@ class TestRepeater:
         assert rc == 0
         assert json.loads(summary.read_text())["status_counts"] == counts
 
+    def test_summary_out_under_json_is_the_payload_without_rows(
+            self, tmp_path, capsys):
+        out, summary = tmp_path / "curve.json", tmp_path / "summary.json"
+        rc, _, _ = run(capsys, "repeater", "--points", "5", "--format",
+                       "json", "--out", str(out), "--summary-out",
+                       str(summary))
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        del payload["rows"]
+        assert json.loads(summary.read_text()) == payload
+
     def test_rate_past_the_largest_float_exits_2_without_output(
             self, tmp_path, capsys):
         out = tmp_path / "out.csv"
@@ -472,23 +514,28 @@ class TestRepeater:
 
     @pytest.mark.parametrize("flag, value", [
         ("--points", "5"), ("--points", str(cli.MAX_POINTS + 1)),
-        ("--l-min-km", "10"), ("--l-max-km", "100"), ("--grid", "log")])
+        ("--l-min-km", "10"), ("--l-max-km", "100"), ("--grid", "log"),
+        ("--r0", "0.77"), ("--chi", "0.02"),
+        ("--link-convention", "L_over_n"),
+        ("--interpretation", "total_elapsed_time"), ("--format", "csv"),
+        ("--summary-out", "summary.json")])
     def test_anchor_report_with_a_grid_flag_exits_2(self, flag, value,
                                                      tmp_path, capsys,
                                                      monkeypatch):
-        # the report sweeps its own grid: even a flag given at its default
-        # value is refused, before the config is read
+        # the report sweeps its own grid and sets the model flags and the
+        # output itself: even a flag given at its default value is
+        # refused, before the config is read
         def no_work(*args, **kwargs):
             raise AssertionError("work started")
+        monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(cli, "load_config", no_work)
         monkeypatch.setattr(repeater, "calibration_report", no_work)
-        out = tmp_path / "report.json"
         rc, stdout, err = run(capsys, "repeater", "--anchor-report", flag,
-                              value, "--out", str(out))
+                              value, "--out", "report.json")
         assert rc == 2
         assert stdout == ""
         assert err.count("\n") == 1 and flag in err
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ("--target-rate", "nan"), ("--target-rate", "inf"),
@@ -1061,6 +1108,22 @@ class TestRunSizeBound:
         assert str(montecarlo.MAX_SLOTS_PER_RUN) in err
         assert list(tmp_path.iterdir()) == [cfg]
 
+    @pytest.mark.parametrize("flags", [
+        ["--t-min-ms", "0"], ["--t-max-ms", "3"], ["--points", "61"],
+        ["--points", "5", "--t-min-ms", "1"]])
+    @pytest.mark.parametrize("command", ["efficiency", "bell"])
+    def test_t_ms_with_a_grid_flag_exits_2(self, command, flags, tmp_path,
+                                           capsys, monkeypatch):
+        # --t-ms lists the storage times, so a grid flag would do nothing:
+        # even one given at its default value is refused
+        _refuse_work(monkeypatch, "--t-ms")
+        rc, out, err = run(capsys, command, "--t-ms", "0,1", *flags,
+                           "--out", str(tmp_path / "out.csv"))
+        assert rc == 2
+        assert out == "" and err.count("\n") == 1 and "--t-ms" in err
+        assert all(flag in err for flag in flags[::2])
+        assert list(tmp_path.iterdir()) == []
+
     def test_storage_time_grid_at_the_bound_runs(self, capsys):
         rc, out, _ = run(capsys, "bell", "--points", str(cli.MAX_POINTS))
         assert rc == 0
@@ -1097,6 +1160,64 @@ class TestWorkersBound:
         assert "--workers" in err
         assert list(tmp_path.iterdir()) == []
         assert threading.active_count() == threads
+
+
+def _numeric_flags() -> dict:
+    """Subcommand -> its int and float options, read from the parser."""
+    sub, = [a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    return {name: [a.option_strings[0] for a in p._actions
+                   if a.type in (int, float)]
+            for name, p in sub.choices.items()}
+
+
+NUMERIC_FLAGS = _numeric_flags()
+EDGE_VALUES = ["nan", "inf", "-inf", "-0", "0", "-1", "1e-320", "1e308",
+               str(2 ** 80)]
+# each subcommand in each of its modes, with the inputs it requires
+MODES = [["efficiency"], ["efficiency", "--montecarlo"], ["bell"],
+         ["bell", "--mode", "montecarlo"], ["repeater"],
+         ["repeater", "--anchor-report"],
+         ["calibrate", "--which", "decay", "--data", "pts.csv"],
+         ["simulate", "--dump", "dump.csv"]]
+
+
+@st.composite
+def edge_argv(draw):
+    mode = draw(st.sampled_from(MODES))
+    given = draw(st.dictionaries(st.sampled_from(NUMERIC_FLAGS[mode[0]]),
+                                 st.sampled_from(EDGE_VALUES),
+                                 min_size=1, max_size=3))
+    return mode + [f"{flag}={value}" for flag, value in given.items()]
+
+
+class TestGeneratedInput:
+    def test_every_subcommand_has_numeric_flags(self):
+        assert set(NUMERIC_FLAGS) == {m[0] for m in MODES}
+        assert all(NUMERIC_FLAGS.values())
+
+    # the directory is shared by the examples: no example writes a file
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=edge_argv())
+    def test_edge_values_exit_0_2_or_3(self, argv, tmp_path, capsys,
+                                       monkeypatch):
+        # an input that reaches the refused work is accepted
+        monkeypatch.chdir(tmp_path)
+        _refuse_work(monkeypatch, "edge value")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                rc = main([*argv, "--out", "out"])
+            except SystemExit as usage:
+                rc = usage.code
+            except AssertionError as refused:
+                assert "work started" in str(refused)
+                rc = None
+        _, err = capsys.readouterr()
+        assert rc in (None, 0, 2, 3)
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestParserReuse:
