@@ -2,9 +2,10 @@
 
 Two fitters: the retrieval-efficiency decay (amplitude and lifetime) and
 the CHSH-decay model (zero-delay mixing parameter plus the two visibility
-decay constants). Both use a fixed starting grid followed by bounded
-least-squares refinement, so repeated runs give identical parameters; the
-resulting calibration is stored as JSON and shipped as a package fixture.
+decay constants). Both are one fit of the model's ``decay_law``, a fixed
+starting grid followed by bounded least-squares refinement, so repeated
+runs give identical parameters; the resulting calibration is stored as
+JSON and shipped as a package fixture.
 Both curves are the model's: the decay fit's is ``retrieval_efficiency``,
 the Bell fit's is ``expected_bell``, which is linear in the visibility.
 """
@@ -22,8 +23,7 @@ import numpy as np
 
 from ._keys import defaults
 from .errors import FitConvergenceError
-from .model import (DecayModel, SourceParams, decay_law, expected_bell,
-                    retrieval_efficiency)
+from .model import DecayModel, SourceParams, decay_law, expected_bell
 
 
 @dataclass(frozen=True)
@@ -45,14 +45,50 @@ class DataPoint:
             raise ValueError("sigma must be positive")
 
 
-def _best_amplitude(shape: np.ndarray, y: np.ndarray, w: np.ndarray,
-                    upper: float = np.inf):
+def _best_amplitude(shape: np.ndarray, y: np.ndarray, w: np.ndarray):
     """Weighted least-squares amplitude of ``shape`` against ``y`` along the
-    last axis, clipped to ``[0, upper]``; 0 where the shape vanishes."""
+    last axis, clipped to ``[0, 1]``; 0 where the shape vanishes."""
     denom = np.sum(w * shape * shape, axis=-1)
     num = np.sum(w * shape * y, axis=-1)
     amp = np.divide(num, denom, out=np.zeros_like(denom), where=denom > 0.0)
-    return np.clip(amp, 0.0, upper)
+    return np.clip(amp, 0.0, 1.0)
+
+
+def _fit_decay_law(ts, ys, ws, scale, reach: float, n: int, tied: bool):
+    """Least-squares fit of ``scale * decay_law(ts, a, tau_g, tau_e)`` to
+    ``ys`` with weights ``ws``: ``(a, tau_g, tau_e, residuals, converged)``.
+
+    The decay times start from a fixed grid of ``n`` log-spaced values
+    within ``reach`` times the time span on either side, or of all ``n``
+    x ``n`` pairs of them unless ``tied`` (then ``tau_g = tau_e``), every
+    start evaluated in one pass. The amplitude enters linearly and gets
+    its closed-form value per start; the best start is refined in log
+    time, with a budget of 200 evaluations per parameter.
+    """
+    from scipy.optimize import least_squares  # 0.5 s to import: only fits pay
+
+    span = max(ts.max(), 1e-9)
+    taus = np.geomspace(span / reach, span * reach, n)
+    tg, te = (taus, taus) if tied else (np.repeat(taus, n), np.tile(taus, n))
+    shape = scale * decay_law(ts, 1.0, tg[:, None], te[:, None])
+    amp = _best_amplitude(shape, ys, ws)
+    k = np.argmin(np.sum(ws * (shape * amp[:, None] - ys) ** 2, axis=-1))
+    start = [amp[k], math.log(tg[k])] + ([] if tied else [math.log(te[k])])
+
+    def resid(x):
+        return np.sqrt(ws) * (scale * decay_law(ts, x[0], math.exp(x[1]),
+                                                math.exp(x[-1])) - ys)
+
+    lo = math.log(span / 1e3)
+    hi = math.log(span * 1e3)
+    sol = least_squares(resid, start,
+                        bounds=([0.0] + [lo] * (len(start) - 1),
+                                [1.0] + [hi] * (len(start) - 1)),
+                        xtol=1e-15, ftol=1e-15, gtol=1e-15,
+                        max_nfev=200 * len(start))
+    a, tau_g, tau_e = float(sol.x[0]), math.exp(sol.x[1]), math.exp(sol.x[-1])
+    res = tuple(float(v) for v in scale * decay_law(ts, a, tau_g, tau_e) - ys)
+    return a, tau_g, tau_e, res, bool(sol.success)
 
 
 @dataclass(frozen=True)
@@ -62,17 +98,13 @@ class DecayFit:
     converged: bool
 
 
-def fit_decay(points: Sequence[DataPoint], max_nfev: int = 400) -> DecayFit:
+def fit_decay(points: Sequence[DataPoint]) -> DecayFit:
     """Least-squares fit of the retrieval-efficiency decay law.
 
-    Needs at least three points at distinct times. The amplitude enters
-    linearly, so each trial lifetime from a fixed log-spaced grid gets its
-    closed-form amplitude before the joint refinement; this keeps the fit
-    deterministic and start-point independent. The decay law is the model's
-    ``decay_law``, evaluated over the whole grid at once.
+    Needs at least three points at distinct times. The fit is
+    ``_fit_decay_law`` with one lifetime, started from a fixed grid of 40,
+    so it is deterministic and start-point independent.
     """
-    from scipy.optimize import least_squares  # 0.5 s to import: only fits pay
-
     points = list(points)
     if len(points) < 3:
         raise ValueError("need at least three calibration points")
@@ -82,28 +114,12 @@ def fit_decay(points: Sequence[DataPoint], max_nfev: int = 400) -> DecayFit:
     ys = np.array([p.value for p in points])
     ws = np.array([1.0 / p.sigma ** 2 for p in points])
 
-    span = max(ts.max(), 1e-9)
-    taus = np.geomspace(span / 30.0, span * 30.0, 40)
-    shape = decay_law(ts, 1.0, taus[:, None], taus[:, None])
-    r0 = _best_amplitude(shape, ys, ws, upper=1.0)
-    k = np.argmin(np.sum(ws * (r0[:, None] * shape - ys) ** 2, axis=-1))
-
-    def resid(x):
-        r0, log_tau = x
-        model = DecayModel(r0, math.exp(log_tau))
-        return np.sqrt(ws) * (retrieval_efficiency(ts, model) - ys)
-
-    sol = least_squares(resid, [r0[k], math.log(taus[k])],
-                        bounds=([0.0, math.log(span / 1e3)],
-                                [1.0, math.log(span * 1e3)]),
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=max_nfev)
-    model = DecayModel(r0=float(sol.x[0]), tau0=float(math.exp(sol.x[1])))
-    res = tuple(float(v) for v in
-                (retrieval_efficiency(ts, model) - ys))
-    if not sol.success:
-        raise FitConvergenceError("decay fit did not converge",
-                                  best=DecayFit(model, res, False))
-    return DecayFit(model=model, residuals=res, converged=True)
+    r0, tau0, _, res, converged = _fit_decay_law(
+        ts, ys, ws, 1.0, reach=30.0, n=40, tied=True)
+    fit = DecayFit(DecayModel(r0=r0, tau0=tau0), res, converged)
+    if not converged:
+        raise FitConvergenceError("decay fit did not converge", best=fit)
+    return fit
 
 
 @dataclass(frozen=True)
@@ -124,21 +140,17 @@ _NO_DECAY_S = float(np.finfo(float).max)
 
 
 def fit_bell_model(points: Sequence[DataPoint], dm: DecayModel,
-                   readout_eta: float, p_noise: float,
-                   max_nfev: int = 600) -> BellFit:
+                   readout_eta: float, p_noise: float) -> BellFit:
     """Fit the mixing parameter and its two decay constants to CHSH data.
 
     With points at several distinct times the three parameters are fitted
-    jointly from a fixed 14 x 14 grid of decay-constant pairs, evaluated in
-    one pass (the mixing parameter enters linearly and gets its closed-form
-    value per pair). When every point sits at zero delay only the mixing
-    parameter is identifiable; the decay constants are then reported
-    unconstrained at their defaults. Raises ``InsufficientStatisticsError``
-    naming the first point time at which the model gives every coincidence
-    outcome zero probability.
+    jointly by ``_fit_decay_law``, started from a fixed 14 x 14 grid of
+    decay-constant pairs. When every point sits at zero delay only the
+    mixing parameter is identifiable; the decay constants are then
+    reported unconstrained at their defaults. Raises
+    ``InsufficientStatisticsError`` naming the first point time at which
+    the model gives every coincidence outcome zero probability.
     """
-    from scipy.optimize import least_squares
-
     points = list(points)
     if not points:
         raise ValueError("need at least one calibration point")
@@ -155,35 +167,14 @@ def fit_bell_model(points: Sequence[DataPoint], dm: DecayModel,
 
     if np.all(ts == 0.0):
         # only the zero-delay mixing parameter is identifiable
-        p0 = float(_best_amplitude(scale, ys, ws, upper=1.0))
+        p0 = float(_best_amplitude(scale, ys, ws))
         res = tuple(float(v) for v in scale * p0 - ys)
         return BellFit(werner_p0=p0, vis_tau_gauss=1.0, vis_tau_exp=1.0,
                        residuals=res, converged=True, decay_constrained=False)
 
-    span = max(ts.max(), 1e-9)
-    grid = np.geomspace(span / 20.0, span * 20.0, 14)
-    shape = scale * decay_law(ts, 1.0, grid[:, None, None],
-                              grid[None, :, None])
-    p0 = _best_amplitude(shape, ys, ws, upper=1.0)
-    chi2 = np.sum(ws * (shape * p0[..., None] - ys) ** 2, axis=-1)
-    i, j = np.unravel_index(np.argmin(chi2), chi2.shape)
-
-    def resid(x):
-        p0, ltg, lte = x
-        return np.sqrt(ws) * (scale * decay_law(ts, p0, math.exp(ltg),
-                                                math.exp(lte)) - ys)
-
-    lo = math.log(span / 1e3)
-    hi = math.log(span * 1e3)
-    sol = least_squares(resid, [p0[i, j], math.log(grid[i]),
-                                math.log(grid[j])],
-                        bounds=([0.0, lo, lo], [1.0, hi, hi]),
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=max_nfev)
-    p0, tg, te = float(sol.x[0]), math.exp(sol.x[1]), math.exp(sol.x[2])
-    res = tuple(float(v) for v in scale * decay_law(ts, p0, tg, te) - ys)
-    fit = BellFit(werner_p0=p0, vis_tau_gauss=tg, vis_tau_exp=te,
-                  residuals=res, converged=bool(sol.success))
-    if not sol.success:
+    fit = BellFit(*_fit_decay_law(ts, ys, ws, scale, reach=20.0, n=14,
+                                  tied=False))
+    if not fit.converged:
         raise FitConvergenceError("Bell-model fit did not converge", best=fit)
     return fit
 

@@ -202,15 +202,10 @@ class CavityParams:
     """Ring-cavity geometry; the stated length is the full round trip."""
 
     length: float
-    finesse_left: float = 16.9
-    finesse_right: float = 17.0
 
     def __post_init__(self) -> None:
         if not (self.length > 0.0):
             raise ValueError(f"cavity length must be positive, got {self.length!r}")
-        for name in ("finesse_left", "finesse_right"):
-            if not (getattr(self, name) > 1.0):
-                raise ValueError(f"{name} must exceed 1")
 
 
 def decay_law(t, amplitude, tau_gauss, tau_exp):
@@ -225,18 +220,23 @@ def decay_law(t, amplitude, tau_gauss, tau_exp):
     return amplitude * (np.exp(-xg2) + np.exp(-t / tau_exp)) / 2.0
 
 
-def retrieval_efficiency(t, model: DecayModel):
-    """Intrinsic retrieval efficiency after a storage time ``t`` (seconds).
-
-    Evaluates ``decay_law(t, r0, tau0, tau0)``; accepts a scalar or an
-    array of times. Monotone non-increasing, bounded by ``[0, r0]``.
-    Negative times are rejected.
-    """
+def _decay_at(t, amplitude, tau_gauss, tau_exp):
+    """``decay_law`` at a storage time ``t`` (seconds), a scalar, which
+    gives a float, or an array; every time must be finite and >= 0."""
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0) or not np.all(np.isfinite(t_arr)):
         raise ValueError("storage time must be finite and >= 0")
-    out = decay_law(t_arr, model.r0, model.tau0, model.tau0)
-    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+    out = decay_law(t_arr, amplitude, tau_gauss, tau_exp)
+    return float(out) if out.ndim == 0 else out
+
+
+def retrieval_efficiency(t, model: DecayModel):
+    """Intrinsic retrieval efficiency after a storage time ``t`` (seconds).
+
+    ``decay_law(t, r0, tau0, tau0)`` at a scalar or an array of finite
+    times >= 0. Monotone non-increasing, bounded by ``[0, r0]``.
+    """
+    return _decay_at(t, model.r0, model.tau0, model.tau0)
 
 
 def escape_efficiency(chain: DetectionChain) -> float:
@@ -258,14 +258,10 @@ def total_detection_efficiency(chain: DetectionChain) -> float:
 def visibility(sp: SourceParams, t):
     """Werner mixing parameter of the pair state after a storage time ``t``.
 
-    Evaluates ``decay_law(t, werner_p0, vis_tau_gauss, vis_tau_exp)``;
-    accepts a scalar or an array of times.
+    ``decay_law(t, werner_p0, vis_tau_gauss, vis_tau_exp)`` at a scalar or
+    an array of finite times >= 0.
     """
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0):
-        raise ValueError("storage time must be >= 0")
-    out = decay_law(t_arr, sp.werner_p0, sp.vis_tau_gauss, sp.vis_tau_exp)
-    return float(out) if out.ndim == 0 else out
+    return _decay_at(t, sp.werner_p0, sp.vis_tau_gauss, sp.vis_tau_exp)
 
 
 def _correlation_kernel(settings: MeasurementSettings, phase: float) -> float:

@@ -36,7 +36,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -336,6 +336,8 @@ CIE_R0 = 0.58
 ANCHOR_CPE_KM = 1000.0
 ANCHOR_CIE_KM = 430.0
 ANCHOR_TOLERANCE = 0.15
+# the excitation probabilities the report evaluates beside its fitted one
+FIXED_CHI = (0.01, 0.02)
 
 
 @dataclass(frozen=True)
@@ -439,27 +441,24 @@ def _fit_chi_for_crossing(p: RepeaterParams, target_rate: float,
 
 def calibration_report(base: RepeaterParams = RepeaterParams(),
                        target_rate: float = 1e-4,
-                       anchor_cpe_km: float = ANCHOR_CPE_KM,
-                       anchor_cie_km: float = ANCHOR_CIE_KM,
-                       tolerance: float = ANCHOR_TOLERANCE,
-                       chi_values: Sequence[float] = (0.01, 0.02),
                        l_min_km: float = 1.0, l_max_km: float = 50000.0,
                        points: int = 400) -> list:
     """Crossing distances for every interpretation/chi combination.
 
     For each link convention and exponent interpretation, evaluates the
-    fixed chi values plus a fitted chi chosen so the high-efficiency
-    crossing lands on its anchor; an entry is flagged when both crossings
-    fall within the fractional tolerance of their anchors.
+    chi values of ``FIXED_CHI`` plus a fitted chi chosen so the
+    high-efficiency crossing lands on its anchor; an entry is flagged when
+    both crossings fall within ``ANCHOR_TOLERANCE`` of their anchors
+    (``ANCHOR_CPE_KM``, ``ANCHOR_CIE_KM``).
     """
     entries = []
     for convention in LINK_CONVENTIONS:
         for exponent in PR_EXPONENTS:
             variant = replace(base, link_convention=convention,
                               pr_exponent=exponent)
-            modes = [("fixed", chi) for chi in chi_values]
+            modes = [("fixed", chi) for chi in FIXED_CHI]
             fitted = _fit_chi_for_crossing(replace(variant, r0=CPE_R0),
-                                           target_rate, anchor_cpe_km,
+                                           target_rate, ANCHOR_CPE_KM,
                                            l_min_km, l_max_km, points)
             modes.append(("fitted", fitted))
             for mode, chi in modes:
@@ -475,9 +474,10 @@ def calibration_report(base: RepeaterParams = RepeaterParams(),
                                       l_min_km, l_max_km, points)[0]
                 cie = _swept_crossing(replace(pv, r0=CIE_R0), target_rate,
                                       l_min_km, l_max_km, points)[0]
-                ok = (cpe is not None and cie is not None
-                      and abs(cpe - anchor_cpe_km) <= tolerance * anchor_cpe_km
-                      and abs(cie - anchor_cie_km) <= tolerance * anchor_cie_km)
+                ok = all(c is not None
+                         and abs(c - anchor) <= ANCHOR_TOLERANCE * anchor
+                         for c, anchor in ((cpe, ANCHOR_CPE_KM),
+                                           (cie, ANCHOR_CIE_KM)))
                 entries.append(ReportEntry(
                     link_convention=convention, pr_exponent=exponent,
                     chi_mode=mode, chi=chi, crossing_cpe_km=cpe,

@@ -53,6 +53,14 @@ class TestFitDecay:
         assert fit.model.r0 == pytest.approx(0.77, abs=0.01)
         assert fit.model.tau0 == pytest.approx(1e-3, abs=1e-4)
 
+    def test_three_paper_anchors_bits(self):
+        # the decay fit's result is pinned bit for bit, as the Bell fit's is
+        pts = [DataPoint(0.0, 0.77, 0.01), DataPoint(0.23e-3, 0.667, 0.01),
+               DataPoint(0.54e-3, 0.51, 0.01)]
+        fit = fit_decay(pts)
+        assert fit.model.r0.hex() == "0x1.898d2a85876fbp-1"
+        assert fit.model.tau0.hex() == "0x1.046cdb11f02c8p-10"
+
     def test_noisy_points_statistical_recovery(self):
         rng = np.random.default_rng(42)
         ts = np.linspace(0, 3e-3, 12)

@@ -650,6 +650,19 @@ class TestCalibrate:
         assert "storage time 0 s" in err
         assert not out.exists()
 
+    def test_bell_fit_out_of_budget_exits_3_without_output(self, tmp_path,
+                                                           capsys):
+        # these points drive the Bell fit to its evaluation budget
+        data = tmp_path / "bell.csv"
+        data.write_text("t_s,value,sigma\n0.000386,2.615,0.08\n"
+                        "0.001363,0.238,0.056\n0.003109,1.762,0.077\n")
+        out = tmp_path / "cal.json"
+        rc, _, err = run(capsys, "calibrate", "--which", "bell", "--data",
+                         str(data), "--out", str(out))
+        assert rc == 3
+        assert err == "error: Bell-model fit did not converge\n"
+        assert not out.exists()
+
     def test_calibration_feeds_back_into_config(self, tmp_path, capsys):
         data = tmp_path / "bell.csv"
         data.write_text("t_s,value,sigma\n0,2.5,0.02\n0.00115,2.05,0.03\n"

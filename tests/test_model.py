@@ -344,6 +344,18 @@ class TestCavity:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, -1e-9])
+    @pytest.mark.parametrize("decay", [
+        lambda t: retrieval_efficiency(t, DM),
+        lambda t: visibility(ideal_source(), t)],
+        ids=["retrieval_efficiency", "visibility"])
+    def test_time_not_finite_and_nonnegative_rejected(self, decay, t):
+        # both decay curves check their storage times alike, as scalars
+        # and inside arrays
+        for arg in (t, np.array([0.0, t])):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                decay(arg)
+
     def test_phases_reduced_modulo_2pi(self):
         sp = SourceParams(chi=0.01, phase_write=5 * math.pi)
         assert sp.phase_write == pytest.approx(math.pi, abs=1e-12)
