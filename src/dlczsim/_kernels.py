@@ -13,7 +13,11 @@ ceiling), so the counts are those of the uniforms.
 
 ``cycle_keys`` mixes the cycle link of the chain once per cycle, and
 ``trial_uniforms_numpy`` goes on from those keys with the slot and the
-draw; it makes every hash of the sampler. The trial itself is written once,
+draw; it makes every hash of the sampler. Where heralds are sparse (below
+one in eight slots) draw 0 is decided on unfinished words, which stop
+before the last xorshift of the chain: such a word equals its hash word in
+bits 63..33, so only the few words below the herald key's ``_band`` are
+finished and compared with the key itself. The trial is written once,
 in ``count_runs``'s docstring, and ``count_runs`` finds the accepted
 heralds of its cycles by one of two paths, which give the same heralds:
 
@@ -26,7 +30,10 @@ heralds of its cycles by one of two paths, which give the same heralds:
   does not allocate and fault in these arrays anew for every batch;
 * the lane scan (``_scan``) runs one lane per cycle key and draws only
   short windows from each lane's next open slot, so the slots a herald
-  blocks are never hashed.
+  blocks are never hashed. A step hashes its windows in the step form of
+  ``trial_uniforms_numpy`` (each lane's start and one row of offsets,
+  multiplied by the slot key once) into buffers made once per lane group,
+  so it allocates nothing the size of its windows.
 
 ``_scan_window`` picks the path from a cost model fitted to measured times:
 the scan where storage blocking skips much of a cycle, a cycle holds few
@@ -112,8 +119,9 @@ def derive_stream(master_seed: int, *tags: int) -> int:
     return h
 
 
-def _mix_inplace(z, tmp):
-    # same finalizer as mix64; ``tmp`` (same shape) holds the shifted copy
+def _mix_inplace(z, tmp, finish=True):
+    # same finalizer as mix64; ``tmp`` (same shape) holds the shifted copy.
+    # Unfinished, the last xorshift is left to ``_finish``
     z += _GOLD
     np.right_shift(z, np.uint64(30), out=tmp)
     z ^= tmp
@@ -121,8 +129,16 @@ def _mix_inplace(z, tmp):
     np.right_shift(z, np.uint64(27), out=tmp)
     z ^= tmp
     z *= _MIX2
-    np.right_shift(z, np.uint64(31), out=tmp)
-    z ^= tmp
+    if finish:
+        np.right_shift(z, np.uint64(31), out=tmp)
+        z ^= tmp
+    return z
+
+
+def _finish(z):
+    """Finish unfinished words in place with the last xorshift of the
+    finalizer; they are then hash words."""
+    z ^= z >> np.uint64(31)
     return z
 
 
@@ -137,7 +153,8 @@ def cycle_keys(master_seed, cycles):
         return _mix_inplace(k, np.empty_like(k))
 
 
-def trial_uniforms_numpy(keys, slots, draw: int, out=None, tmp=None):
+def trial_uniforms_numpy(keys, slots, draw: int, out=None, tmp=None,
+                         offset_keys=None, finish=True):
     """Vectorized per-(cycle, slot) hash words (uint64) for one draw index.
 
     ``keys`` are ``cycle_keys`` of the cycles. Each word ``h`` stands for
@@ -148,31 +165,49 @@ def trial_uniforms_numpy(keys, slots, draw: int, out=None, tmp=None):
     elements at a time, so the piece being mixed and its shift buffer stay
     in cache. Every hash the sampler makes is made here.
 
+    ``offset_keys``, given, is ``offsets * _SLOT_KEY`` of a row of slot
+    offsets, the step form of the lane scan: ``keys`` and ``slots`` are then
+    1-D, one per lane, and the result holds one row per lane, the words of
+    slots ``slots[:, None] + offsets``. Each is mixed from
+    ``(slots * _SLOT_KEY)[:, None] + offset_keys``, which is
+    ``(slots[:, None] + offsets) * _SLOT_KEY`` modulo ``2**64``, so a step
+    multiplies once per lane rather than once per word.
+
+    With ``finish`` False the words stop before the last ``z ^= z >> 31``
+    of their mix: each then equals its hash word in bits 63..33, which
+    ``_band`` decides on, and ``_finish`` completes it.
+
     ``out`` and ``tmp``, when given, are 1-D uint64 buffers at least as
     large as the result and as the shift buffer (``MIX_SLOTS`` or the
     result's size, whichever is smaller); the result is then a view of the
     front of ``out``, so a caller that hashes batch after batch can write
     every batch into the same memory.
     """
+    # uint64 array arithmetic wraps modulo 2**64 and never warns
     k = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
     s = np.atleast_1d(np.asarray(slots, dtype=np.uint64))
-    with np.errstate(over="ignore"):
-        if out is None:
-            h = k ^ (s * _SLOT_KEY)
-        else:
-            shape = np.broadcast_shapes(k.shape, s.shape)
-            h = out[:math.prod(shape)].reshape(shape)
-            np.bitwise_xor(k, s * _SLOT_KEY, out=h)
-        flat = h.reshape(-1)
-        if tmp is None:
-            tmp = np.empty(min(flat.size, MIX_SLOTS), dtype=np.uint64)
-        for i in range(0, flat.size, MIX_SLOTS):
-            part = flat[i:i + MIX_SLOTS]
-            t = tmp[:part.size]
-            _mix_inplace(part, t)
-            if draw:
-                part ^= np.uint64(draw)
-            _mix_inplace(part, t)
+    if offset_keys is not None:
+        shape = (s.size, offset_keys.size)
+        h = (np.empty(shape, dtype=np.uint64) if out is None
+             else out[:math.prod(shape)].reshape(shape))
+        np.add((s * _SLOT_KEY)[:, None], offset_keys, out=h)
+        h ^= k[:, None]
+    elif out is None:
+        h = k ^ (s * _SLOT_KEY)
+    else:
+        shape = np.broadcast_shapes(k.shape, s.shape)
+        h = out[:math.prod(shape)].reshape(shape)
+        np.bitwise_xor(k, s * _SLOT_KEY, out=h)
+    flat = h.reshape(-1)
+    if tmp is None:
+        tmp = np.empty(min(flat.size, MIX_SLOTS), dtype=np.uint64)
+    for i in range(0, flat.size, MIX_SLOTS):
+        part = flat[i:i + MIX_SLOTS]
+        t = tmp[:part.size]
+        _mix_inplace(part, t)
+        if draw:
+            part ^= np.uint64(draw)
+        _mix_inplace(part, t, finish)
     return h
 
 
@@ -188,12 +223,28 @@ def _threshold(p) -> int:
     Python integers, which numpy 2 compares with uint64 words exactly, up
     to ``2**64`` and in ``np.less(..., out=)`` too (NEP 50 promotion; hence
     the ``numpy>=2.0`` floor).
+
+    Where candidates are sparse the sampler decides draw 0 on unfinished
+    words (see ``trial_uniforms_numpy``), against the key's ``_band``.
     """
     if not p > 0.0:
         return 0
     if p >= 1.0:
         return 1 << 64
     return math.ceil(p * 2.0 ** 53) << 11
+
+
+def _band(key) -> int:
+    """Band of a ``_threshold`` key over unfinished words: the least
+    multiple of ``2**33`` above ``key - 1``.
+
+    An unfinished word ``z`` and its hash word ``h = z ^ (z >> 31)`` agree
+    in bits 63..33, so ``h < key`` holds only where ``z`` is below the
+    band. A word at or above the band is no candidate; one below it is
+    finished and tested against ``key``, which fewer than one word in
+    ``2**31`` then misses.
+    """
+    return (((key - 1) >> 33) + 1) << 33
 
 
 def _accept(cand, is_cand, n_slots: int, skip_slots: int, count):
@@ -369,22 +420,30 @@ def _full(keys, slots, key, skip_slots, work):
 
     With ``work``, a ``_Workspace``, the hash, the mask and the prefix
     count go into the fronts of its buffers, so a run of batches reuses
-    the same memory; with None they are allocated for the batch and the
-    next candidates are found by binary search."""
+    the same memory; with None they are allocated for the batch, the next
+    candidates are found by binary search, and the words stay unfinished:
+    only those below the key's ``_band`` are finished, and those that then
+    miss the key are cleared from the mask and the candidates."""
     hashes, shift, mask, count = work or (None,) * 4
-    h = trial_uniforms_numpy(keys[:, None], slots, 0,
-                             out=hashes, tmp=shift).reshape(-1)
+    h = trial_uniforms_numpy(keys[:, None], slots, 0, out=hashes, tmp=shift,
+                             finish=work is not None).reshape(-1)
     if mask is None:
-        is_cand = h < key
+        is_cand = h < _band(key)
     else:
         is_cand = np.less(h, key, out=mask[:h.size])
     flat = np.flatnonzero(is_cand)
+    if work is None:
+        h[flat] = h0 = _finish(h[flat])
+        miss = h0 >= key
+        if miss.any():
+            is_cand[flat[miss]] = False
+            flat = flat[~miss]
     if skip_slots > 0 and flat.size > 1:
         flat = flat[_accept(flat, is_cand, slots.size, skip_slots, count)]
     return flat, h[flat]
 
 
-def _scan(keys, n_slots, key, skip_slots, w, piece):
+def _scan(keys, n_slots, key, skip_slots, w, piece, finish):
     """Accepted heralds of one lane per cycle key in ``keys``, by a lane
     scan.
 
@@ -394,31 +453,56 @@ def _scan(keys, n_slots, key, skip_slots, w, piece):
     past it, or ``w`` slots on when the window holds none. With
     ``w <= skip_slots + 1`` a window never holds a second herald.
 
+    With ``finish`` False the words stay unfinished: a lane takes its first
+    word below the key's ``_band`` and finishes it, and where that misses
+    the key it goes on one slot past it.
+
+    Each step writes its words, in the step form of
+    ``trial_uniforms_numpy``, into one buffer made for the lane group, and
+    its candidate mask into the memory of the shift buffer, which the hash
+    is done with by then. Both are freed before the last piece is yielded,
+    so the tally draws its readouts without them.
+
     Yields the heralds as ``(lane, slot, h0)``: the lane's index in
     ``keys``, the slot (int64) and the draw-0 hash, in no set order. A
     piece is yielded once the steps since the last one found at least
     ``piece`` heralds, and when the last lane ends.
     """
-    offsets = np.arange(w, dtype=np.uint64)
+    offset_keys = np.arange(w, dtype=np.uint64) * _SLOT_KEY
+    size = keys.size * w
+    words = np.empty(size, dtype=np.uint64)
+    # the shift buffer, and the mask's bytes in its memory
+    shift = np.empty(max(min(size, MIX_SLOTS), -(-size // 8)),
+                     dtype=np.uint64)
+    masks = shift.view(bool)[:size].reshape(keys.size, w)
+    band = key if finish else _band(key)
+    # a lane's move past a window without a word in the band, past a word
+    # in the band that misses the key, and past a herald
+    moves = np.array([w, 1, skip_slots + 1], dtype=np.uint64)
     rows = lane = np.arange(keys.size)
     start = np.zeros(keys.size, dtype=np.uint64)
     end = np.uint64(n_slots)
-    width = np.uint64(w)
-    past = np.uint64(skip_slots + 1 - w)  # a herald's lane goes w + past on
     found, held = [], 0
     while lane.size:
-        h = trial_uniforms_numpy(keys[:, None], start[:, None] + offsets, 0)
-        # argmax is 0 for a window without a candidate
-        k = (h < key).argmax(axis=1)
+        h = trial_uniforms_numpy(keys, start, 0, out=words, tmp=shift,
+                                 offset_keys=offset_keys, finish=finish)
+        # argmax is 0 for a window without a word in the band
+        k = np.less(h, band, out=masks[:lane.size]).argmax(axis=1)
         h_k = h[rows[:lane.size], k]
-        got = h_k < key
+        if finish:
+            got = in_band = h_k < key
+        else:
+            in_band = h_k < band
+            got = _finish(h_k) < key
         slot = start + k.view(np.uint64)
         found.append((lane[got], slot[got], h_k[got]))
         held += found[-1][0].size
-        start = slot + width + got * past
+        start = slot + moves.take(in_band.view(np.uint8) + got)
         live = start < end
         if not live.all():
             keys, lane, start = keys[live], lane[live], start[live]
+        if not lane.size:  # the tally draws the last piece without them
+            del h, words, shift, masks
         if held >= piece or not lane.size:
             lanes, slots, h0 = (np.concatenate(c) for c in zip(*found))
             found, held = [], 0
@@ -549,6 +633,7 @@ def count_runs(master_seeds, cycle_lo, cycle_hi, n_slots, p_herald, laws,
     n_cycles = max(cycle_hi - cycle_lo, 0)
     lanes = seeds.size * n_cycles if n_slots > 0 else 0
     key = _threshold(p_herald)
+    dense = 8 * p_herald >= 1  # else draw 0 is decided on bands
     tally = _Tally(seeds.size, n_slots, skip_slots,
                    _threshold(p_herald * 0.5), _Law.of(laws, p_noise))
     step = max(1, CHUNK_SLOTS // max(n_slots, 1))  # cycles per batch
@@ -581,11 +666,11 @@ def count_runs(master_seeds, cycle_lo, cycle_hi, n_slots, p_herald, laws,
             keys = cycle_keys(seeds[runs], cycle + cycle_lo)
             if rows is None:
                 for lane, slot, h0 in _scan(keys, n_slots, key, skip_slots,
-                                            w, GROUP_HERALDS):
+                                            w, GROUP_HERALDS, dense):
                     tally.add(keys[lane], runs[lane], slot, h0)
                 continue
             lane, slot, h0 = next(_scan(keys, n_slots, key, skip_slots, w,
-                                        math.inf))
+                                        math.inf, dense))
             flat = lane * n_slots + slot
             order = np.argsort(flat, kind="stable")
             del lane, slot
@@ -594,7 +679,7 @@ def count_runs(master_seeds, cycle_lo, cycle_hi, n_slots, p_herald, laws,
     elif lanes:
         slots = np.arange(n_slots)
         work = None
-        if 8 * p_herald >= 1:
+        if dense:
             work = _Workspace.of(min(step, n_cycles) * n_slots)
         for r, seed in enumerate(seeds):
             for lo in range(cycle_lo, cycle_hi, step):

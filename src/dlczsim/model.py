@@ -211,13 +211,14 @@ class CavityParams:
 def decay_law(t, amplitude, tau_gauss, tau_exp):
     """The decay family of both the retrieval efficiency and the
     visibility, ``amplitude * (exp(-(t/tau_gauss)^2) + exp(-t/tau_exp)) / 2``,
-    with numpy's exp. ``t`` broadcasts against the other three. A square
-    past the largest float is inf, whose exp(-inf) is 0.
+    with numpy's exp. ``t`` broadcasts against the other three. A ratio or
+    a square past the largest float is inf, whose exp(-inf) is 0.
     """
-    xg = t / tau_gauss
     with np.errstate(over="ignore"):
+        xg = t / tau_gauss
         xg2 = xg * xg
-    return amplitude * (np.exp(-xg2) + np.exp(-t / tau_exp)) / 2.0
+        xe = t / tau_exp
+    return amplitude * (np.exp(-xg2) + np.exp(-xe)) / 2.0
 
 
 def _decay_at(t, amplitude, tau_gauss, tau_exp):

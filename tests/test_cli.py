@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import dlczsim
-from dlczsim import _kernels, calibration as cal, cli, montecarlo, repeater
+from dlczsim import _kernels, calibration as cal, cli, config, montecarlo, repeater
 from dlczsim.cli import main
 from dlczsim.config import load_config
 
@@ -984,10 +984,14 @@ class TestCalibrationJson:
         assert got.source == load_config().source
 
 
-def _refuse_work(monkeypatch, what):
+def _refuse_work_at(what):
     def refuse(*args, **kwargs):
         raise AssertionError(f"work started despite a bad {what}")
+    return refuse
 
+
+def _refuse_work(monkeypatch, what):
+    refuse = _refuse_work_at(what)
     monkeypatch.setattr(montecarlo, "run_trials", refuse)
     monkeypatch.setattr(_kernels, "count_runs", refuse)
     monkeypatch.setattr(repeater, "sweep_distance", refuse)
@@ -1204,6 +1208,33 @@ def edge_argv(draw):
     return mode + [f"{flag}={value}" for flag, value in given.items()]
 
 
+# every key of the INI table, and the syntax faults a file may have
+INI_KEYS = [(section, key) for section, keys in config.KEYS.items()
+            for key in keys]
+INI_FAULTS = [None, "duplicate section", "missing header", "duplicate option"]
+
+
+@st.composite
+def edge_ini(draw):
+    """INI text with one to three keys of the table at edge values, grouped
+    by section, and at most one syntax fault."""
+    given = draw(st.dictionaries(st.sampled_from(INI_KEYS),
+                                 st.sampled_from(EDGE_VALUES),
+                                 min_size=1, max_size=3))
+    blocks = {}
+    for (section, key), value in given.items():
+        blocks.setdefault(section, [f"[{section}]"]).append(f"{key} = {value}")
+    blocks = list(blocks.values())
+    fault = draw(st.sampled_from(INI_FAULTS))
+    if fault == "duplicate section":
+        blocks.append(blocks[0][:1])
+    elif fault == "missing header":
+        blocks[0] = blocks[0][1:]
+    elif fault == "duplicate option":
+        blocks[0].append(blocks[0][1])
+    return "".join(line + "\n" for block in blocks for line in block)
+
+
 class TestGeneratedInput:
     def test_every_subcommand_has_numeric_flags(self):
         assert set(NUMERIC_FLAGS) == {m[0] for m in MODES}
@@ -1231,6 +1262,32 @@ class TestGeneratedInput:
         assert rc in (None, 0, 2, 3)
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mode=st.sampled_from(MODES), text=edge_ini())
+    def test_ini_edge_values_and_faults_exit_0_2_or_3(self, mode, text,
+                                                      tmp_path, capsys,
+                                                      monkeypatch):
+        # the config is read; the work after it, and any output, is refused
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.ini").write_text(text)
+        (tmp_path / "pts.csv").write_text("t_s,value,sigma\n0,0.5,0.1\n")
+        _refuse_work(monkeypatch, "config value")
+        monkeypatch.setattr(cli, "load_config", load_config)
+        monkeypatch.setattr(cli, "_write_text", _refuse_work_at("output"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                rc = main([*mode, "--config", "cfg.ini", "--out", "out"])
+            except AssertionError as refused:
+                assert "work started" in str(refused)
+                rc = None
+        _, err = capsys.readouterr()
+        assert rc in (None, 0, 2, 3)
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini",
+                                                              "pts.csv"]
 
 
 class TestParserReuse:

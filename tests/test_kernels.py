@@ -94,6 +94,46 @@ def test_uniforms_into_buffers_match_the_allocating_call(
     assert np.all(out[size:] == garbage)
 
 
+@settings(max_examples=150, deadline=None)
+@given(lanes=st.lists(st.tuples(
+           st.integers(0, 2 ** 64 - 1),
+           # starts near 2**64 run their offsets past it
+           st.one_of(st.integers(0, 2 ** 64 - 1),
+                     st.integers(2 ** 64 - 64, 2 ** 64 - 1))),
+           min_size=1, max_size=9),
+       w=st.integers(1, 40), draw=st.integers(0, 2),
+       mix_slots=st.integers(1, 50), spare=st.integers(0, 20))
+def test_step_form_is_the_broadcast_form(lanes, w, draw, mix_slots, spare):
+    # the lane scan's form: one key and one start per lane, and a row of
+    # offsets multiplied by the slot key once
+    keys, start = (np.array(c, dtype=np.uint64) for c in zip(*lanes))
+    offsets = np.arange(w, dtype=np.uint64)
+    offset_keys = offsets * _kernels._SLOT_KEY
+    size = keys.size * w
+    garbage = np.uint64(0xDEADBEEFDEADBEEF)
+    out = np.full(size + spare, garbage, dtype=np.uint64)
+    tmp = np.full(min(size, mix_slots) + spare, garbage, dtype=np.uint64)
+    step = dict(offset_keys=offset_keys)
+    with mock.patch.object(_kernels, "MIX_SLOTS", mix_slots):
+        want = _kernels.trial_uniforms_numpy(keys[:, None],
+                                             start[:, None] + offsets, draw)
+        alone = _kernels.trial_uniforms_numpy(keys, start, draw, **step)
+        got = _kernels.trial_uniforms_numpy(keys, start, draw, out=out,
+                                            tmp=tmp, **step)
+        unfinished = _kernels.trial_uniforms_numpy(keys, start, draw,
+                                                   finish=False, **step)
+    assert want.shape == (keys.size, w)
+    for words in (alone, got):
+        assert words.shape == want.shape and words.dtype == want.dtype
+        assert np.array_equal(words, want)
+    assert got.ctypes.data == out.ctypes.data
+    assert np.all(out[size:] == garbage)
+    # an unfinished word is its hash word in bits 63..33, and the last
+    # xorshift finishes it
+    assert np.array_equal(unfinished >> np.uint64(33), want >> np.uint64(33))
+    assert np.array_equal(_kernels._finish(unfinished), want)
+
+
 def test_counts_partition_invariance():
     # splitting the cycle range must not change the merged totals
     kw = dict(n_slots=500, p_herald=0.1, a13=0.2, a14=0.05, a23=0.05,
@@ -300,6 +340,33 @@ def test_herald_decision_at_the_boundary(p):
     assert _kernels.counts_kernel(*args, **kw) == counts_from_rows(rows)
     herald = 0 if not U_EDGE < p else 1 if U_EDGE < p * 0.5 else 2
     assert rows[slot][:3] == (cycle, slot, herald)
+
+
+# --- draw-0 decisions in the band of unfinished words -----------------------
+
+# seed, cycle, slot of a draw-0 word whose uniform U_TIE is below 1/8, the
+# first of its cycle: at p_herald = U_TIE its key lies at most 2**11 below
+# the word, in the word's band of 2**33, so the word is in the band without
+# being a candidate. Slot 3, two on, is a candidate
+TIE = (21, 0, 1)
+U_TIE = trial_uniform_oracle(*TIE, 0)
+
+
+@pytest.mark.parametrize("window", [0, 4, 16])  # 0: the full path
+def test_word_in_the_band_that_misses_the_key(window):
+    seed, cycle, slot = TIE
+    key = _kernels._threshold(U_TIE)
+    (h,) = _kernels.trial_uniforms_numpy(_kernels.cycle_keys(seed, [cycle]),
+                                         [slot], 0)
+    assert U_TIE < 1 / 8 and key <= int(h) < _kernels._band(key)
+    args = (seed, cycle, cycle + 2, 40)
+    kw = dict(p_herald=U_TIE, a13=0.3, a14=0.2, a23=0.1, a24=0.5,
+              p_noise=0.2, skip_slots=20)
+    rows = trial_records_oracle(*args, **kw)
+    assert [r[2] for r in rows[:4]] == [0, 0, 0, 2]
+    with mock.patch.object(_kernels, "_scan_window", lambda *_: window):
+        assert _counts_and_rows(*args, **kw) == (counts_from_rows(rows), rows)
+        assert _kernels.counts_kernel(*args, **kw) == counts_from_rows(rows)
 
 
 # --- decisions on hash words ------------------------------------------------

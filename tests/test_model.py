@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,15 @@ class TestRetrievalEfficiency:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             retrieval_efficiency(-1e-6, DM)
+
+    @pytest.mark.parametrize("t, tau0", [(1e-3, 1e-323), (1e197, 1e-203)])
+    def test_ratio_past_the_largest_float_reads_zero(self, t, tau0):
+        # t / tau0 overflows to inf, whose exp(-inf) is 0: no warning
+        model = DecayModel(r0=0.77, tau0=tau0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert retrieval_efficiency(t, model) == 0.0
+            assert retrieval_efficiency(0.0, model) == 0.77
 
     def test_vectorized_matches_scalar(self):
         ts = np.array([0.0, 1e-4, 2e-3])
