@@ -13,11 +13,11 @@ ceiling), so the counts are those of the uniforms.
 
 ``cycle_keys`` mixes the cycle link of the chain once per cycle, and
 ``trial_uniforms_numpy`` goes on from those keys with the slot and the
-draw; it makes every hash of the sampler. Where heralds are sparse (below
-one in eight slots) draw 0 is decided on unfinished words, which stop
-before the last xorshift of the chain: such a word equals its hash word in
-bits 63..33, so only the few words below the herald key's ``_band`` are
-finished and compared with the key itself. The trial is written once,
+draw; it makes every hash of the sampler. The lane scan, and the full
+path where heralds are sparse (below one in eight slots), decide draw 0 on
+unfinished words, which stop before the last xorshift of the chain: such
+a word equals its hash word in bits 63..33, so only the few words below
+the herald key's ``_band`` are finished and compared with the key itself. The trial is written once,
 in ``count_runs``'s docstring, and ``count_runs`` finds the accepted
 heralds of its cycles by one of two paths, which give the same heralds:
 
@@ -224,8 +224,9 @@ def _threshold(p) -> int:
     to ``2**64`` and in ``np.less(..., out=)`` too (NEP 50 promotion; hence
     the ``numpy>=2.0`` floor).
 
-    Where candidates are sparse the sampler decides draw 0 on unfinished
-    words (see ``trial_uniforms_numpy``), against the key's ``_band``.
+    The lane scan, and the full path where candidates are sparse, decide
+    draw 0 on unfinished words (see ``trial_uniforms_numpy``), against the
+    key's ``_band``.
     """
     if not p > 0.0:
         return 0
@@ -251,7 +252,8 @@ def _accept(cand, is_cand, n_slots: int, skip_slots: int, count):
     """Positions in ``cand`` of the heralds the storage windows let through.
 
     ``cand`` holds the ascending flat (cycle-major) indices of the herald
-    candidates of whole cycles, ``is_cand`` the mask they come from. In a
+    candidates of whole cycles, ``is_cand`` the mask they come from (read
+    only for its size without ``count``, so it may hold more). In a
     cycle the first candidate is accepted and blocks the next
     ``skip_slots`` slots; each later accepted one is the first candidate
     past the previous window, its ``nxt``. One lane per cycle walks its
@@ -423,7 +425,8 @@ def _full(keys, slots, key, skip_slots, work):
     the same memory; with None they are allocated for the batch, the next
     candidates are found by binary search, and the words stay unfinished:
     only those below the key's ``_band`` are finished, and those that then
-    miss the key are cleared from the mask and the candidates."""
+    miss the key are dropped from the candidates (the binary search reads
+    only the mask's size)."""
     hashes, shift, mask, count = work or (None,) * 4
     h = trial_uniforms_numpy(keys[:, None], slots, 0, out=hashes, tmp=shift,
                              finish=work is not None).reshape(-1)
@@ -436,14 +439,13 @@ def _full(keys, slots, key, skip_slots, work):
         h[flat] = h0 = _finish(h[flat])
         miss = h0 >= key
         if miss.any():
-            is_cand[flat[miss]] = False
             flat = flat[~miss]
     if skip_slots > 0 and flat.size > 1:
         flat = flat[_accept(flat, is_cand, slots.size, skip_slots, count)]
     return flat, h[flat]
 
 
-def _scan(keys, n_slots, key, skip_slots, w, piece, finish):
+def _scan(keys, n_slots, key, skip_slots, w, piece):
     """Accepted heralds of one lane per cycle key in ``keys``, by a lane
     scan.
 
@@ -453,9 +455,9 @@ def _scan(keys, n_slots, key, skip_slots, w, piece, finish):
     past it, or ``w`` slots on when the window holds none. With
     ``w <= skip_slots + 1`` a window never holds a second herald.
 
-    With ``finish`` False the words stay unfinished: a lane takes its first
-    word below the key's ``_band`` and finishes it, and where that misses
-    the key it goes on one slot past it.
+    The words stay unfinished: a lane takes its first word below the key's
+    ``_band`` and finishes it, and where that misses the key it goes on one
+    slot past it.
 
     Each step writes its words, in the step form of
     ``trial_uniforms_numpy``, into one buffer made for the lane group, and
@@ -475,7 +477,7 @@ def _scan(keys, n_slots, key, skip_slots, w, piece, finish):
     shift = np.empty(max(min(size, MIX_SLOTS), -(-size // 8)),
                      dtype=np.uint64)
     masks = shift.view(bool)[:size].reshape(keys.size, w)
-    band = key if finish else _band(key)
+    band = _band(key)
     # a lane's move past a window without a word in the band, past a word
     # in the band that misses the key, and past a herald
     moves = np.array([w, 1, skip_slots + 1], dtype=np.uint64)
@@ -485,15 +487,12 @@ def _scan(keys, n_slots, key, skip_slots, w, piece, finish):
     found, held = [], 0
     while lane.size:
         h = trial_uniforms_numpy(keys, start, 0, out=words, tmp=shift,
-                                 offset_keys=offset_keys, finish=finish)
+                                 offset_keys=offset_keys, finish=False)
         # argmax is 0 for a window without a word in the band
         k = np.less(h, band, out=masks[:lane.size]).argmax(axis=1)
         h_k = h[rows[:lane.size], k]
-        if finish:
-            got = in_band = h_k < key
-        else:
-            in_band = h_k < band
-            got = _finish(h_k) < key
+        in_band = h_k < band
+        got = _finish(h_k) < key
         slot = start + k.view(np.uint64)
         found.append((lane[got], slot[got], h_k[got]))
         held += found[-1][0].size
@@ -633,7 +632,6 @@ def count_runs(master_seeds, cycle_lo, cycle_hi, n_slots, p_herald, laws,
     n_cycles = max(cycle_hi - cycle_lo, 0)
     lanes = seeds.size * n_cycles if n_slots > 0 else 0
     key = _threshold(p_herald)
-    dense = 8 * p_herald >= 1  # else draw 0 is decided on bands
     tally = _Tally(seeds.size, n_slots, skip_slots,
                    _threshold(p_herald * 0.5), _Law.of(laws, p_noise))
     step = max(1, CHUNK_SLOTS // max(n_slots, 1))  # cycles per batch
@@ -666,11 +664,11 @@ def count_runs(master_seeds, cycle_lo, cycle_hi, n_slots, p_herald, laws,
             keys = cycle_keys(seeds[runs], cycle + cycle_lo)
             if rows is None:
                 for lane, slot, h0 in _scan(keys, n_slots, key, skip_slots,
-                                            w, GROUP_HERALDS, dense):
+                                            w, GROUP_HERALDS):
                     tally.add(keys[lane], runs[lane], slot, h0)
                 continue
             lane, slot, h0 = next(_scan(keys, n_slots, key, skip_slots, w,
-                                        math.inf, dense))
+                                        math.inf))
             flat = lane * n_slots + slot
             order = np.argsort(flat, kind="stable")
             del lane, slot
@@ -679,7 +677,7 @@ def count_runs(master_seeds, cycle_lo, cycle_hi, n_slots, p_herald, laws,
     elif lanes:
         slots = np.arange(n_slots)
         work = None
-        if dense:
+        if 8 * p_herald >= 1:  # else draw 0 is decided on bands
             work = _Workspace.of(min(step, n_cycles) * n_slots)
         for r, seed in enumerate(seeds):
             for lo in range(cycle_lo, cycle_hi, step):

@@ -268,7 +268,11 @@ def calibration_to_dict(decay: Optional[DecayFit] = None,
 def load_calibration_json(path) -> dict:
     """``calibration_fields`` of the calibration file at ``path``."""
     with open(path, encoding="utf-8") as fh:
-        return calibration_fields(json.load(fh), path)
+        try:
+            cal = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"calibration {path}: {exc}") from None
+    return calibration_fields(cal, path)
 
 
 def default_calibration() -> dict:

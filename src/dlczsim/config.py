@@ -12,6 +12,7 @@ silently drift. All values are validated before any command runs.
 from __future__ import annotations
 
 import configparser
+import re
 from dataclasses import dataclass
 
 from ._keys import KEYS, defaults
@@ -103,7 +104,10 @@ def load_config(path=None, seed_override=None) -> RunConfig:
     given = _parse_file(path) if path is not None else {}
     cal_path = given.get("source", {}).pop("calibration_json", "")
     if cal_path:
-        calibrations.append(load_calibration_json(cal_path))
+        try:
+            calibrations.append(load_calibration_json(cal_path))
+        except OSError as exc:
+            raise ValueError(f"config [source] calibration_json: {exc}") from None
     for calibrated in calibrations:
         for cal_section, values in calibrated.items():
             fields[_CALIBRATES[cal_section]].update(values)
@@ -111,5 +115,19 @@ def load_config(path=None, seed_override=None) -> RunConfig:
         fields[section].update(values)
     if seed_override is not None:
         fields["output"]["master_seed"] = seed_override
-    return RunConfig(**{name: build(**fields[section])
-                        for section, (name, build) in _BUILDS.items()})
+    return RunConfig(**{name: _build(section, fields[section])
+                        for section, (name, _) in _BUILDS.items()})
+
+
+def _build(section, fields):
+    """The object that ``section``'s fields build. Its validation names
+    fields, so a ValueError is raised again naming the section and the INI
+    keys of the fields its message names (``trial_periods`` names
+    ``trial_period``), whichever layer set them."""
+    try:
+        return _BUILDS[section][1](**fields)
+    except ValueError as exc:
+        keys = [key for key, (field, _, _) in KEYS[section].items()
+                if field and re.search(rf"\b{field}s?\b", str(exc))]
+        where = " ".join([f"[{section}]", *keys])
+        raise ValueError(f"config {where}: {exc}") from None

@@ -76,7 +76,7 @@ class SequenceConfig:
         if not (0.0 <= self.storage_time < math.inf):
             raise ValueError("storage_time must be finite and >= 0")
         if self.trial_period < self.write_pulse:
-            raise ValueError("trial_period must cover the write pulse")
+            raise ValueError("trial_period must cover the write_pulse")
         slots = self.run_duration / self.trial_period
         if not (slots < math.inf
                 and 1 <= self.trials_per_run <= MAX_SLOTS_PER_RUN):

@@ -913,6 +913,7 @@ class TestConfigStrictness:
                            "--out", str(tmp_path / "out.txt"))
         assert rc == 2
         assert out == "" and field in err
+        assert f"[{section}]" in err and key in err  # the INI key, not a field
         assert list(tmp_path.iterdir()) == [cfg]
 
     def test_missing_config_file(self, capsys):
@@ -925,6 +926,7 @@ class TestCalibrationJson:
              "vis_tau_exp_s": 0.006}
 
     @pytest.mark.parametrize("payload", [
+        "not json {",
         "[1, 2]",
         '"bell"',
         '{"bell": [0.9, 0.002, 0.006]}',
@@ -951,6 +953,13 @@ class TestCalibrationJson:
         assert rc == 2
         assert "calibration" in err
         assert not out.exists()
+
+    def test_missing_file_names_its_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[source]\ncalibration_json = {tmp_path / 'no.json'}\n")
+        rc, _, err = run(capsys, "bell", "--config", str(cfg), "--t-ms", "0")
+        assert rc == 2
+        assert "[source] calibration_json" in err and "no.json" in err
 
     def test_calibrated_values_reach_the_model_unscaled(self, tmp_path):
         # each of these changes in a round trip through milliseconds
@@ -1286,6 +1295,10 @@ class TestGeneratedInput:
         _, err = capsys.readouterr()
         assert rc in (None, 0, 2, 3)
         assert "Traceback" not in err
+        if rc == 2:  # a syntax fault names its line, a bad value its key
+            keys = [line.split(" = ")[0] for line in text.splitlines()
+                    if " = " in line]
+            assert "line " in err or any(f" {key}" in err for key in keys)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini",
                                                               "pts.csv"]
 
