@@ -17,9 +17,10 @@ draw; it makes every hash of the sampler. The lane scan, and the full
 path where heralds are sparse (below one in eight slots), decide draw 0 on
 unfinished words, which stop before the last xorshift of the chain: such
 a word equals its hash word in bits 63..33, so only the few words below
-the herald key's ``_band`` are finished and compared with the key itself. The trial is written once,
-in ``count_runs``'s docstring, and ``count_runs`` finds the accepted
-heralds of its cycles by one of two paths, which give the same heralds:
+the herald key's ``_band`` are finished and compared with the key itself.
+The trial is written once, in ``count_runs``'s docstring, and
+``count_runs`` finds the accepted heralds of its cycles by one of two
+paths, which give the same heralds:
 
 * the full-hash path draws the draw 0 of every slot of a batch of whole
   cycles with one ``trial_uniforms_numpy`` call, then resolves the

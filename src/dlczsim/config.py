@@ -107,7 +107,8 @@ def load_config(path=None, seed_override=None) -> RunConfig:
         try:
             calibrations.append(load_calibration_json(cal_path))
         except OSError as exc:
-            raise ValueError(f"config [source] calibration_json: {exc}") from None
+            raise ValueError(
+                f"config [source] calibration_json: {exc}") from None
     for calibrated in calibrations:
         for cal_section, values in calibrated.items():
             fields[_CALIBRATES[cal_section]].update(values)
