@@ -18,38 +18,36 @@ path where heralds are sparse (below one in eight slots), decide draw 0 on
 unfinished words, which stop before the last xorshift of the chain: such
 a word equals its hash word in bits 63..33, so only the few words below
 the herald key's ``_band`` are finished and compared with the key itself.
-The trial is written once, in ``count_runs``'s docstring, and
-``count_runs`` finds the accepted heralds of its cycles by one of two
-paths, which give the same heralds:
+The trial is written once, in ``count_runs``'s docstring. Its lanes are
+(run, cycle) pairs, each with its own cycle key, and it samples them a
+lane group at a time by one of two paths, which give the same heralds in
+the same piece form ``(lane, slot, h0)``:
 
-* the full-hash path draws the draw 0 of every slot of a batch of whole
-  cycles with one ``trial_uniforms_numpy`` call, then resolves the
-  storage-blocking windows by walking next-candidate pointers for all
-  cycles of the batch in step. Where candidates are dense, its hash
-  words, candidate mask and prefix count go into one ``_Workspace`` a
-  batch long, made once per call and reused by each batch, so a dense run
-  does not allocate and fault in these arrays anew for every batch;
-* the lane scan (``_scan``) runs one lane per cycle key and draws only
-  short windows from each lane's next open slot, so the slots a herald
-  blocks are never hashed. A step hashes its windows in the step form of
-  ``trial_uniforms_numpy`` (each lane's start and one row of offsets,
-  multiplied by the slot key once) into buffers made once per lane group,
-  so it allocates nothing the size of its windows.
+* the full-hash path (``_full``) takes a batch of lanes as its group,
+  draws the draw 0 of every slot with one ``trial_uniforms_numpy`` call,
+  then resolves the storage-blocking windows by walking next-candidate
+  pointers for all lanes in step. Where candidates are dense, its hash
+  words, candidate mask and prefix count go into one ``_Workspace`` made
+  once per call, so a dense run does not fault them in for every batch;
+* the lane scan (``_scan``) draws only short windows from each lane's
+  next open slot, so the slots a herald blocks are never hashed. A step
+  hashes its windows in the step form of ``trial_uniforms_numpy`` (each
+  lane's start and one row of offsets, multiplied by the slot key once)
+  into buffers made once per lane group, so it allocates nothing the size
+  of its windows.
 
 ``_scan_window`` picks the path from a cost model fitted to measured times:
 the scan where storage blocking skips much of a cycle, a cycle holds few
 heralds and there are lanes enough to share each step's fixed cost, the
 full path where nothing or little is blocked.
 
-``count_runs`` samples several runs at once that share everything but
-their seed and readout law, such as the four CHSH settings of a storage
-time: the lanes of its scan are (run, cycle) pairs, each with its own cycle
-key. Its ``_Tally`` draws every herald's readout, sums the slots it blocks
-and bins it by run and outcome; counts take the heralds unsorted. A record
-dump is a row sink of a one-run call: its heralds reach the same tally in
-flat order, and ``records_kernel`` expands them a batch of whole cycles at
-a time, so a dump's counts and records come from one tally and its rows
-are never held at once.
+The runs of a call share everything but their seed and readout law (the
+four CHSH settings of a storage time), so a lane group may hold cycles of
+several runs. Its pieces go to the call's ``_Tally``, which draws every
+herald's readout, sums the slots it blocks and bins it by run and outcome,
+unsorted. A record dump is a row sink of a one-run call: a group's pieces
+are joined, put in flat order and drawn at once, and ``records_kernel``
+expands them a batch of cycles at a time, so its rows are never all held.
 
 The working set is bounded whatever the number of cycles: a batch's
 hashes and candidates on the full path, a step of at most ``LANE_SLOTS``
@@ -415,11 +413,19 @@ class _Workspace(NamedTuple):
                    scratch[:4 * size].view(np.int32))
 
 
+def _join(parts):
+    """The columns of ``parts``, tuples of arrays, each joined; a single
+    part is returned as it is, without a copy."""
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(c) for c in zip(*parts))
+
+
 def _full(keys, slots, key, skip_slots, work):
-    """Accepted heralds of the cycles of ``keys`` from the draw 0 of every
-    slot, a candidate where the hash is below ``key``. Returns their
-    ascending flat indices ``i * n_slots + slot`` (``i`` the cycle's index
-    in ``keys``) and the draw-0 hash of each.
+    """Accepted heralds of one lane per cycle key in ``keys`` from the
+    draw 0 of every slot, a candidate where the hash is below ``key``.
+    Yields them as one piece in ``_scan``'s form, in flat (lane-major)
+    order.
 
     With ``work``, a ``_Workspace``, the hash, the mask and the prefix
     count go into the fronts of its buffers, so a run of batches reuses
@@ -427,7 +433,7 @@ def _full(keys, slots, key, skip_slots, work):
     candidates are found by binary search, and the words stay unfinished:
     only those below the key's ``_band`` are finished, and those that then
     miss the key are dropped from the candidates (the binary search reads
-    only the mask's size)."""
+    only the mask's size). The words and mask go before the yield."""
     hashes, shift, mask, count = work or (None,) * 4
     h = trial_uniforms_numpy(keys[:, None], slots, 0, out=hashes, tmp=shift,
                              finish=work is not None).reshape(-1)
@@ -443,10 +449,14 @@ def _full(keys, slots, key, skip_slots, work):
             flat = flat[~miss]
     if skip_slots > 0 and flat.size > 1:
         flat = flat[_accept(flat, is_cand, slots.size, skip_slots, count)]
-    return flat, h[flat]
+    h0 = h[flat]
+    del h, is_cand
+    lane = flat // slots.size
+    flat %= slots.size  # the heralds' slots
+    yield lane, flat, h0
 
 
-def _scan(keys, n_slots, key, skip_slots, w, piece):
+def _scan(keys, n_slots, key, skip_slots, w):
     """Accepted heralds of one lane per cycle key in ``keys``, by a lane
     scan.
 
@@ -466,10 +476,11 @@ def _scan(keys, n_slots, key, skip_slots, w, piece):
     is done with by then. Both are freed before the last piece is yielded,
     so the tally draws its readouts without them.
 
-    Yields the heralds as ``(lane, slot, h0)``: the lane's index in
+    Yields the heralds as pieces ``(lane, slot, h0)``: the lane's index in
     ``keys``, the slot (int64) and the draw-0 hash, in no set order. A
-    piece is yielded once the steps since the last one found at least
-    ``piece`` heralds, and when the last lane ends.
+    piece joins the steps since the last one once they found at least
+    ``GROUP_HERALDS`` heralds, and when the last lane ends; holding each
+    step's few heralds apart until a draw would fragment the heap.
     """
     offset_keys = np.arange(w, dtype=np.uint64) * _SLOT_KEY
     size = keys.size * w
@@ -495,20 +506,23 @@ def _scan(keys, n_slots, key, skip_slots, w, piece):
         in_band = h_k < band
         got = _finish(h_k) < key
         slot = start + k.view(np.uint64)
-        found.append((lane[got], slot[got], h_k[got]))
-        held += found[-1][0].size
         start = slot + moves.take(in_band.view(np.uint8) + got)
+        # a window crossing the cycle end may find a candidate past it;
+        # its lane ends either way
+        got &= slot < end
+        found.append((lane[got], slot[got].view(np.int64), h_k[got]))
+        held += found[-1][0].size
         live = start < end
         if not live.all():
             keys, lane, start = keys[live], lane[live], start[live]
-        if not lane.size:  # the tally draws the last piece without them
-            del h, words, shift, masks
-        if held >= piece or not lane.size:
-            lanes, slots, h0 = (np.concatenate(c) for c in zip(*found))
+        # the tally may draw readouts on a piece: the step's arrays go
+        # first, and after the last step its buffers too
+        del h, k, h_k, in_band, got, slot, live
+        if not lane.size:
+            del words, shift, masks
+        if held >= GROUP_HERALDS or not lane.size:
+            yield _join(found)
             found, held = [], 0
-            # a window crossing the cycle end may find a candidate past it
-            inside = slots < end
-            yield lanes[inside], slots[inside].view(np.int64), h0[inside]
 
 
 class _Tally:
@@ -546,11 +560,7 @@ class _Tally:
         """Draw the held heralds and drop them."""
         if not self.parts:
             return
-        if len(self.parts) == 1:
-            keys, runs, slot, h0 = self.parts[0]
-        else:
-            keys, runs, slot, h0 = (np.concatenate(c)
-                                    for c in zip(*self.parts))
+        keys, runs, slot, h0 = _join(self.parts)
         self.parts, self.held = [], 0
         self.draw(keys, runs, slot, h0)
 
@@ -614,18 +624,20 @@ def count_runs(master_seeds, cycle_lo, cycle_hi, n_slots, p_herald, laws,
     ``T = _threshold(p)`` built once per call from the same probability;
     the two are equivalent (see ``_threshold``), so no uniform is formed.
 
-    The lanes of the scan are the (run, cycle) pairs of all runs, in groups
-    of at most ``LANE_SLOTS / w``, so runs too short to fill a scan step
-    share one; the full path takes the runs one after another, a batch at a
-    time. Either way the heralds go to one ``_Tally``, unsorted, and the
+    The lanes are the (run, cycle) pairs of all runs, run-major, sampled
+    in one loop over lane groups: at most ``LANE_SLOTS / w`` lanes on the
+    scan, a batch of ``CHUNK_SLOTS / n_slots`` on the full path, so runs
+    too short to fill a group share one. Both paths yield pieces
+    ``(lane, slot, h0)``, which go to one ``_Tally``, unsorted, and the
     working set is a step or a batch and ``GROUP_HERALDS`` heralds,
     whatever the number of cycles.
 
     ``rows``, given to a one-run call, is called with the ``records_kernel``
     arrays of each batch of whole cycles, together about ``CHUNK_SLOTS``
-    slots, in order and before the next is expanded. Its heralds reach the
-    tally in flat order: the full path's a batch at a time, the scan's a
-    lane group of whole batches with about ``GROUP_HERALDS`` heralds, sorted.
+    slots, in order and before the next is expanded. A group's heralds
+    reach the tally at once in flat order: a full-path batch as its one
+    piece, already in that order, a scan group of whole batches with about
+    ``GROUP_HERALDS`` heralds joined and sorted.
     """
     seeds = np.array([int(s) for s in master_seeds], dtype=np.uint64)
     n_slots = int(n_slots)
@@ -646,52 +658,38 @@ def count_runs(master_seeds, cycle_lo, cycle_hi, n_slots, p_herald, laws,
                          min(lanes, step * batches))
         size = step * max(1, min(batches, LANE_SLOTS // max(w, 1) // step))
 
-    def emit(lo, keys, flat, h0):
-        # heralds of the cycles of keys from cycle lo on, in flat order
-        bins, background = tally.draw(keys[flat // n_slots],
-                                      np.zeros(flat.size, dtype=np.intp),
-                                      flat % n_slots, h0)
+    if not w:  # the full path's lane group is a batch
+        size = step
+        slots = np.arange(n_slots)
+        work = None
+        if 8 * p_herald >= 1:  # else draw 0 is decided on bands
+            work = _Workspace.of(min(step, lanes) * n_slots)
+    for g in range(0, lanes, size):
+        runs, cycle = np.divmod(np.arange(g, min(g + size, lanes)), n_cycles)
+        keys = cycle_keys(seeds[runs], cycle + cycle_lo)
+        pieces = (_scan(keys, n_slots, key, skip_slots, w) if w
+                  else _full(keys, slots, key, skip_slots, work))
+        if rows is None:
+            for lane, slot, h0 in pieces:
+                tally.add(keys[lane], runs[lane], slot, h0)
+            del lane, slot, h0  # freed before the next group is sampled
+            continue
+        # a dump draws a group's heralds at once in flat order
+        lane, slot, h0 = _join(list(pieces))
+        flat = lane * n_slots + slot
+        if w:
+            order = np.argsort(flat, kind="stable")
+            lane, slot, flat, h0 = (a[order] for a in (lane, slot, flat, h0))
+            del order
+        bins, background = tally.draw(keys[lane], runs[lane], slot, h0)
+        del lane, slot, h0
         bounds = list(range(0, keys.size, step)) + [keys.size]
         edges = np.searchsorted(flat, np.array(bounds) * n_slots).tolist()
         for c0, c1, i, j in zip(bounds, bounds[1:], edges, edges[1:]):
             rows(*records_kernel(flat[i:j] - c0 * n_slots, bins[i:j],
-                                 background[i:j], lo + c0, c1 - c0, n_slots,
-                                 skip_slots))
-
-    if w:
-        for g in range(0, lanes, size):
-            runs, cycle = np.divmod(np.arange(g, min(g + size, lanes)),
-                                    n_cycles)
-            keys = cycle_keys(seeds[runs], cycle + cycle_lo)
-            if rows is None:
-                for lane, slot, h0 in _scan(keys, n_slots, key, skip_slots,
-                                            w, GROUP_HERALDS):
-                    tally.add(keys[lane], runs[lane], slot, h0)
-                continue
-            lane, slot, h0 = next(_scan(keys, n_slots, key, skip_slots, w,
-                                        math.inf))
-            flat = lane * n_slots + slot
-            order = np.argsort(flat, kind="stable")
-            del lane, slot
-            emit(cycle_lo + g, keys, flat[order], h0[order])
-            del flat, order, h0  # freed before the next group is sampled
-    elif lanes:
-        slots = np.arange(n_slots)
-        work = None
-        if 8 * p_herald >= 1:  # else draw 0 is decided on bands
-            work = _Workspace.of(min(step, n_cycles) * n_slots)
-        for r, seed in enumerate(seeds):
-            for lo in range(cycle_lo, cycle_hi, step):
-                keys = cycle_keys(seed, np.arange(lo, min(lo + step,
-                                                          cycle_hi)))
-                flat, h0 = _full(keys, slots, key, skip_slots, work)
-                if rows is None:
-                    keys = keys[flat // n_slots]
-                    flat %= n_slots  # the heralds' slots
-                    tally.add(keys, np.full(h0.size, r), flat, h0)
-                else:
-                    emit(lo, keys, flat, h0)
-                del keys, flat, h0  # freed before the next batch is sampled
+                                 background[i:j], cycle_lo + g + c0, c1 - c0,
+                                 n_slots, skip_slots))
+        del flat, bins, background  # freed before the next group is sampled
     return tally.counts(n_cycles)
 
 

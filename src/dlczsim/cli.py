@@ -7,7 +7,9 @@ the anchor report, ``calibrate`` and ``simulate`` write JSON and take no
 the same invocation always produces byte-identical files. Output paths are
 checked before any other work, configuration is validated in full before
 any output file is opened, and every output file is written under a
-temporary name and moved into place only once complete.
+temporary name and moved into place only once complete. A flag that the
+command or its mode would ignore is refused, and a Monte Carlo run holds
+at most ``MAX_TRIALS`` trials.
 
 Exit codes: 0 success, 2 validation/usage error, 3 numerical failure
 (fit non-convergence, a rate curve without a nonzero point, or a Monte
@@ -50,10 +52,12 @@ MAX_WORKERS = 64
 # at 10,000 points).
 MAX_POINTS = 10_000
 
-# Defaults of the repeater distance grid. The flags default to None so that
-# an explicit one can be told apart: the anchor report sweeps its own grid.
-SWEEP_DEFAULTS = {"l_min_km": 10.0, "l_max_km": 5000.0, "points": 120,
-                  "grid": "log"}
+# Upper bound on the trials of one Monte Carlo run: --trials, and the
+# trials simulate --seconds asks for (its cycles times the slots of a
+# cycle). 10**15 trials take months at the 0.6-2 x 10**8 trials a second
+# the benchmark's Monte Carlo workloads run at (2-CPU x86 VM), and keep a
+# run's slot count far inside the int64 the sampler counts it in.
+MAX_TRIALS = 10 ** 15
 
 
 @contextlib.contextmanager
@@ -135,19 +139,31 @@ def _write_table(args, header, rows, summary=None, extras=None) -> None:
 
 
 def _refuse_given(args, names, owner: str) -> None:
-    """Refuse each flag of ``names`` given with ``owner``, which sets it."""
+    """Refuse each flag of ``names`` that was given: ``owner`` says why
+    the command sets it itself or has no use for it."""
     flags = ", ".join("--" + n.replace("_", "-") for n in names
                       if getattr(args, n) is not None)
     if flags:
         raise ValueError(f"{owner}; {flags} cannot be given with it")
 
 
+def _fill_late(args) -> None:
+    """Give each flag added by ``_add_late`` and not given its default."""
+    for name, default in getattr(args, "late_defaults", {}).items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+
+
 def _parse_grid_ms(args) -> list:
-    """The storage times in ms; each must be finite in the t_us column."""
+    """The storage times in ms; each must be finite in the t_us column.
+    Refuses a grid flag given with ``--t-ms``, then fills in every late
+    default, so that the command's own refusals go first."""
     flag = "--t-ms" if args.t_ms is not None else "--t-max-ms"
     if args.t_ms is not None:
-        _refuse_given(args, args.grid_defaults,
+        _refuse_given(args, ("t_min_ms", "t_max_ms", "points"),
                       "--t-ms lists its own storage times")
+    _fill_late(args)
+    if args.t_ms is not None:
         entries = [v for v in args.t_ms.split(",") if v.strip() != ""]
         if not entries:
             raise ValueError("--t-ms list is empty")
@@ -156,8 +172,6 @@ def _parse_grid_ms(args) -> list:
                              f"at most {MAX_POINTS} are allowed")
         ts = [float(v) for v in entries]
     else:
-        vars(args).update({k: v for k, v in args.grid_defaults.items()
-                           if getattr(args, k) is None})
         if not 2 <= args.points <= MAX_POINTS:
             raise ValueError(f"--points must lie in [2, {MAX_POINTS}], "
                              f"got {args.points}")
@@ -181,15 +195,19 @@ def _cycles_for_trials(cfg_seq, trials: int) -> int:
     return max(1, math.ceil(trials / cfg_seq.trials_per_run))
 
 
-def _check_trials(args, montecarlo: bool) -> None:
-    if montecarlo and args.trials < 1:
-        raise ValueError("--trials must be >= 1 in Monte Carlo mode")
+def _check_trials(args) -> None:
+    if not 1 <= args.trials <= MAX_TRIALS:
+        raise ValueError(f"--trials must lie in [1, {MAX_TRIALS}], "
+                         f"got {args.trials:.6g}")
 
 
 def cmd_efficiency(args) -> int:
-    _check_workers(args)
-    _check_trials(args, args.montecarlo)
+    if not args.montecarlo:
+        _refuse_given(args, ["seed", "trials", "workers"],
+                      "efficiency without --montecarlo samples no trials")
     ts_ms = _parse_grid_ms(args)
+    _check_workers(args)
+    _check_trials(args)
     cfg = load_config(args.config, args.seed)
 
     rows = [[t_ms * 1e3, model.retrieval_efficiency(t_ms * 1e-3, cfg.decay)]
@@ -213,9 +231,12 @@ def cmd_efficiency(args) -> int:
 
 
 def cmd_bell(args) -> int:
-    _check_workers(args)
-    _check_trials(args, args.mode == "montecarlo")
+    if args.mode == "analytic":
+        _refuse_given(args, ["seed", "trials", "resamples", "workers"],
+                      "the analytic mode samples no trials")
     ts_ms = _parse_grid_ms(args)
+    _check_workers(args)
+    _check_trials(args)
     cfg = load_config(args.config, args.seed)
 
     if args.mode == "analytic":
@@ -241,11 +262,10 @@ def cmd_repeater(args) -> int:
     fields = {"r0": "r0", "chi": "chi", "link_convention": "link_convention",
               "interpretation": "pr_exponent"}
     if args.anchor_report:
-        _refuse_given(args, [*SWEEP_DEFAULTS, *fields, "format",
+        _refuse_given(args, [*args.late_defaults, *fields, "format",
                              "summary_out"],
                       "--anchor-report sets its own grid, model and output")
-    vars(args).update({k: v for k, v in SWEEP_DEFAULTS.items()
-                       if getattr(args, k) is None})
+    _fill_late(args)
     if not 2 <= args.points <= MAX_POINTS:
         raise ValueError(f"--points must lie in [2, {MAX_POINTS}], "
                          f"got {args.points}")
@@ -255,7 +275,7 @@ def cmd_repeater(args) -> int:
     if not (0.0 < args.l_min_km < args.l_max_km < math.inf):
         raise ValueError(f"need finite 0 < --l-min-km < --l-max-km, got "
                          f"{args.l_min_km!r} and {args.l_max_km!r}")
-    cfg = load_config(args.config, args.seed)
+    cfg = load_config(args.config)
     params = dataclasses.replace(cfg.repeater, **{
         field: getattr(args, flag) for flag, field in fields.items()
         if getattr(args, flag) is not None})
@@ -315,7 +335,7 @@ def cmd_repeater(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    cfg = load_config(args.config, args.seed)
+    cfg = load_config(args.config)
     points = cal.read_datapoints_csv(args.data)
     if args.which == "decay":
         fit = cal.fit_decay(points)
@@ -335,8 +355,10 @@ def cmd_simulate(args) -> int:
                          f"got {args.seconds}")
     cfg = load_config(args.config, args.seed)
     cycles = args.seconds / cfg.sequence.cycle_duration
-    if not math.isfinite(cycles):
-        raise ValueError(f"--seconds {args.seconds} is too many cycles")
+    trials = cycles * cfg.sequence.trials_per_run
+    if not trials <= MAX_TRIALS:
+        raise ValueError(f"--seconds {args.seconds:g} asks for {trials:.6g} "
+                         f"trials, at most {MAX_TRIALS} are allowed")
     n_cycles = max(1, round(cycles))
     settings = model.MeasurementSettings(args.theta_s, args.theta_as)
     with contextlib.ExitStack() as stack:
@@ -378,25 +400,35 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser, table: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser, table: bool = False,
+                seed: bool = False) -> None:
     p.add_argument("--config", default=None, help="INI config file")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the [output] seed")
+    if seed:  # only a command that samples trials takes a seed
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the [output] seed")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     if table:
         p.add_argument("--format", choices=("csv", "json"), default=None,
                        help="default csv")
 
 
+def _add_late(p: argparse.ArgumentParser, flag: str, default,
+              help: str = "", **kw) -> None:
+    """Add ``flag`` with a late default: it parses to None when not
+    given, so that a refusal can tell it given, and ``_fill_late`` sets
+    ``default`` after the command's refusals."""
+    help = f"{help}, default {default}" if help else f"default {default}"
+    name = p.add_argument(flag, default=None, help=help, **kw).dest
+    p.set_defaults(late_defaults={**(p.get_default("late_defaults") or {}),
+                                  name: default})
+
+
 def _add_grid(p: argparse.ArgumentParser, t_max: float, points: int) -> None:
-    # the grid flags default to None, so that --t-ms can refuse a given one
     p.add_argument("--t-ms", default=None,
                    help="comma-separated storage times in ms")
-    p.add_argument("--t-min-ms", type=float, default=None)
-    p.add_argument("--t-max-ms", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
-    p.set_defaults(grid_defaults={"t_min_ms": 0.0, "t_max_ms": t_max,
-                                  "points": points})
+    _add_late(p, "--t-min-ms", 0.0, type=float)
+    _add_late(p, "--t-max-ms", t_max, type=float)
+    _add_late(p, "--points", points, type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,34 +440,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("efficiency",
                        help="retrieval-efficiency curve (analytic, plus "
                             "optional Monte Carlo estimates)")
-    _add_common(p, table=True)
+    _add_common(p, table=True, seed=True)
     _add_grid(p, t_max=3.0, points=61)
     p.add_argument("--montecarlo", action="store_true")
-    p.add_argument("--trials", type=int, default=200000,
-                   help="trials per storage time in Monte Carlo mode")
-    p.add_argument("--workers", type=int, default=1)
+    _add_late(p, "--trials", 200000, "trials per storage time in Monte "
+              "Carlo mode", type=int)
+    _add_late(p, "--workers", 1, type=int)
     p.set_defaults(func=cmd_efficiency)
 
     p = sub.add_parser("bell", help="CHSH parameter versus storage time")
-    _add_common(p, table=True)
+    _add_common(p, table=True, seed=True)
     _add_grid(p, t_max=2.6, points=14)
     p.add_argument("--mode", choices=("analytic", "montecarlo"),
                    default="analytic")
-    p.add_argument("--trials", type=int, default=1000000,
-                   help="trials per angle setting per storage time")
-    p.add_argument("--resamples", type=int, default=500,
-                   help="bootstrap resamples for the error bars")
-    p.add_argument("--workers", type=int, default=1)
+    _add_late(p, "--trials", 1000000, "trials per angle setting per "
+              "storage time", type=int)
+    _add_late(p, "--workers", 1, type=int)
+    _add_late(p, "--resamples", 500, "bootstrap resamples for the error "
+              "bars", type=int)
     p.set_defaults(func=cmd_bell)
 
     p = sub.add_parser("repeater", help="rate-versus-distance sweeps")
     _add_common(p, table=True)
-    p.add_argument("--l-min-km", type=float, default=None, help="default 10")
-    p.add_argument("--l-max-km", type=float, default=None,
-                   help="default 5000")
-    p.add_argument("--points", type=int, default=None, help="default 120")
-    p.add_argument("--grid", choices=("log", "linear"), default=None,
-                   help="default log")
+    _add_late(p, "--l-min-km", 10.0, type=float)
+    _add_late(p, "--l-max-km", 5000.0, type=float)
+    _add_late(p, "--points", 120, type=int)
+    _add_late(p, "--grid", "log", choices=("log", "linear"))
     p.add_argument("--target-rate", type=float, default=1e-4)
     p.add_argument("--r0", type=float, default=None,
                    help="override the zero-delay retrieval efficiency")
@@ -459,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the trial sequence and "
                                         "summarize counts")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--seconds", type=float, default=1.0)
     p.add_argument("--theta-s", type=float, default=0.0)
     p.add_argument("--theta-as", type=float, default=0.0)

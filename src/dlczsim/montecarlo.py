@@ -183,9 +183,15 @@ def _result(row, n_cycles: int, n_slots: int) -> TrialRunResult:
                           n_background_readouts=n_bg)
 
 
-def _check_cycles(n_cycles: int) -> None:
+def _check_cycles(n_cycles: int, n_slots: int) -> None:
+    """Refuse a run of no cycles, and one whose ``n_cycles * n_slots``
+    write slots, which the sampler counts in int64, pass int64; its last
+    cycle index is then inside int64 too."""
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
+    if n_cycles * n_slots >= 2 ** 63:
+        raise ValueError(f"n_cycles * trials_per_run must stay below 2**63, "
+                         f"got {n_cycles} * {n_slots}")
 
 
 def run_trials(cfg: SequenceConfig, sp: SourceParams, dm: DecayModel,
@@ -205,9 +211,10 @@ def run_trials(cfg: SequenceConfig, sp: SourceParams, dm: DecayModel,
     the trials are sampled. A dumped run samples all cycles in the calling
     thread, whatever ``n_workers``.
     """
-    _check_cycles(n_cycles)
+    _check_cycles(n_cycles, cfg.trials_per_run)
     args = _kernel_args(cfg, sp, dm, write_eta, read_eta, settings)
 
+    rows = None
     if dump is not None:
         period_ns = int(round(cfg.trial_period * 1e9))
         cycle_ns = int(round(cfg.cycle_duration * 1e9))
@@ -218,12 +225,10 @@ def run_trials(cfg: SequenceConfig, sp: SourceParams, dm: DecayModel,
             write_record_dump(dump, cyc, slot, her, read, bg, t_ns)
 
         dump.write(DUMP_HEADER)
-        row = _kernels.counts_kernel(seed.master_seed, 0, n_cycles, *args,
-                                     rows=rows)
-    else:
-        row = _in_chunks(n_cycles, n_workers, lambda lo, hi:
-                         _kernels.counts_kernel(seed.master_seed, lo, hi,
-                                                *args))
+        n_workers = 1  # the rows are written in cycle order
+    row = _in_chunks(n_cycles, n_workers, lambda lo, hi:
+                     _kernels.counts_kernel(seed.master_seed, lo, hi, *args,
+                                            rows=rows))
     return _result(row, n_cycles, args[0])
 
 
@@ -489,7 +494,7 @@ def bell_sweep(ts: Sequence[float], cfg: SequenceConfig, sp: SourceParams,
     trial runs.
     """
     _check_resamples(n_resamples)
-    _check_cycles(n_cycles)
+    _check_cycles(n_cycles, cfg.trials_per_run)
     out = []
     for i, t in enumerate(_grid(ts)):
         cfg_t = cfg.with_storage_time(t)

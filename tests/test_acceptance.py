@@ -282,7 +282,7 @@ def test_criterion_8_determinism(tmp_path):
         "bell": ["bell", "--t-ms", "0,0.6", "--mode", "montecarlo",
                  "--trials", "200000", "--seed", "8"],
         "repeater": ["repeater", "--points", "40", "--l-min-km", "20",
-                     "--l-max-km", "1500", "--seed", "8"],
+                     "--l-max-km", "1500"],
         "simulate": ["simulate", "--seconds", "0.3", "--seed", "8"],
     }
     for name, argv in runs.items():

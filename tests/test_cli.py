@@ -1150,10 +1150,89 @@ class TestRunSizeBound:
         assert all(flag in err for flag in flags[::2])
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value", [str(2 ** 80), "1e23", "1e300"])
+    def test_seconds_past_the_trials_bound_exits_2(self, value, tmp_path,
+                                                   capsys, monkeypatch):
+        # 1e23 s are 2e24 cycles of 4000 trials, past the uint64 cycle
+        # keys: refused once the config gives the cycle, before any trial
+        _refuse_work(monkeypatch, "--seconds")
+        monkeypatch.setattr(cli, "load_config", load_config)
+        rc, out, err = run(capsys, "simulate", "--seconds", value,
+                           "--out", str(tmp_path / "out.json"),
+                           "--dump", str(tmp_path / "dump.csv"))
+        assert rc == 2
+        assert out == "" and "--seconds" in err and str(cli.MAX_TRIALS) in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", [str(2 ** 80), str(10 ** 23),
+                                       str(10 ** 300),
+                                       str(cli.MAX_TRIALS + 1)],
+                             ids=["2**80", "1e23", "1e300", "bound+1"])
+    @pytest.mark.parametrize("argv", [
+        ["efficiency", "--montecarlo", "--t-ms", "0"],
+        ["bell", "--mode", "montecarlo", "--t-ms", "0"]],
+        ids=["efficiency-mc", "bell-mc"])
+    def test_trials_past_the_bound_exit_2_before_any_work(self, argv, value,
+                                                          tmp_path, capsys,
+                                                          monkeypatch):
+        _refuse_work(monkeypatch, "--trials")
+        rc, out, err = run(capsys, *argv, "--trials", value,
+                           "--out", str(tmp_path / "out.csv"))
+        assert rc == 2
+        assert out == "" and "--trials" in err and str(cli.MAX_TRIALS) in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_trials_at_the_bound_reach_the_work(self, monkeypatch):
+        _refuse_work(monkeypatch, "--trials")
+        with pytest.raises(AssertionError, match="work started"):
+            main(["bell", "--mode", "montecarlo", "--t-ms", "0",
+                  "--trials", str(cli.MAX_TRIALS)])
+
     def test_storage_time_grid_at_the_bound_runs(self, capsys):
         rc, out, _ = run(capsys, "bell", "--points", str(cli.MAX_POINTS))
         assert rc == 0
         assert len(out.splitlines()) == cli.MAX_POINTS + 1
+
+
+class TestIgnoredFlags:
+    @pytest.mark.parametrize("argv", [
+        ["repeater", "--points", "5"], ["repeater", "--anchor-report"],
+        ["calibrate", "--which", "decay", "--data", "pts.csv"]],
+        ids=["repeater", "anchor-report", "calibrate"])
+    def test_seed_of_a_command_without_trials_exits_2(self, argv, tmp_path,
+                                                      capsys, monkeypatch):
+        # neither command draws a trial, so --seed would change no byte
+        monkeypatch.chdir(tmp_path)
+        _refuse_work(monkeypatch, "--seed")
+        with pytest.raises(SystemExit) as usage:
+            main([*argv, "--seed", "1", "--out", "out"])
+        assert usage.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --seed" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["efficiency"], ["--seed", "1"]),
+        (["efficiency"], ["--trials", "200000"]),
+        (["efficiency"], ["--workers", "1"]),
+        (["efficiency"], ["--seed", "2", "--trials", "7", "--workers", "3"]),
+        (["bell"], ["--seed", "1"]),
+        (["bell", "--mode", "analytic"], ["--trials", "1000000"]),
+        (["bell"], ["--workers", "3"]),
+        (["bell"], ["--resamples", "100"]),
+        (["bell"], ["--trials", "7", "--workers", "3", "--resamples", "200"])])
+    def test_sampling_flag_of_an_analytic_mode_exits_2(self, argv, flags,
+                                                       tmp_path, capsys,
+                                                       monkeypatch):
+        # an analytic curve samples no trials: even a flag given at its
+        # default value is refused, before the config is read
+        _refuse_work(monkeypatch, flags[0])
+        rc, out, err = run(capsys, *argv, "--t-ms", "0,1", *flags,
+                           "--out", str(tmp_path / "out.csv"))
+        assert rc == 2
+        assert out == "" and err.count("\n") == 1
+        assert "no trials" in err and all(f in err for f in flags[::2])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestWorkersBound:
@@ -1210,7 +1289,7 @@ MODES = [["efficiency"], ["efficiency", "--montecarlo"], ["bell"],
 
 @st.composite
 def edge_argv(draw):
-    mode = draw(st.sampled_from(MODES))
+    mode = draw(st.sampled_from([m for m in MODES if NUMERIC_FLAGS[m[0]]]))
     given = draw(st.dictionaries(st.sampled_from(NUMERIC_FLAGS[mode[0]]),
                                  st.sampled_from(EDGE_VALUES),
                                  min_size=1, max_size=3))
@@ -1245,9 +1324,11 @@ def edge_ini(draw):
 
 
 class TestGeneratedInput:
-    def test_every_subcommand_has_numeric_flags(self):
+    def test_every_subcommand_but_calibrate_has_numeric_flags(self):
+        # calibrate takes paths and choices only
         assert set(NUMERIC_FLAGS) == {m[0] for m in MODES}
-        assert all(NUMERIC_FLAGS.values())
+        assert [name for name, flags in NUMERIC_FLAGS.items()
+                if not flags] == ["calibrate"]
 
     # the directory is shared by the examples: no example writes a file
     @settings(max_examples=400, deadline=None,

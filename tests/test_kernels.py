@@ -712,18 +712,23 @@ def _hashes():
 
 @pytest.mark.parametrize("p_herald", [0.003, 0.49])
 @pytest.mark.parametrize("skip_slots", [0, 5])
-def test_full_path_hashes_every_slot_once(p_herald, skip_slots):
+@pytest.mark.parametrize("n_runs, n_cycles, batches", [
+    (1, 17, 3),   # batches of 6, 6 and 5 cycles
+    (4, 7, 5)],   # 28 lanes in batches of 6, 6, 6, 6 and 4, across runs
+    ids=["one-run", "four-runs"])
+def test_full_path_hashes_every_slot_once(n_runs, n_cycles, batches,
+                                          p_herald, skip_slots):
     # every draw-0 hash goes through trial_uniforms_numpy, where a tracer
-    # counts them: n_cycles x n_slots on the full path
+    # counts them: runs x cycles x n_slots on the full path, in batches
+    # that fill up with the cycles of the next run
     with _hashes() as drawn, \
             mock.patch.object(_kernels, "_scan_window", lambda *_: 0), \
             _batch_sizes(2000, 700):
-        _kernels.counts_kernel(4, 10, 27, 300, p_herald, a13=0.3, a14=0.1,
-                               a23=0.1, a24=0.3, p_noise=1e-2,
-                               skip_slots=skip_slots)
+        _kernels.count_runs(range(4, 4 + n_runs), 10, 10 + n_cycles, 300,
+                            p_herald, LAWS[:n_runs], 1e-2, skip_slots)
     draw0 = [(size, base) for draw, size, base in drawn if draw == 0]
-    assert sum(size for size, _ in draw0) == 17 * 300
-    assert len(draw0) == 3  # batches of 6, 6 and 5 cycles
+    assert sum(size for size, _ in draw0) == n_runs * n_cycles * 300
+    assert len(draw0) == batches
     if p_herald >= 1 / 8:
         # dense: the hash of every batch, the short last one too, is a
         # view of the call's one workspace buffer

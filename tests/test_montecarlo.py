@@ -140,6 +140,22 @@ class TestRunTrials:
             run_trials(CFG, calibrated_source(), DM, 0.15, 0.15,
                        MeasurementSettings(0, 0), 0, SeedSpec(0))
 
+    @pytest.mark.parametrize("n_cycles", [2 ** 63 // 4000 + 1, 2 ** 80])
+    def test_slots_past_int64_are_refused_before_running(self, n_cycles,
+                                                         monkeypatch):
+        # the sampler counts a run's slots in int64: 2**63 // 4000 cycles
+        # of 4000 slots are the most it can count
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run past int64 started")
+
+        monkeypatch.setattr(_kernels, "count_runs", refuse)
+        with pytest.raises(ValueError, match=r"below 2\*\*63"):
+            run_trials(CFG, calibrated_source(), DM, 0.15, 0.15,
+                       MeasurementSettings(0, 0), n_cycles, SeedSpec(0))
+        with pytest.raises(ValueError, match=r"below 2\*\*63"):
+            bell_sweep([0.0], CFG, calibrated_source(), DM, 0.15, 0.15,
+                       n_cycles, SeedSpec(0))
+
 
 class TestEstimatorConsistency:
     def test_retrieval_estimator_tracks_decay_curve(self):
