@@ -21,7 +21,7 @@ the herald key's ``_band`` are finished and compared with the key itself.
 The trial is written once, in ``count_runs``'s docstring. Its lanes are
 (run, cycle) pairs, each with its own cycle key, and it samples them a
 lane group at a time by one of two paths, which give the same heralds in
-the same piece form ``(lane, slot, h0)``:
+the same piece form ``(lane, slot, h0)``, in no set order:
 
 * the full-hash path (``_full``) takes a batch of lanes as its group,
   draws the draw 0 of every slot with one ``trial_uniforms_numpy`` call,
@@ -45,8 +45,9 @@ The runs of a call share everything but their seed and readout law (the
 four CHSH settings of a storage time), so a lane group may hold cycles of
 several runs. Its pieces go to the call's ``_Tally``, which draws every
 herald's readout, sums the slots it blocks and bins it by run and outcome,
-unsorted. A record dump is a row sink of a one-run call: a group's pieces
-are joined, put in flat order and drawn at once, and ``records_kernel``
+unsorted. A record dump is a row sink of a one-run call whose lane groups
+hold about ``GROUP_HERALDS`` heralds: a group's pieces are joined and
+drawn at once, and ``records_kernel``, which takes heralds in any order,
 expands them a batch of cycles at a time, so its rows are never all held.
 
 The working set is bounded whatever the number of cycles: a batch's
@@ -80,8 +81,8 @@ MIX_SLOTS = 65_536
 # Lane scan: windows of at most SCAN_WINDOW_MAX slots and lane groups with
 # at most LANE_SLOTS uniforms per step (lanes x window, the working set of a
 # step, no larger than a batch's). The tally draws readouts for about
-# GROUP_HERALDS heralds at a time; a dump's lane groups are whole batches
-# with about that many heralds in all, sorted into flat order.
+# GROUP_HERALDS heralds at a time, and a dump's lane groups hold about
+# that many heralds, but at least a batch's cycles.
 SCAN_WINDOW_MAX = 128
 LANE_SLOTS = 65_536
 GROUP_HERALDS = CHUNK_SLOTS // 8
@@ -424,8 +425,7 @@ def _join(parts):
 def _full(keys, slots, key, skip_slots, work):
     """Accepted heralds of one lane per cycle key in ``keys`` from the
     draw 0 of every slot, a candidate where the hash is below ``key``.
-    Yields them as one piece in ``_scan``'s form, in flat (lane-major)
-    order.
+    Yields them as one piece in ``_scan``'s form.
 
     With ``work``, a ``_Workspace``, the hash, the mask and the prefix
     count go into the fronts of its buffers, so a run of batches reuses
@@ -634,10 +634,11 @@ def count_runs(master_seeds, cycle_lo, cycle_hi, n_slots, p_herald, laws,
 
     ``rows``, given to a one-run call, is called with the ``records_kernel``
     arrays of each batch of whole cycles, together about ``CHUNK_SLOTS``
-    slots, in order and before the next is expanded. A group's heralds
-    reach the tally at once in flat order: a full-path batch as its one
-    piece, already in that order, a scan group of whole batches with about
-    ``GROUP_HERALDS`` heralds joined and sorted.
+    slots, in order and before the next is expanded. The lane groups then
+    hold about ``GROUP_HERALDS`` heralds but at least a batch's cycles, so
+    the scan's step cost stays shared by many lanes. A group's heralds are
+    joined and drawn at once, and each batch's go to ``records_kernel`` in
+    the order their path found them.
     """
     seeds = np.array([int(s) for s in master_seeds], dtype=np.uint64)
     n_slots = int(n_slots)
@@ -648,17 +649,15 @@ def count_runs(master_seeds, cycle_lo, cycle_hi, n_slots, p_herald, laws,
     tally = _Tally(seeds.size, n_slots, skip_slots,
                    _threshold(p_herald * 0.5), _Law.of(laws, p_noise))
     step = max(1, CHUNK_SLOTS // max(n_slots, 1))  # cycles per batch
-    if rows is None:
-        w = _scan_window(p_herald, skip_slots, n_slots, lanes)
-        size = max(1, LANE_SLOTS // max(w, 1))
-    else:  # a dump's lane group: whole batches of about GROUP_HERALDS heralds
-        heralds = step * p_herald * _open_slots(n_slots, p_herald, skip_slots)
-        batches = max(1, int(GROUP_HERALDS // max(heralds, 1.0)))
-        w = _scan_window(p_herald, skip_slots, n_slots,
-                         min(lanes, step * batches))
-        size = step * max(1, min(batches, LANE_SLOTS // max(w, 1) // step))
-
-    if not w:  # the full path's lane group is a batch
+    group = lanes
+    if rows is not None:  # a dump draws about GROUP_HERALDS heralds at once
+        heralds = p_herald * _open_slots(n_slots, p_herald, skip_slots)
+        if heralds * lanes > GROUP_HERALDS:  # else one group takes them all
+            group = max(step, int(GROUP_HERALDS // heralds))
+    w = _scan_window(p_herald, skip_slots, n_slots, min(lanes, group))
+    if w:
+        size = max(1, min(group, LANE_SLOTS // w))
+    else:  # the full path's lane group is a batch
         size = step
         slots = np.arange(n_slots)
         work = None
@@ -674,22 +673,20 @@ def count_runs(master_seeds, cycle_lo, cycle_hi, n_slots, p_herald, laws,
                 tally.add(keys[lane], runs[lane], slot, h0)
             del lane, slot, h0  # freed before the next group is sampled
             continue
-        # a dump draws a group's heralds at once in flat order
+        # a dump draws a group's heralds at once and expands them a batch
+        # of cycles at a time, in any order
         lane, slot, h0 = _join(list(pieces))
-        flat = lane * n_slots + slot
-        if w:
-            order = np.argsort(flat, kind="stable")
-            lane, slot, flat, h0 = (a[order] for a in (lane, slot, flat, h0))
-            del order
         bins, background = tally.draw(keys[lane], runs[lane], slot, h0)
+        flat = lane * n_slots + slot
+        batch = lane // step
         del lane, slot, h0
-        bounds = list(range(0, keys.size, step)) + [keys.size]
-        edges = np.searchsorted(flat, np.array(bounds) * n_slots).tolist()
-        for c0, c1, i, j in zip(bounds, bounds[1:], edges, edges[1:]):
-            rows(*records_kernel(flat[i:j] - c0 * n_slots, bins[i:j],
-                                 background[i:j], cycle_lo + g + c0, c1 - c0,
-                                 n_slots, skip_slots))
-        del flat, bins, background  # freed before the next group is sampled
+        for c0 in range(0, keys.size, step):
+            i = np.flatnonzero(batch == c0 // step)
+            rows(*records_kernel(flat[i] - c0 * n_slots, bins[i],
+                                 background[i], cycle_lo + g + c0,
+                                 min(step, keys.size - c0), n_slots,
+                                 skip_slots))
+        del flat, batch, bins, background  # freed before the next group
     return tally.counts(n_cycles)
 
 
@@ -697,12 +694,12 @@ def records_kernel(flat, bins, background, cycle_lo, n_cycles, n_slots,
                    skip_slots):
     """Per-trial event arrays of cycles ``[cycle_lo, cycle_lo + n_cycles)``.
 
-    ``flat`` holds the ascending index ``(cycle - cycle_lo) * n_slots +
-    slot`` of each accepted herald of these cycles, ``bins`` and
+    ``flat`` holds the index ``(cycle - cycle_lo) * n_slots + slot`` of
+    each accepted herald of these cycles, in any order, ``bins`` and
     ``background`` its ``_Tally.draw`` bin and background flag. Returns
     arrays (cycle, slot, herald, readout, background) covering every
-    executed trial in order. ``herald`` is 0/1/2 for none/D1/D2,
-    ``readout`` 0/3/4 for none/D3/D4.
+    executed trial in order, whatever the order of the heralds. ``herald``
+    is 0/1/2 for none/D1/D2, ``readout`` 0/3/4 for none/D3/D4.
     """
     size = n_cycles * n_slots
     if skip_slots > 0 and flat.size:

@@ -20,7 +20,6 @@ is expanded, so its memory does not grow with the number of cycles.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import BinaryIO, Optional, Sequence
 
@@ -166,6 +165,10 @@ def _in_chunks(n_cycles: int, n_workers: int, count):
     chunks = [(lo, min(lo + step, n_cycles))
               for lo in range(0, n_cycles, step)]
     if len(chunks) > 1 and n_workers > 1:
+        # imported here: concurrent.futures and the logging it loads cost
+        # the CLI's import about 7 ms, and only threaded runs need them
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             parts = list(pool.map(lambda c: count(*c), chunks))
     else:
@@ -392,50 +395,46 @@ def bootstrap_errors(counts, n_resamples: int = 1000,
     ``counts`` is a single CoincidenceCounts (errors for E and, when
     ``eta_td`` is given, the three retrieval estimators) or a sequence of
     four, one per CHSH setting (errors for each E and for the Bell
-    parameter). Each observed count is resampled as an independent Poisson
-    variate with mean equal to the observation; resamples on which an
-    estimator is undefined are redrawn, capped at ``10 * n_resamples``
-    attempts.
+    parameter; ``eta_td`` raises ``ValueError`` there, as no retrieval is
+    estimated from them). Each observed count is resampled as an
+    independent Poisson variate with mean equal to the observation;
+    resamples on which an estimator is undefined are redrawn, capped at
+    ``10 * n_resamples`` attempts.
+
+    The resampled counts are ``c13, c14, c23, c24`` of each set, then, for
+    a single set, its singles ``s1, s2``, with or without ``eta_td``: the
+    Poisson stream draws one variate per count, so leaving them out would
+    change a single set's E error at every seed.
     """
     _check_resamples(n_resamples)
-    rng = np.random.default_rng(np.random.PCG64(seed.master_seed))
-    max_attempts = 10 * n_resamples
-
-    if isinstance(counts, CoincidenceCounts):
-        base = np.array([counts.c13, counts.c14, counts.c23, counts.c24,
-                         counts.s1, counts.s2], dtype=np.int64)
-        need_singles = [np.array([4]), np.array([5])] if eta_td else []
-        draws = _poisson_resample(rng, base, [np.arange(4)], need_singles,
-                                  n_resamples, max_attempts)
-        num = draws[:, 0] + draws[:, 3] - draws[:, 1] - draws[:, 2]
-        den = draws[:, :4].sum(axis=1)
-        e_err = float(np.std(num / den, ddof=1))
-        r_qu = r_l = r_r = None
-        if eta_td:
-            qu = (draws[:, 0] + draws[:, 3]) / (eta_td * (draws[:, 4] + draws[:, 5]))
-            left = draws[:, 0] / (eta_td * draws[:, 4])
-            right = draws[:, 3] / (eta_td * draws[:, 5])
-            r_qu = float(np.std(qu, ddof=1))
-            r_l = float(np.std(left, ddof=1))
-            r_r = float(np.std(right, ddof=1))
-        return BootstrapErrors(e=e_err, r_qu=r_qu, r_l=r_l, r_r=r_r)
-
-    counts = list(counts)
-    if len(counts) != 4:
+    single = isinstance(counts, CoincidenceCounts)
+    sets = [counts] if single else list(counts)
+    if not single and len(sets) != 4:
         raise ValueError("expected one CoincidenceCounts or a sequence of four")
-    base = np.concatenate([[c.c13, c.c14, c.c23, c.c24] for c in counts]
-                          ).astype(np.int64)
-    coinc_rows = [np.arange(4 * k, 4 * k + 4) for k in range(4)]
-    draws = _poisson_resample(rng, base, coinc_rows, [], n_resamples,
-                              max_attempts)
-    es = []
-    for k in range(4):
-        blk = draws[:, 4 * k:4 * k + 4]
-        es.append((blk[:, 0] + blk[:, 3] - blk[:, 1] - blk[:, 2])
-                  / blk.sum(axis=1))
-    s = np.abs(es[0] - es[1] + es[2] + es[3])
-    return BootstrapErrors(e=tuple(float(np.std(e, ddof=1)) for e in es),
-                           s_bell=float(np.std(s, ddof=1)))
+    if not single and eta_td is not None:
+        raise ValueError("eta_td applies to a single CoincidenceCounts, "
+                         "not to the four CHSH settings")
+    base = [v for c in sets for v in (c.c13, c.c14, c.c23, c.c24)]
+    if single:
+        base += [counts.s1, counts.s2]
+    coinc_rows = [np.arange(4 * k, 4 * k + 4) for k in range(len(sets))]
+    need_singles = [np.array([4]), np.array([5])] if eta_td else []
+    rng = np.random.default_rng(np.random.PCG64(seed.master_seed))
+    draws = _poisson_resample(rng, np.array(base, dtype=np.int64),
+                              coinc_rows, need_singles, n_resamples,
+                              10 * n_resamples)
+    es = [(d[:, 0] + d[:, 3] - d[:, 1] - d[:, 2]) / d.sum(axis=1)
+          for d in (draws[:, rows] for rows in coinc_rows)]
+    if not single:
+        return BootstrapErrors(
+            e=tuple(float(np.std(e, ddof=1)) for e in es),
+            s_bell=float(np.std(bell_parameter(*es), ddof=1)))
+    ratios = [None] * 3
+    if eta_td:  # qubit, left and right retrieval
+        ratios = [float(np.std(draws[:, num].sum(axis=1)
+                               / (eta_td * draws[:, den].sum(axis=1)), ddof=1))
+                  for num, den in (([0, 3], [4, 5]), ([0], [4]), ([3], [5]))]
+    return BootstrapErrors(float(np.std(es[0], ddof=1)), None, *ratios)
 
 
 def _grid(ts: Sequence[float]) -> list:

@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -1251,7 +1252,8 @@ class TestWorkersBound:
         def refuse(*args, **kwargs):
             raise AssertionError("work started despite a bad --workers")
 
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            refuse)
         monkeypatch.setattr(montecarlo, "run_trials", refuse)
         monkeypatch.setattr(cli, "load_config", refuse)
         threads = threading.active_count()
@@ -1423,15 +1425,27 @@ class TestParserReuse:
         assert len(built) == 1
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy.optimize costs about half a second and 50 MB; only the fits
-    # need it, so importing the CLI must not pull it in
+def _loaded_by_cli_import(module):
+    """Whether ``import dlczsim.cli`` in a fresh interpreter loads
+    ``module``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(dlczsim.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, dlczsim.cli; print('scipy.optimize' in sys.modules)"],
+         f"import sys, dlczsim.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.optimize costs about half a second and 50 MB; only the fits
+    # need it, so importing the CLI must not pull it in
+    assert not _loaded_by_cli_import("scipy.optimize")
+
+
+def test_cli_import_leaves_thread_pool_unloaded():
+    # concurrent.futures and the logging it loads cost the import about
+    # 7 ms; only a run on several worker threads needs them
+    assert not _loaded_by_cli_import("concurrent.futures")

@@ -177,6 +177,36 @@ def test_records_consistent_with_counts():
     assert not np.any((her == 0) & (read != 0))
 
 
+@pytest.mark.parametrize("window", [0, 2])  # the full path, the lane scan
+def test_records_do_not_depend_on_herald_order(window):
+    # a dump hands records_kernel a batch's heralds in the order its path
+    # found them; sorted or shuffled, the rows are the same
+    calls = []
+    kernel = _kernels.records_kernel
+
+    def recording(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    kw = dict(p_herald=0.2, a13=0.25, a14=0.05, a23=0.05, a24=0.25,
+              p_noise=5e-2, skip_slots=3)
+    with mock.patch.object(_kernels, "records_kernel", recording), \
+            mock.patch.object(_kernels, "_scan_window", lambda *_: window), \
+            _batch_sizes(400, 50):
+        _streamed(21, 0, 9, 100, **kw)
+    assert len(calls) == 3  # batches of 4, 4 and 1 cycles
+    rng = np.random.default_rng(0)
+    for flat, bins, background, *rest in calls:
+        assert flat.size > 1
+        order = np.argsort(flat)
+        shuffled = rng.permutation(flat.size)
+        for a, b in zip(kernel(flat[order], bins[order], background[order],
+                               *rest),
+                        kernel(flat[shuffled], bins[shuffled],
+                               background[shuffled], *rest)):
+            assert np.array_equal(a, b)
+
+
 def test_blocked_slots_never_execute():
     kw = dict(p_herald=0.5, a13=0.4, a14=0.1, a23=0.1, a24=0.4,
               p_noise=0.0, skip_slots=5)

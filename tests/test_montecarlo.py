@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import math
 import os
@@ -231,6 +232,20 @@ class TestBootstrap:
         b = bootstrap_errors(counts, 300, SeedSpec(77), eta_td=0.2)
         assert a == b
 
+    def test_eta_td_is_refused_for_four_settings(self):
+        counts = [CoincidenceCounts(50, 5, 4, 60, 200, 210, 5000)] * 4
+        with pytest.raises(ValueError, match="eta_td"):
+            bootstrap_errors(counts, 100, SeedSpec(5), eta_td=0.2)
+
+    def test_singles_are_drawn_without_eta_td(self):
+        # a single set resamples its singles either way, so with singles
+        # too large for a redraw eta_td leaves the E error as it is
+        counts = CoincidenceCounts(50, 5, 4, 60, 2000, 2100, 50000)
+        plain = bootstrap_errors(counts, 300, SeedSpec(9))
+        assert plain.r_qu is None
+        assert bootstrap_errors(counts, 300, SeedSpec(9), eta_td=0.5).e == \
+            plain.e
+
     def test_resample_count_floor(self):
         with pytest.raises(ValueError):
             bootstrap_errors(CoincidenceCounts(5, 5, 5, 5, 20, 20, 100), 50,
@@ -340,7 +355,8 @@ class TestRecords:
         def refuse(*args, **kwargs):
             raise AssertionError("a dumped run started worker threads")
 
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            refuse)
         assert _dumped(n_workers=3, **kw) == one
 
     def test_click_record_objects(self):
