@@ -729,7 +729,12 @@ def records_kernel(flat, bins, background, cycle_lo, n_cycles, n_slots,
 def counts_kernel(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
                   a13, a14, a23, a24, p_noise, skip_slots, rows=None):
     """``count_runs`` of one run, as the tuple ``(c13, c14, c23, c24, s1,
-    s2, n_trials, n_background)``; ``rows`` is passed on."""
+    s2, n_trials, n_background)``; ``rows`` is passed on.
+
+    The program samples through ``count_runs`` alone (``montecarlo``
+    calls it from ``_sample``). This one-run form is kept for the tests
+    and for the benchmark's tracer, which wraps it by name, until the
+    program counts its own work (ROADMAP item 3b)."""
     (counts,) = count_runs([master_seed], cycle_lo, cycle_hi, n_slots,
                            p_herald, [(a13, a14, a23, a24)], p_noise,
                            skip_slots, rows)

@@ -445,7 +445,7 @@ def estimate_intrinsic_retrieval(counts: CoincidenceCounts,
     estimate pools both polarization-matched coincidence channels; the
     per-mode estimates use one channel each. Errors are Poissonian.
     """
-    if eta_td <= 0.0 or eta_td > 1.0:
+    if not 0.0 < eta_td <= 1.0:
         raise ValueError(f"eta_td must lie in (0, 1], got {eta_td!r}")
     if counts.s1 <= 0 or counts.s2 <= 0:
         raise InsufficientStatisticsError(

@@ -9,12 +9,14 @@ exposes. Storage times spanning several trial periods block the subsequent
 write slots.
 
 Sampling is counter-based and deterministic: identical seed and
-configuration give bit-identical counts for any worker count. Counts come
-from the chunked numpy sampler in ``_kernels``; worker threads only split
-the cycle range between them. A run with a click-record dump is the same
-counts pass in the calling thread, with a row sink: ``write_record_dump``
-writes the rows of each batch of cycles to the dump before the next batch
-is expanded, so its memory does not grow with the number of cycles.
+configuration give bit-identical counts for any worker count. Every run,
+a single one, a retrieval sweep point or the four CHSH runs of a Bell
+point, goes through ``_sample``: one ``_kernels.count_runs`` call per
+worker thread, the threads only splitting the cycle range. A run with a
+click-record dump is the same pass in the calling thread, with a row sink:
+``write_record_dump`` writes the rows of each batch of cycles to the dump
+before the next batch is expanded, so its memory does not grow with the
+number of cycles.
 """
 
 from __future__ import annotations
@@ -142,59 +144,72 @@ class TrialRunResult:
     n_background_readouts: int
 
 
-def _kernel_args(cfg: SequenceConfig, sp: SourceParams, dm: DecayModel,
-                 write_eta: float, read_eta: float,
-                 settings: MeasurementSettings):
-    """Arguments of the trial sampler: slots per cycle, the herald
-    probability ``chi * write_eta``, the ``readout_law`` entries ``a13``
-    ... ``a24``, ``p_noise`` and the write slots a herald blocks."""
+def _sample(cfg: SequenceConfig, sp: SourceParams, dm: DecayModel,
+            write_eta: float, read_eta: float,
+            settings: Sequence[MeasurementSettings], seeds: Sequence[SeedSpec],
+            n_cycles: int, n_workers: int,
+            dump: Optional[BinaryIO] = None) -> list:
+    """One ``TrialRunResult`` per run at the storage time of ``cfg``: run
+    ``r`` draws from ``seeds[r]`` with the readout law of ``settings[r]``.
+
+    The runs share every other sampler input, so each of ``n_workers``
+    threads samples them all over its share of the cycles with one
+    ``_kernels.count_runs`` call. ``dump``, given to a one-run call, gets
+    the header and the rows, sampled in the calling thread.
+    """
     for name, v in (("write_eta", write_eta), ("read_eta", read_eta)):
         if not (0.0 <= v <= 1.0):
             raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
-    p_herald = sp.chi * write_eta
-    a13, a14, a23, a24 = readout_law(sp, dm, cfg.storage_time, read_eta,
-                                     settings).a
-    return (cfg.trials_per_run, p_herald, a13, a14, a23, a24, sp.p_noise,
-            cfg.herald_skip_slots)
-
-
-def _in_chunks(n_cycles: int, n_workers: int, count):
-    """Sum of ``count(lo, hi)`` over the cycle range split into one chunk
-    per worker, the chunks run side by side on ``n_workers`` threads."""
-    step = max(1, math.ceil(n_cycles / max(1, n_workers)))
-    chunks = [(lo, min(lo + step, n_cycles))
-              for lo in range(0, n_cycles, step)]
-    if len(chunks) > 1 and n_workers > 1:
-        # imported here: concurrent.futures and the logging it loads cost
-        # the CLI's import about 7 ms, and only threaded runs need them
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(lambda c: count(*c), chunks))
-    else:
-        parts = [count(*c) for c in chunks]
-    return np.sum(np.asarray(parts, dtype=np.int64), axis=0)
-
-
-def _result(row, n_cycles: int, n_slots: int) -> TrialRunResult:
-    """The run of a kernel row ``(c13, ..., n_trials, n_background)``."""
-    c13, c14, c23, c24, s1, s2, n_trials, n_bg = (int(v) for v in row)
-    counts = CoincidenceCounts(c13, c14, c23, c24, s1, s2, n_trials)
-    return TrialRunResult(counts=counts, n_cycles=n_cycles,
-                          n_trials=n_trials,
-                          n_blocked_slots=n_cycles * n_slots - n_trials,
-                          n_background_readouts=n_bg)
-
-
-def _check_cycles(n_cycles: int, n_slots: int) -> None:
-    """Refuse a run of no cycles, and one whose ``n_cycles * n_slots``
-    write slots, which the sampler counts in int64, pass int64; its last
-    cycle index is then inside int64 too."""
+    n_slots = cfg.trials_per_run
+    # the sampler counts a run's slots in int64, so its last cycle index
+    # is inside int64 too
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
     if n_cycles * n_slots >= 2 ** 63:
         raise ValueError(f"n_cycles * trials_per_run must stay below 2**63, "
                          f"got {n_cycles} * {n_slots}")
+    laws = [readout_law(sp, dm, cfg.storage_time, read_eta, s).a
+            for s in settings]
+    master_seeds = [s.master_seed for s in seeds]
+
+    rows = None
+    if dump is not None:
+        period_ns = int(round(cfg.trial_period * 1e9))
+        cycle_ns = int(round(cfg.cycle_duration * 1e9))
+        prep_ns = int(round(cfg.prep_duration * 1e9))
+
+        def rows(cyc, slot, her, read, bg):
+            t_ns = cyc * cycle_ns + prep_ns + slot * period_ns
+            write_record_dump(dump, cyc, slot, her, read, bg, t_ns)
+
+        dump.write(DUMP_HEADER)
+        n_workers = 1  # the rows are written in cycle order
+
+    step = max(1, math.ceil(n_cycles / max(1, n_workers)))
+    starts = range(0, n_cycles, step)
+
+    def count(lo):
+        return _kernels.count_runs(master_seeds, lo,
+                                   min(lo + step, n_cycles), n_slots,
+                                   sp.chi * write_eta, laws, sp.p_noise,
+                                   cfg.herald_skip_slots, rows)
+
+    if len(starts) > 1:
+        # imported here: concurrent.futures and the logging it loads cost
+        # the CLI's import about 7 ms, and only threaded runs need them
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            parts = list(pool.map(count, starts))
+    else:
+        parts = [count(0)]
+    out = []
+    for row in np.sum(parts, axis=0).tolist():  # (c13, ..., n_trials, n_bg)
+        n_trials = row[6]
+        out.append(TrialRunResult(CoincidenceCounts(*row[:7]), n_cycles,
+                                  n_trials, n_cycles * n_slots - n_trials,
+                                  row[7]))
+    return out
 
 
 def run_trials(cfg: SequenceConfig, sp: SourceParams, dm: DecayModel,
@@ -214,25 +229,9 @@ def run_trials(cfg: SequenceConfig, sp: SourceParams, dm: DecayModel,
     the trials are sampled. A dumped run samples all cycles in the calling
     thread, whatever ``n_workers``.
     """
-    _check_cycles(n_cycles, cfg.trials_per_run)
-    args = _kernel_args(cfg, sp, dm, write_eta, read_eta, settings)
-
-    rows = None
-    if dump is not None:
-        period_ns = int(round(cfg.trial_period * 1e9))
-        cycle_ns = int(round(cfg.cycle_duration * 1e9))
-        prep_ns = int(round(cfg.prep_duration * 1e9))
-
-        def rows(cyc, slot, her, read, bg):
-            t_ns = cyc * cycle_ns + prep_ns + slot * period_ns
-            write_record_dump(dump, cyc, slot, her, read, bg, t_ns)
-
-        dump.write(DUMP_HEADER)
-        n_workers = 1  # the rows are written in cycle order
-    row = _in_chunks(n_cycles, n_workers, lambda lo, hi:
-                     _kernels.counts_kernel(seed.master_seed, lo, hi, *args,
-                                            rows=rows))
-    return _result(row, n_cycles, args[0])
+    (res,) = _sample(cfg, sp, dm, write_eta, read_eta, [settings], [seed],
+                     n_cycles, n_workers, dump)
+    return res
 
 
 DUMP_HEADER = b"cycle,trial,herald,readout,background,t_ns\n"
@@ -393,10 +392,10 @@ def bootstrap_errors(counts, n_resamples: int = 1000,
     """Standard errors of the coincidence estimators by Poisson resampling.
 
     ``counts`` is a single CoincidenceCounts (errors for E and, when
-    ``eta_td`` is given, the three retrieval estimators) or a sequence of
-    four, one per CHSH setting (errors for each E and for the Bell
-    parameter; ``eta_td`` raises ``ValueError`` there, as no retrieval is
-    estimated from them). Each observed count is resampled as an
+    ``eta_td`` is given, in (0, 1], the three retrieval estimators) or a
+    sequence of four, one per CHSH setting (errors for each E and for the
+    Bell parameter; ``eta_td`` raises ``ValueError`` there, as no
+    retrieval is estimated from them). Each observed count is resampled as an
     independent Poisson variate with mean equal to the observation;
     resamples on which an estimator is undefined are redrawn, capped at
     ``10 * n_resamples`` attempts.
@@ -414,11 +413,13 @@ def bootstrap_errors(counts, n_resamples: int = 1000,
     if not single and eta_td is not None:
         raise ValueError("eta_td applies to a single CoincidenceCounts, "
                          "not to the four CHSH settings")
+    if eta_td is not None and not 0.0 < eta_td <= 1.0:
+        raise ValueError(f"eta_td must lie in (0, 1], got {eta_td!r}")
     base = [v for c in sets for v in (c.c13, c.c14, c.c23, c.c24)]
     if single:
         base += [counts.s1, counts.s2]
     coinc_rows = [np.arange(4 * k, 4 * k + 4) for k in range(len(sets))]
-    need_singles = [np.array([4]), np.array([5])] if eta_td else []
+    need_singles = [] if eta_td is None else [np.array([4]), np.array([5])]
     rng = np.random.default_rng(np.random.PCG64(seed.master_seed))
     draws = _poisson_resample(rng, np.array(base, dtype=np.int64),
                               coinc_rows, need_singles, n_resamples,
@@ -430,7 +431,7 @@ def bootstrap_errors(counts, n_resamples: int = 1000,
             e=tuple(float(np.std(e, ddof=1)) for e in es),
             s_bell=float(np.std(bell_parameter(*es), ddof=1)))
     ratios = [None] * 3
-    if eta_td:  # qubit, left and right retrieval
+    if eta_td is not None:  # qubit, left and right retrieval
         ratios = [float(np.std(draws[:, num].sum(axis=1)
                                / (eta_td * draws[:, den].sum(axis=1)), ddof=1))
                   for num, den in (([0, 3], [4, 5]), ([0], [4]), ([3], [5]))]
@@ -462,9 +463,9 @@ def retrieval_sweep(ts: Sequence[float], cfg: SequenceConfig,
     """
     out = []
     for i, t in enumerate(_grid(ts)):
-        res = run_trials(cfg.with_storage_time(t), sp, dm, write_eta,
-                         read_eta, MeasurementSettings(0.0, 0.0), n_cycles,
-                         seed.child(i), n_workers=n_workers)
+        (res,) = _sample(cfg.with_storage_time(t), sp, dm, write_eta,
+                         read_eta, [MeasurementSettings(0.0, 0.0)],
+                         [seed.child(i)], n_cycles, n_workers)
         try:
             out.append(estimate_intrinsic_retrieval(res.counts, read_eta))
         except InsufficientStatisticsError as exc:
@@ -482,31 +483,23 @@ def bell_sweep(ts: Sequence[float], cfg: SequenceConfig, sp: SourceParams,
     Per storage time, one run per canonical CHSH setting; at point ``i``
     setting ``j`` draws from ``seed.child(i, j)`` and the Poisson bootstrap
     of the error from ``seed.child(i, 9)``, with the same truncation
-    property as ``retrieval_sweep``. The four runs of a point share every
-    sampler input but the seed and the readout law, so one
-    ``_kernels.count_runs`` call per cycle chunk samples them together;
-    each run's counts are those ``run_trials`` gives it. Returns one
-    ``Estimate`` of S per point; raises ``InsufficientStatisticsError``
-    naming the storage time of a point without coincidences in some
-    setting, or whose bootstrap exhausts its redraws. ``n_resamples``
-    outside [100, ``MAX_RESAMPLES``] raises ``ValueError`` before any
-    trial runs.
+    property as ``retrieval_sweep``. The four runs of a point are sampled
+    together; each run's counts are those ``run_trials`` gives it on its
+    seed and setting. Returns one ``Estimate`` of S per point; raises
+    ``InsufficientStatisticsError`` naming the storage time of a point
+    without coincidences in some setting, or whose bootstrap exhausts its
+    redraws. ``n_resamples`` outside [100, ``MAX_RESAMPLES``] raises
+    ``ValueError`` before any trial runs.
     """
     _check_resamples(n_resamples)
-    _check_cycles(n_cycles, cfg.trials_per_run)
     out = []
     for i, t in enumerate(_grid(ts)):
-        cfg_t = cfg.with_storage_time(t)
-        args = [_kernel_args(cfg_t, sp, dm, write_eta, read_eta, setting)
-                for setting in CANONICAL_SETTINGS]
-        n_slots, p_herald, *_, p_noise, skip_slots = args[0]
-        seeds = [seed.child(i, j).master_seed for j in range(len(args))]
-        laws = [a[2:6] for a in args]
-        rows = _in_chunks(n_cycles, n_workers, lambda lo, hi:
-                          _kernels.count_runs(seeds, lo, hi, n_slots,
-                                              p_herald, laws, p_noise,
-                                              skip_slots))
-        counts = [_result(row, n_cycles, n_slots).counts for row in rows]
+        runs = _sample(cfg.with_storage_time(t), sp, dm, write_eta, read_eta,
+                       CANONICAL_SETTINGS,
+                       [seed.child(i, j)
+                        for j in range(len(CANONICAL_SETTINGS))],
+                       n_cycles, n_workers)
+        counts = [r.counts for r in runs]
         try:
             s = bell_parameter(*(correlation_E(c) for c in counts))
             errs = bootstrap_errors(counts, n_resamples, seed.child(i, 9))

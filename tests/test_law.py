@@ -1,7 +1,7 @@
 """The model's per-herald outcome law is the sampler's.
 
 ``model.readout_law`` feeds both the sampler's correlated-readout
-probabilities (through ``montecarlo._kernel_args``) and the model's joint
+probabilities (through ``montecarlo._sample``) and the model's joint
 coincidence probabilities. Here the sampler's outcome probabilities are
 derived exactly from its integer keys, by the decision rule of the scalar
 oracle in ``oracles.trial_records_oracle``, and compared with the model.
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dlczsim import _kernels, montecarlo
+from dlczsim import _kernels
 from dlczsim.model import (
     DecayModel,
     MeasurementSettings,
@@ -27,7 +27,7 @@ WORDS = 2 ** 64
 
 
 def _reference_law(sp, dm, t, eta, setting):
-    """``(a, joint)`` by the scalar formulas of ``_kernel_args`` and
+    """``(a, joint)`` by the scalar formulas of the sampler's law and
     ``coincidence_probabilities`` from before both came from
     ``readout_law``, with numpy's exp for both decay laws and a joint
     clipped to 1."""
@@ -66,13 +66,12 @@ def _given_herald(b3, b4, p_noise):
 
 
 def _sampler_law(sp, dm, t, eta, setting):
-    """The sampler's ``_kernel_args`` and, per herald detector, its exact
-    outcome probabilities."""
-    cfg = montecarlo.SequenceConfig(storage_time=t)
-    args = montecarlo._kernel_args(cfg, sp, dm, 0.5, eta, setting)
-    a13, a14, a23, a24, p_noise = args[2:7]
-    return args, (_given_herald(a13, a14, p_noise),
-                  _given_herald(a23, a24, p_noise))
+    """The readout law ``(a13, a14, a23, a24)`` that ``montecarlo._sample``
+    gives the sampler and, per herald detector, its exact outcome
+    probabilities."""
+    a13, a14, a23, a24 = a = readout_law(sp, dm, t, eta, setting).a
+    return a, (_given_herald(a13, a14, sp.p_noise),
+               _given_herald(a23, a24, sp.p_noise))
 
 
 unit = st.floats(0.0, 1.0)
@@ -103,8 +102,8 @@ def test_sampler_inputs_and_joint_law_are_unchanged(case):
     # the joint half pins today's background, which ROADMAP item 2 changes
     sp, dm, t, eta, setting = case
     a, joint = _reference_law(sp, dm, t, eta, setting)
-    args, _ = _sampler_law(sp, dm, t, eta, setting)
-    assert _hex(args[2:6]) == _hex(a)
+    law, _ = _sampler_law(sp, dm, t, eta, setting)
+    assert _hex(law) == _hex(a)
     assert _hex(coincidence_probabilities(sp, dm, t, eta, setting)) == \
         _hex(joint)
 

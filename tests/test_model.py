@@ -325,6 +325,12 @@ class TestIntrinsicRetrieval:
             estimate_intrinsic_retrieval(
                 CoincidenceCounts(0, 0, 0, 0, 0, 0, 10), 0.15)
 
+    @pytest.mark.parametrize("eta_td", [0.0, -0.5, 2.0, math.nan])
+    def test_eta_td_outside_unit_interval_raises(self, eta_td):
+        with pytest.raises(ValueError, match="eta_td"):
+            estimate_intrinsic_retrieval(
+                CoincidenceCounts(50, 5, 4, 60, 200, 210, 5000), eta_td)
+
     def test_scale_invariance_errors_shrink_sqrt_k(self):
         rng = np.random.default_rng(707)
         for _ in range(50):

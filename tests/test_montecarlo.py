@@ -23,6 +23,7 @@ from dlczsim.model import (
     estimate_intrinsic_retrieval,
     expected_bell,
     expected_correlation,
+    readout_law,
 )
 from dlczsim.montecarlo import (
     SeedSpec,
@@ -232,6 +233,12 @@ class TestBootstrap:
         b = bootstrap_errors(counts, 300, SeedSpec(77), eta_td=0.2)
         assert a == b
 
+    @pytest.mark.parametrize("eta_td", [0.0, -0.5, 2.0, math.nan])
+    def test_eta_td_outside_unit_interval_is_refused(self, eta_td):
+        counts = CoincidenceCounts(50, 5, 4, 60, 200, 210, 5000)
+        with pytest.raises(ValueError, match="eta_td"):
+            bootstrap_errors(counts, 100, SeedSpec(5), eta_td=eta_td)
+
     def test_eta_td_is_refused_for_four_settings(self):
         counts = [CoincidenceCounts(50, 5, 4, 60, 200, 210, 5000)] * 4
         with pytest.raises(ValueError, match="eta_td"):
@@ -285,19 +292,34 @@ class TestSweep:
         (24e-6, 0.5),   # 12 blocked slots at p_herald 0.49
         (0.6e-3, 0.003)])  # 300 blocked slots: the scan
     def test_bell_point_is_its_four_runs(self, t, chi, workers):
-        # the four settings of a point sampled in one call count as four
-        # run_trials calls on the same seeds
+        # a point's runs count as one-run kernel calls on the same seeds:
+        # the four settings of a Bell point, sampled in one call, and each
+        # point of the retrieval sweep
         sp = calibrated_source(chi)
+        cfg = CFG.with_storage_time(t)
         n_cycles = 60
+
+        def kernel_counts(seed, setting):
+            law = readout_law(sp, DM, t, 0.5, setting).a
+            row = _kernels.counts_kernel(
+                seed.master_seed, 0, n_cycles, cfg.trials_per_run,
+                sp.chi * 0.98, *law, sp.p_noise, cfg.herald_skip_slots)
+            return CoincidenceCounts(*row[:7])
+
         (s,) = bell_sweep([t], CFG, sp, DM, 0.98, 0.5, n_cycles,
                           SeedSpec(53), n_resamples=100, n_workers=workers)
-        counts = [run_trials(CFG.with_storage_time(t), sp, DM, 0.98, 0.5,
-                             setting, n_cycles, SeedSpec(53).child(0, j),
-                             n_workers=workers).counts
+        counts = [kernel_counts(SeedSpec(53).child(0, j), setting)
                   for j, setting in enumerate(CANONICAL_SETTINGS)]
         errs = bootstrap_errors(counts, 100, SeedSpec(53).child(0, 9))
         assert s.value == bell_parameter(*map(correlation_E, counts))
         assert s.error == errs.s_bell
+
+        ests = retrieval_sweep([t, t], CFG, sp, DM, 0.98, 0.5, n_cycles,
+                               SeedSpec(53), n_workers=workers)
+        assert ests == [estimate_intrinsic_retrieval(
+            kernel_counts(SeedSpec(53).child(i), MeasurementSettings(0, 0)),
+            0.5) for i in range(2)]
+        assert ests[0] != ests[1]
 
     def test_empty_grid_rejected(self):
         for sweep in (retrieval_sweep, bell_sweep):
@@ -398,9 +420,10 @@ def _written(cols):
 def _oracle_columns(n_cycles, seed, cfg, sp, dm, write_eta, read_eta,
                     settings):
     """Record columns of a run from the scalar oracle, t_ns in integers."""
-    args = montecarlo._kernel_args(cfg, sp, dm, write_eta, read_eta,
-                                   settings)
-    rows = trial_records_oracle(seed, 0, n_cycles, *args)
+    law = readout_law(sp, dm, cfg.storage_time, read_eta, settings).a
+    rows = trial_records_oracle(seed, 0, n_cycles, cfg.trials_per_run,
+                                sp.chi * write_eta, *law, sp.p_noise,
+                                cfg.herald_skip_slots)
     cycle_ns = round(cfg.cycle_duration * 1e9)
     prep_ns = round(cfg.prep_duration * 1e9)
     period_ns = round(cfg.trial_period * 1e9)
