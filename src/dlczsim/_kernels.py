@@ -639,8 +639,24 @@ def count_runs(master_seeds, cycle_lo, cycle_hi, n_slots, p_herald, laws,
     the scan's step cost stays shared by many lanes. A group's heralds are
     joined and drawn at once, and each batch's go to ``records_kernel`` in
     the order their path found them.
+
+    A one-run call goes through ``counts_kernel``, which the benchmark's
+    tracer wraps by name, until the program counts its own work (ROADMAP
+    item 3b).
     """
-    seeds = np.array([int(s) for s in master_seeds], dtype=np.uint64)
+    seeds = [int(s) for s in master_seeds]
+    if len(seeds) == 1:
+        return np.array([counts_kernel(seeds[0], cycle_lo, cycle_hi, n_slots,
+                                       p_herald, *laws[0], p_noise,
+                                       skip_slots, rows)], dtype=np.int64)
+    return _count_runs(seeds, cycle_lo, cycle_hi, n_slots, p_herald, laws,
+                       p_noise, skip_slots, rows)
+
+
+def _count_runs(master_seeds, cycle_lo, cycle_hi, n_slots, p_herald, laws,
+                p_noise, skip_slots, rows=None):
+    """``count_runs``, for any number of runs."""
+    seeds = np.array(master_seeds, dtype=np.uint64)
     n_slots = int(n_slots)
     skip_slots = int(skip_slots)
     n_cycles = max(cycle_hi - cycle_lo, 0)
@@ -729,13 +745,9 @@ def records_kernel(flat, bins, background, cycle_lo, n_cycles, n_slots,
 def counts_kernel(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,
                   a13, a14, a23, a24, p_noise, skip_slots, rows=None):
     """``count_runs`` of one run, as the tuple ``(c13, c14, c23, c24, s1,
-    s2, n_trials, n_background)``; ``rows`` is passed on.
-
-    The program samples through ``count_runs`` alone (``montecarlo``
-    calls it from ``_sample``). This one-run form is kept for the tests
-    and for the benchmark's tracer, which wraps it by name, until the
-    program counts its own work (ROADMAP item 3b)."""
-    (counts,) = count_runs([master_seed], cycle_lo, cycle_hi, n_slots,
-                           p_herald, [(a13, a14, a23, a24)], p_noise,
-                           skip_slots, rows)
+    s2, n_trials, n_background)``; ``rows`` is passed on. ``count_runs``
+    takes its one-run calls through it."""
+    (counts,) = _count_runs([int(master_seed)], cycle_lo, cycle_hi, n_slots,
+                            p_herald, [(a13, a14, a23, a24)], p_noise,
+                            skip_slots, rows)
     return tuple(int(v) for v in counts)

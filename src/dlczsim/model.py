@@ -428,6 +428,12 @@ class RetrievalEstimates:
     right: Estimate
 
 
+def _check_eta_td(eta_td: float) -> None:
+    """Refuse a detection efficiency outside (0, 1], NaN included."""
+    if not 0.0 < eta_td <= 1.0:
+        raise ValueError(f"eta_td must lie in (0, 1], got {eta_td!r}")
+
+
 def _ratio_estimate(x: int, singles: int, eta_td: float) -> Estimate:
     # Poisson propagation; a zero numerator gets unit absolute uncertainty
     # so degenerate datasets still report a finite error bar.
@@ -445,8 +451,7 @@ def estimate_intrinsic_retrieval(counts: CoincidenceCounts,
     estimate pools both polarization-matched coincidence channels; the
     per-mode estimates use one channel each. Errors are Poissonian.
     """
-    if not 0.0 < eta_td <= 1.0:
-        raise ValueError(f"eta_td must lie in (0, 1], got {eta_td!r}")
+    _check_eta_td(eta_td)
     if counts.s1 <= 0 or counts.s2 <= 0:
         raise InsufficientStatisticsError(
             "herald singles are zero; retrieval efficiency is undefined")

@@ -37,6 +37,7 @@ from .model import (
     Estimate,
     MeasurementSettings,
     SourceParams,
+    _check_eta_td,
     bell_parameter,
     correlation_E,
     estimate_intrinsic_retrieval,
@@ -413,8 +414,8 @@ def bootstrap_errors(counts, n_resamples: int = 1000,
     if not single and eta_td is not None:
         raise ValueError("eta_td applies to a single CoincidenceCounts, "
                          "not to the four CHSH settings")
-    if eta_td is not None and not 0.0 < eta_td <= 1.0:
-        raise ValueError(f"eta_td must lie in (0, 1], got {eta_td!r}")
+    if eta_td is not None:
+        _check_eta_td(eta_td)
     base = [v for c in sets for v in (c.c13, c.c14, c.c23, c.c24)]
     if single:
         base += [counts.s1, counts.s2]

@@ -9,12 +9,13 @@ oracle in ``oracles.trial_records_oracle``, and compared with the model.
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dlczsim import _kernels
+from dlczsim import _kernels, montecarlo
 from dlczsim.model import (
     DecayModel,
     MeasurementSettings,
@@ -66,12 +67,26 @@ def _given_herald(b3, b4, p_noise):
 
 
 def _sampler_law(sp, dm, t, eta, setting):
-    """The readout law ``(a13, a14, a23, a24)`` that ``montecarlo._sample``
-    gives the sampler and, per herald detector, its exact outcome
-    probabilities."""
-    a13, a14, a23, a24 = a = readout_law(sp, dm, t, eta, setting).a
-    return a, (_given_herald(a13, a14, sp.p_noise),
-               _given_herald(a23, a24, sp.p_noise))
+    """The readout law and background probability ``(a13, a14, a23, a24,
+    p_noise)`` that a ``run_trials`` call at write efficiency 0.5 and read
+    efficiency ``eta`` passes to ``_kernels.count_runs`` and, per herald
+    detector, its exact outcome probabilities."""
+    seen = []
+
+    def record(seeds, lo, hi, n_slots, p_herald, laws, p_noise, skip_slots,
+               rows=None):
+        seen.append((*laws[0], p_noise))
+        out = np.zeros((len(seeds), 8), dtype=np.int64)
+        out[:, 6] = (hi - lo) * n_slots  # every slot run, none heralded
+        return out
+
+    with mock.patch.object(_kernels, "count_runs", record):
+        montecarlo.run_trials(montecarlo.SequenceConfig(storage_time=t), sp,
+                              dm, 0.5, eta, setting, 1,
+                              montecarlo.SeedSpec(0))
+    ((a13, a14, a23, a24, p_noise),) = seen
+    return seen[0], (_given_herald(a13, a14, p_noise),
+                     _given_herald(a23, a24, p_noise))
 
 
 unit = st.floats(0.0, 1.0)
@@ -102,8 +117,8 @@ def test_sampler_inputs_and_joint_law_are_unchanged(case):
     # the joint half pins today's background, which ROADMAP item 2 changes
     sp, dm, t, eta, setting = case
     a, joint = _reference_law(sp, dm, t, eta, setting)
-    law, _ = _sampler_law(sp, dm, t, eta, setting)
-    assert _hex(law) == _hex(a)
+    inputs, _ = _sampler_law(sp, dm, t, eta, setting)
+    assert _hex(inputs) == _hex(a + (sp.p_noise,))
     assert _hex(coincidence_probabilities(sp, dm, t, eta, setting)) == \
         _hex(joint)
 

@@ -300,11 +300,11 @@ class TestSweep:
         n_cycles = 60
 
         def kernel_counts(seed, setting):
-            law = readout_law(sp, DM, t, 0.5, setting).a
-            row = _kernels.counts_kernel(
-                seed.master_seed, 0, n_cycles, cfg.trials_per_run,
-                sp.chi * 0.98, *law, sp.p_noise, cfg.herald_skip_slots)
-            return CoincidenceCounts(*row[:7])
+            (row,) = _kernels.count_runs(
+                [seed.master_seed], 0, n_cycles, cfg.trials_per_run,
+                sp.chi * 0.98, [readout_law(sp, DM, t, 0.5, setting).a],
+                sp.p_noise, cfg.herald_skip_slots)
+            return CoincidenceCounts(*row[:7].tolist())
 
         (s,) = bell_sweep([t], CFG, sp, DM, 0.98, 0.5, n_cycles,
                           SeedSpec(53), n_resamples=100, n_workers=workers)
