@@ -2,7 +2,6 @@
 
 from .model import (
     CANONICAL_SETTINGS,
-    CavityParams,
     CoincidenceCounts,
     DecayModel,
     DetectionChain,
@@ -14,7 +13,6 @@ from .model import (
     SourceParams,
     TSIRELSON_BOUND,
     bell_parameter,
-    cavity_fsr,
     coincidence_probabilities,
     correlation_E,
     escape_efficiency,

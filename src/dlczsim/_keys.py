@@ -33,7 +33,6 @@ KEYS = {
     "sequence": {
         "prep_ms": ("prep_duration", _si(1e-3), "42"),
         "run_ms": ("run_duration", _si(1e-3), "8"),
-        "write_ns": ("write_pulse", _si(1e-9), "300"),
         "trial_period_ns": ("trial_period", _si(1e-9), "2000"),
         "storage_us": ("storage_time", _si(1e-6), "1"),
     },

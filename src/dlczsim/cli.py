@@ -172,9 +172,7 @@ def _parse_grid_ms(args) -> list:
                              f"at most {MAX_POINTS} are allowed")
         ts = [float(v) for v in entries]
     else:
-        if not 2 <= args.points <= MAX_POINTS:
-            raise ValueError(f"--points must lie in [2, {MAX_POINTS}], "
-                             f"got {args.points}")
+        _check_range(args, "points", 2, MAX_POINTS)
         if not (0.0 <= args.t_min_ms < args.t_max_ms < math.inf):
             raise ValueError("need finite 0 <= --t-min-ms < --t-max-ms")
         step = (args.t_max_ms - args.t_min_ms) / (args.points - 1)
@@ -185,20 +183,18 @@ def _parse_grid_ms(args) -> list:
     return ts
 
 
-def _check_workers(args) -> None:
-    if not 1 <= args.workers <= MAX_WORKERS:
-        raise ValueError(f"--workers must lie in [1, {MAX_WORKERS}], "
-                         f"got {args.workers}")
+def _check_range(args, name: str, lo: int, hi: int) -> None:
+    """Refuse the int flag ``--name`` outside [lo, hi]. A value past the
+    float range is shown by its digit count, since ``g`` cannot show it."""
+    value = getattr(args, name)
+    if not lo <= value <= hi:
+        got = (f"{value:.6g}" if abs(value) < 10 ** 300
+               else f"a {len(str(abs(value)))}-digit number")
+        raise ValueError(f"--{name} must lie in [{lo}, {hi}], got {got}")
 
 
 def _cycles_for_trials(cfg_seq, trials: int) -> int:
     return max(1, math.ceil(trials / cfg_seq.trials_per_run))
-
-
-def _check_trials(args) -> None:
-    if not 1 <= args.trials <= MAX_TRIALS:
-        raise ValueError(f"--trials must lie in [1, {MAX_TRIALS}], "
-                         f"got {args.trials:.6g}")
 
 
 def cmd_efficiency(args) -> int:
@@ -206,8 +202,8 @@ def cmd_efficiency(args) -> int:
         _refuse_given(args, ["seed", "trials", "workers"],
                       "efficiency without --montecarlo samples no trials")
     ts_ms = _parse_grid_ms(args)
-    _check_workers(args)
-    _check_trials(args)
+    _check_range(args, "workers", 1, MAX_WORKERS)
+    _check_range(args, "trials", 1, MAX_TRIALS)
     cfg = load_config(args.config, args.seed)
 
     rows = [[t_ms * 1e3, model.retrieval_efficiency(t_ms * 1e-3, cfg.decay)]
@@ -235,8 +231,8 @@ def cmd_bell(args) -> int:
         _refuse_given(args, ["seed", "trials", "resamples", "workers"],
                       "the analytic mode samples no trials")
     ts_ms = _parse_grid_ms(args)
-    _check_workers(args)
-    _check_trials(args)
+    _check_range(args, "workers", 1, MAX_WORKERS)
+    _check_range(args, "trials", 1, MAX_TRIALS)
     cfg = load_config(args.config, args.seed)
 
     if args.mode == "analytic":
@@ -266,9 +262,7 @@ def cmd_repeater(args) -> int:
                              "summary_out"],
                       "--anchor-report sets its own grid, model and output")
     _fill_late(args)
-    if not 2 <= args.points <= MAX_POINTS:
-        raise ValueError(f"--points must lie in [2, {MAX_POINTS}], "
-                         f"got {args.points}")
+    _check_range(args, "points", 2, MAX_POINTS)
     if not (0.0 < args.target_rate < math.inf):
         raise ValueError(f"--target-rate must be positive and finite, "
                          f"got {args.target_rate!r}")
@@ -349,7 +343,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _check_workers(args)
+    _check_range(args, "workers", 1, MAX_WORKERS)
     if not (math.isfinite(args.seconds) and args.seconds > 0):
         raise ValueError(f"--seconds must be finite and positive, "
                          f"got {args.seconds}")

@@ -26,8 +26,6 @@ import numpy as np
 from ._keys import defaults
 from .errors import InsufficientStatisticsError
 
-SPEED_OF_LIGHT_VACUUM = 2.998e8  # m/s, for cavity arithmetic
-
 TWO_PI = 2.0 * math.pi
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -187,25 +185,6 @@ class CoincidenceCounts:
     @property
     def coincidences(self) -> int:
         return self.c13 + self.c14 + self.c23 + self.c24
-
-    def scaled(self, k: int) -> "CoincidenceCounts":
-        """Counts with every entry multiplied by a positive integer factor."""
-        if k <= 0:
-            raise ValueError("scale factor must be positive")
-        return CoincidenceCounts(self.c13 * k, self.c14 * k, self.c23 * k,
-                                 self.c24 * k, self.s1 * k, self.s2 * k,
-                                 self.n_trials * k)
-
-
-@dataclass(frozen=True)
-class CavityParams:
-    """Ring-cavity geometry; the stated length is the full round trip."""
-
-    length: float
-
-    def __post_init__(self) -> None:
-        if not (self.length > 0.0):
-            raise ValueError(f"cavity length must be positive, got {self.length!r}")
 
 
 def decay_law(t, amplitude, tau_gauss, tau_exp):
@@ -460,8 +439,3 @@ def estimate_intrinsic_retrieval(counts: CoincidenceCounts,
         left=_ratio_estimate(counts.c13, counts.s1, eta_td),
         right=_ratio_estimate(counts.c24, counts.s2, eta_td),
     )
-
-
-def cavity_fsr(cav: CavityParams) -> float:
-    """Free spectral range (Hz) of the ring cavity: c over the round trip."""
-    return SPEED_OF_LIGHT_VACUUM / cav.length

@@ -65,20 +65,16 @@ class SequenceConfig:
 
     prep_duration: float = defaults("sequence")["prep_duration"]
     run_duration: float = defaults("sequence")["run_duration"]
-    write_pulse: float = defaults("sequence")["write_pulse"]
     trial_period: float = defaults("sequence")["trial_period"]
     storage_time: float = defaults("sequence")["storage_time"]
 
     def __post_init__(self) -> None:
-        for name in ("prep_duration", "run_duration", "write_pulse",
-                     "trial_period"):
+        for name in ("prep_duration", "run_duration", "trial_period"):
             v = getattr(self, name)
             if not (0.0 < v < math.inf):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
         if not (0.0 <= self.storage_time < math.inf):
             raise ValueError("storage_time must be finite and >= 0")
-        if self.trial_period < self.write_pulse:
-            raise ValueError("trial_period must cover the write_pulse")
         slots = self.run_duration / self.trial_period
         if not (slots < math.inf
                 and 1 <= self.trials_per_run <= MAX_SLOTS_PER_RUN):

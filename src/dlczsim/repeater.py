@@ -205,7 +205,6 @@ class RateCurve:
     rate_per_s: np.ndarray
     p0: np.ndarray
     p0_multi: np.ndarray
-    p0_multi_approx: np.ndarray
     p_levels: np.ndarray
     t_levels: np.ndarray
     p_pr: np.ndarray
@@ -231,7 +230,7 @@ def repeater_rate(p: RepeaterParams, total_km) -> RateCurve:
     float.
     """
     d = np.asarray(total_km, dtype=float)
-    p0, p0_multi, p0_multi_approx, t0 = elementary_probability(p, d)
+    p0, p0_multi, _, t0 = elementary_probability(p, d)
     reachable = p0 > 0.0
     p_levels, t_levels, collapsed_at = swap_chain(p, t0)
     collapsed_at = np.where(reachable, collapsed_at, 0)
@@ -259,9 +258,8 @@ def repeater_rate(p: RepeaterParams, total_km) -> RateCurve:
     status = np.where(~reachable, "unreachable",
                       np.where(rate > 0.0, "ok", "collapsed"))
     return RateCurve(params=p, distance_km=d, rate_per_s=rate, p0=p0,
-                     p0_multi=p0_multi, p0_multi_approx=p0_multi_approx,
-                     p_levels=p_levels, t_levels=t_levels, p_pr=p_pr,
-                     status=status, collapsed_at=collapsed_at)
+                     p0_multi=p0_multi, p_levels=p_levels, t_levels=t_levels,
+                     p_pr=p_pr, status=status, collapsed_at=collapsed_at)
 
 
 @functools.lru_cache(maxsize=4)
@@ -353,15 +351,13 @@ class ReportEntry:
 
 
 def _swept_crossing(p: RepeaterParams, target: float, l_min: float,
-                    l_max: float, points: int) -> tuple:
-    """``(crossing, curve)`` of one sweep; the crossing is None where the
-    sweep does not span ``target``."""
+                    l_max: float, points: int) -> Optional[float]:
+    """The crossing of one sweep, None where it does not span ``target``."""
     curve = sweep_distance(p, l_min, l_max, points)
     try:
-        c = crossing_distance(curve.distance_km, curve.rate_per_s, target)
+        return crossing_distance(curve.distance_km, curve.rate_per_s, target)
     except NotBracketedError:
-        c = None
-    return c, curve
+        return None
 
 
 def _fit_chi_for_crossing(p: RepeaterParams, target_rate: float,
@@ -392,7 +388,7 @@ def _fit_chi_for_crossing(p: RepeaterParams, target_rate: float,
     def probe(chi: float) -> tuple:
         """``(below, crossing - target_km or None)`` at chi."""
         c = _swept_crossing(replace(p, chi=chi), target_rate, l_min, l_max,
-                            points)[0]
+                            points)
         return c is None or c < target_km, None if c is None else c - target_km
 
     lo, hi = 1e-4, 0.99
@@ -471,9 +467,9 @@ def calibration_report(base: RepeaterParams = RepeaterParams(),
                     continue
                 pv = replace(variant, chi=chi)
                 cpe = _swept_crossing(replace(pv, r0=CPE_R0), target_rate,
-                                      l_min_km, l_max_km, points)[0]
+                                      l_min_km, l_max_km, points)
                 cie = _swept_crossing(replace(pv, r0=CIE_R0), target_rate,
-                                      l_min_km, l_max_km, points)[0]
+                                      l_min_km, l_max_km, points)
                 ok = all(c is not None
                          and abs(c - anchor) <= ANCHOR_TOLERANCE * anchor
                          for c, anchor in ((cpe, ANCHOR_CPE_KM),

@@ -167,9 +167,9 @@ def repeater_rate_oracle(p, total_km: float) -> dict:
     is the swap level that underflowed, 0 where none did.
     """
     n = p.nest_level
-    row = dict(p0=0.0, p0_multi=0.0, p0_multi_approx=0.0,
-               p_levels=[0.0] * n, t_levels=[math.inf] * (n + 1), p_pr=0.0,
-               rate_per_s=0.0, status="unreachable", collapsed_at=0)
+    row = dict(p0=0.0, p0_multi=0.0, p_levels=[0.0] * n,
+               t_levels=[math.inf] * (n + 1), p_pr=0.0, rate_per_s=0.0,
+               status="unreachable", collapsed_at=0)
     # elementary link
     l0 = total_km / p.n_links
     t_cc = l0 * 1e3 / p.fiber_speed
@@ -180,8 +180,7 @@ def repeater_rate_oracle(p, total_km: float) -> dict:
         return row
     p0 = math.exp(log_p0)
     p0_multi = -math.expm1(p.mode_count * math.log1p(-p0)) if p0 < 1.0 else 1.0
-    row.update(p0=p0, p0_multi=p0_multi,
-               p0_multi_approx=min(1.0, p.mode_count * p0), status="collapsed")
+    row.update(p0=p0, p0_multi=p0_multi, status="collapsed")
     # swap chain
     t_prev = t_cc / p0_multi
     row["t_levels"][0] = t_prev

@@ -792,8 +792,6 @@ class TestConfigStrictness:
         ("sequence", "prep_ms", "40", "sequence", "prep_duration",
          40.0 * 1e-3),
         ("sequence", "run_ms", "10", "sequence", "run_duration", 10.0 * 1e-3),
-        ("sequence", "write_ns", "310", "sequence", "write_pulse",
-         310.0 * 1e-9),
         ("sequence", "trial_period_ns", "2500", "sequence", "trial_period",
          2500.0 * 1e-9),
         ("sequence", "storage_us", "540", "sequence", "storage_time",
@@ -858,9 +856,10 @@ class TestConfigStrictness:
         # INI syntax errors, named by file and line
         for text, key in (
                 ("[source]\nchi = 0.02\ntypo_key = 1\n", "typo_key"),
-                ("[sequence]\nwrite_ns = 300\nread_ns = 1\n", "read_ns"),
-                ("[sequence]\nwrite_ns = 300\nclean_ns = 1\n", "clean_ns"),
-                ("[sequence]\nwrite_ns = 300\npost_read_gap_ns = 1\n",
+                ("[sequence]\nstorage_us = 1\nwrite_ns = 300\n", "write_ns"),
+                ("[sequence]\nstorage_us = 1\nread_ns = 1\n", "read_ns"),
+                ("[sequence]\nstorage_us = 1\nclean_ns = 1\n", "clean_ns"),
+                ("[sequence]\nstorage_us = 1\npost_read_gap_ns = 1\n",
                  "post_read_gap_ns"),
                 ("[repeater]\nnest_level = 4\nr0_compare = 1\n",
                  "r0_compare"),
@@ -890,7 +889,6 @@ class TestConfigStrictness:
         ("source", "phase_read_rad", "nan", "phase_read"),
         ("sequence", "prep_ms", "inf", "prep_duration"),
         ("sequence", "run_ms", "inf", "run_duration"),
-        ("sequence", "write_ns", "nan", "write_pulse"),
         ("sequence", "trial_period_ns", "inf", "trial_period"),
         # finite, but longer than the 8 ms run: no slot in a run
         ("sequence", "trial_period_ns", "9000000", "trial_period"),
@@ -1166,9 +1164,10 @@ class TestRunSizeBound:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", [str(2 ** 80), str(10 ** 23),
-                                       str(10 ** 300),
+                                       str(10 ** 300), str(10 ** 400),
                                        str(cli.MAX_TRIALS + 1)],
-                             ids=["2**80", "1e23", "1e300", "bound+1"])
+                             ids=["2**80", "1e23", "1e300", "1e400",
+                                  "bound+1"])
     @pytest.mark.parametrize("argv", [
         ["efficiency", "--montecarlo", "--t-ms", "0"],
         ["bell", "--mode", "montecarlo", "--t-ms", "0"]],

@@ -7,7 +7,6 @@ import pytest
 from dlczsim.errors import InsufficientStatisticsError
 from dlczsim.model import (
     CANONICAL_SETTINGS,
-    CavityParams,
     CoincidenceCounts,
     DecayModel,
     DetectionChain,
@@ -15,7 +14,6 @@ from dlczsim.model import (
     SourceParams,
     TSIRELSON_BOUND,
     bell_parameter,
-    cavity_fsr,
     coincidence_probabilities,
     correlation_E,
     escape_efficiency,
@@ -341,22 +339,12 @@ class TestIntrinsicRetrieval:
                                        int(s1 + s2))
             k = int(rng.integers(2, 50))
             a = estimate_intrinsic_retrieval(counts, 0.15)
-            b = estimate_intrinsic_retrieval(counts.scaled(k), 0.15)
+            b = estimate_intrinsic_retrieval(
+                CoincidenceCounts(c13 * k, 0, 0, c24 * k, int(s1) * k,
+                                  int(s2) * k, int(s1 + s2) * k), 0.15)
             for x, y in ((a.qubit, b.qubit), (a.left, b.left), (a.right, b.right)):
                 assert y.value == pytest.approx(x.value, rel=1e-12)
                 assert y.error == pytest.approx(x.error / math.sqrt(k), rel=1e-9)
-
-
-class TestCavity:
-    def test_paper_fsr(self):
-        assert cavity_fsr(CavityParams(6.0)) == pytest.approx(49.97e6, rel=1e-3)
-
-    def test_half_length(self):
-        assert cavity_fsr(CavityParams(3.0)) == pytest.approx(99.93e6, rel=1e-3)
-
-    def test_inverse_proportionality(self):
-        assert cavity_fsr(CavityParams(12.0)) == pytest.approx(
-            cavity_fsr(CavityParams(6.0)) / 2.0, rel=1e-12)
 
 
 class TestValidation:

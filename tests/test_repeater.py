@@ -297,8 +297,7 @@ class TestScalarOracle:
             at = np.unravel_index(i, shape)
             assert curve.status[at] == want["status"]
             assert curve.collapsed_at[at] == want["collapsed_at"]
-            for name in ("p0", "p0_multi", "p0_multi_approx", "p_pr",
-                         "rate_per_s"):
+            for name in ("p0", "p0_multi", "p_pr", "rate_per_s"):
                 assert _same_value(getattr(curve, name)[at], want[name]), name
             for column, levels in (("p_levels", want["p_levels"]),
                                    ("t_levels", want["t_levels"])):
@@ -464,8 +463,7 @@ class TestFitChi:
 
         def crossing(chi):
             return repeater._swept_crossing(
-                dataclasses.replace(p, chi=chi), 1e-4, 1.0, 20000.0,
-                points)[0]
+                dataclasses.replace(p, chi=chi), 1e-4, 1.0, 20000.0, points)
 
         got = repeater._fit_chi_for_crossing(p, 1e-4, target_km, 1.0,
                                              20000.0, points)
@@ -481,7 +479,7 @@ class TestFitChi:
         p = dataclasses.replace(FIG5, link_convention=convention,
                                 pr_exponent=exponent, r0=r0)
         crossings = [repeater._swept_crossing(
-            dataclasses.replace(p, chi=chi), 1e-4, 1.0, 20000.0, points)[0]
+            dataclasses.replace(p, chi=chi), 1e-4, 1.0, 20000.0, points)
             for chi in np.geomspace(1e-3, 0.99, 200)]
         assert None not in crossings
         assert all(a <= b for a, b in zip(crossings, crossings[1:]))
