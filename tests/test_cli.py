@@ -877,6 +877,28 @@ class TestConfigStrictness:
             assert key in err
             assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["efficiency", "--t-ms", "0"],
+        ["efficiency", "--montecarlo", "--trials", "1", "--t-ms", "0"],
+        ["bell", "--t-ms", "0"],
+        ["bell", "--mode", "montecarlo", "--trials", "1", "--t-ms", "0"],
+        ["simulate", "--seconds", "0.05"],
+        ["repeater", "--points", "3"]],
+        ids=["efficiency", "efficiency-mc", "bell", "bell-mc", "simulate",
+             "repeater"])
+    def test_retired_write_ns_rejected_by_every_command(self, argv, tmp_path,
+                                                        capsys):
+        # write_ns set a pulse width that no output read; every command
+        # that reads a config refuses it as unknown, before any output
+        cfg = tmp_path / "old.ini"
+        cfg.write_text("[sequence]\nwrite_ns = 300\n")
+        rc, out, err = run(capsys, *argv, "--config", str(cfg),
+                           "--out", str(tmp_path / "out.txt"))
+        assert rc == 2
+        assert out == ""
+        assert "unknown key 'write_ns' in section [sequence]" in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_unknown_section_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[sourcery]\nchi = 0.02\n")
@@ -1233,6 +1255,23 @@ class TestIgnoredFlags:
         assert out == "" and err.count("\n") == 1
         assert "no trials" in err and all(f in err for f in flags[::2])
         assert list(tmp_path.iterdir()) == []
+
+
+class TestCheckRange:
+    @pytest.mark.parametrize("value", [1, 64])
+    def test_both_bounds_pass(self, value):
+        cli._check_range(argparse.Namespace(workers=value), "workers", 1, 64)
+
+    @pytest.mark.parametrize("value, got", [
+        (0, "got 0"), (65, "got 65"), (10 ** 23, "got 1e+23"),
+        (10 ** 400, "got a 401-digit number"),
+        (-10 ** 400, "got a 401-digit number")],
+        ids=["below", "above", "1e23", "1e400", "-1e400"])
+    def test_message_names_flag_bounds_and_value(self, value, got):
+        with pytest.raises(ValueError) as info:
+            cli._check_range(argparse.Namespace(workers=value), "workers",
+                             1, 64)
+        assert str(info.value) == f"--workers must lie in [1, 64], {got}"
 
 
 class TestWorkersBound:

@@ -80,6 +80,21 @@ class TestElementaryLink:
             if p0 > 0.0 and p.mode_count * p0 < 0.02:
                 assert p0_multi_approx == pytest.approx(p0_multi, rel=0.01)
 
+    def test_shortcut_is_the_clipped_linear_term(self):
+        # min(1, N*p0) at every distance, reachable or not, and saturated
+        # where N*p0 passes 1
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            p = dataclasses.replace(
+                FIG5, chi=float(rng.uniform(1e-3, 0.5)),
+                mode_count=int(rng.integers(1, 5000)))
+            km = rng.uniform(1.0, 4e4, size=16)
+            p0, _, p0_multi_approx, _ = elementary_probability(p, km)
+            assert np.array_equal(p0_multi_approx,
+                                  np.minimum(1.0, p.mode_count * p0))
+        p = dataclasses.replace(FIG5, chi=0.5, mode_count=5000)
+        assert elementary_probability(p, 1.0)[2] == 1.0
+
     def test_doubling_modes_doubles_rate_at_small_p0(self):
         # linear regime of 1-(1-p0)^N; decay switched off so the shorter
         # generation time does not additionally boost the swap chain
