@@ -44,11 +44,13 @@ full path where nothing or little is blocked.
 The runs of a call share everything but their seed and readout law (the
 four CHSH settings of a storage time), so a lane group may hold cycles of
 several runs. Its pieces go to the call's ``_Tally``, which draws every
-herald's readout, sums the slots it blocks and bins it by run and outcome,
-unsorted. A record dump is a row sink of a one-run call whose lane groups
-hold about ``GROUP_HERALDS`` heralds: a group's pieces are joined and
-drawn at once, and ``records_kernel``, which takes heralds in any order,
-expands them a batch of cycles at a time, so its rows are never all held.
+herald's readout, sums the slots it blocks and bins it, unsorted, by run,
+herald and outcome: ``2 * readout + background``, the one code of a
+herald's result from its draw to its dump line. A record dump is a row
+sink of a one-run call whose lane groups hold about ``GROUP_HERALDS``
+heralds: a group's pieces are joined and drawn at once, and
+``records_kernel``, which takes heralds in any order, expands them and
+their bins a batch of cycles at a time, so its rows are never all held.
 
 The working set is bounded whatever the number of cycles: a batch's
 hashes and candidates on the full path, a step of at most ``LANE_SLOTS``
@@ -186,18 +188,15 @@ def trial_uniforms_numpy(keys, slots, draw: int, out=None, tmp=None,
     # uint64 array arithmetic wraps modulo 2**64 and never warns
     k = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
     s = np.atleast_1d(np.asarray(slots, dtype=np.uint64))
-    if offset_keys is not None:
-        shape = (s.size, offset_keys.size)
-        h = (np.empty(shape, dtype=np.uint64) if out is None
-             else out[:math.prod(shape)].reshape(shape))
+    shape = (np.broadcast(k, s).shape if offset_keys is None
+             else (s.size, offset_keys.size))
+    h = (np.empty(shape, dtype=np.uint64) if out is None
+         else out[:math.prod(shape)].reshape(shape))
+    if offset_keys is None:
+        np.bitwise_xor(k, s * _SLOT_KEY, out=h)
+    else:
         np.add((s * _SLOT_KEY)[:, None], offset_keys, out=h)
         h ^= k[:, None]
-    elif out is None:
-        h = k ^ (s * _SLOT_KEY)
-    else:
-        shape = np.broadcast_shapes(k.shape, s.shape)
-        h = out[:math.prod(shape)].reshape(shape)
-        np.bitwise_xor(k, s * _SLOT_KEY, out=h)
     flat = h.reshape(-1)
     if tmp is None:
         tmp = np.empty(min(flat.size, MIX_SLOTS), dtype=np.uint64)
@@ -324,30 +323,28 @@ class _Law(NamedTuple):
 
 
 def _readouts(keys, slots, sel, law):
-    """Readout code (uint8 0/3/4) and background flag of each herald.
+    """Outcome ``2 * readout + background`` (uint8) of each herald: 0 for
+    no click, 6/8 for a D3/D4 click from the excitation, 7/9 from noise.
 
     ``keys`` and ``slots`` are the heralds' cycle keys and slots, ``sel``
     their ``2 * run + is_d1`` entries in the ``_Law`` tables. Every choice
     is taken by arithmetic on the comparisons, none by a branch per herald.
     """
-    if not sel.size:
-        return np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=bool)
     u = trial_uniforms_numpy(keys, slots, 1)
     u >>= np.uint64(11)
     hit3 = u < law.k3.take(sel)
     hit34 = u < law.k34.take(sel)
     del u  # freed before draw 2
-    # a hit below k3 is one below k34 too: 4 - 1 for D3, 4 for D4
-    readout = hit34 * np.uint8(4) - hit3
-    background = np.zeros(sel.size, dtype=bool)
+    # a hit below k3 is one below k34 too: 8 - 2 for D3, 8 for D4
+    outcome = hit34 * np.uint8(8) - hit3 * np.uint8(2)
     miss = np.flatnonzero(~hit34)
     if law.k_noise and miss.size:
         h2 = trial_uniforms_numpy(keys[miss], slots[miss], 2)
-        bg = h2 < law.k_noise
-        # p_noise / 2 <= p_noise, so a hit below k_noise3 is a background one
-        readout[miss] = bg * np.uint8(4) - (h2 < law.k_noise3)
-        background[miss] = bg
-    return readout, background
+        # p_noise / 2 <= p_noise, so a hit below k_noise3 is a background
+        # one: 9 - 2 for D3, 9 for D4
+        outcome[miss] = ((h2 < law.k_noise) * np.uint8(9)
+                         - (h2 < law.k_noise3) * np.uint8(2))
+    return outcome
 
 
 def _open_slots(n_slots, p_herald, skip_slots) -> float:
@@ -529,10 +526,9 @@ class _Tally:
     """Per-run counts of accepted heralds.
 
     ``draw`` takes a set of heralds at once: it draws their readouts and
-    adds them to the counts. ``add`` holds a piece instead and draws the
-    held heralds once about ``GROUP_HERALDS`` are held. Bins, blocked
-    slots and background readouts are sums, so the order in which the
-    heralds come does not matter.
+    bins them by run, herald and outcome. ``add`` holds a piece instead and
+    draws the held heralds once about ``GROUP_HERALDS`` are held. Bins and
+    blocked slots are sums, so the order of the heralds does not matter.
     """
 
     def __init__(self, n_runs, n_slots, skip_slots, key_d1, law):
@@ -540,9 +536,8 @@ class _Tally:
         self.skip_slots = skip_slots
         self.key_d1 = key_d1
         self.law = law
-        self.bins = np.zeros(10 * n_runs, dtype=np.int64)
+        self.bins = np.zeros(20 * n_runs, dtype=np.int64)
         self.blocked = np.zeros(n_runs, dtype=np.int64)
-        self.background = np.zeros(n_runs, dtype=np.int64)
         self.parts = []
         self.held = 0
 
@@ -569,39 +564,35 @@ class _Tally:
         ``keys`` in runs ``runs`` (intp, overwritten), with draw-0 hashes
         ``h0``, and draw their readouts.
 
-        Returns each herald's bin ``(2 * run + is_d2) * 5 + readout``
-        (intp, readout 0/3/4 for none/D3/D4) and background flag, in the
-        order given.
+        Returns each herald's bin ``(2 * run + is_d2) * 10 + outcome``
+        (intp, outcome as ``_readouts`` gives it), in the order given.
         """
-        n_runs = self.blocked.size
         if self.skip_slots > 0:
             # a herald blocks skip_slots slots, or the rest of its cycle
             blocked = self.n_slots - 1 - slot
             np.minimum(blocked, self.skip_slots, out=blocked)
-            self.blocked += np.bincount(runs, blocked,
-                                        minlength=n_runs).astype(np.int64)
+            self.blocked += np.bincount(
+                runs, blocked, minlength=self.blocked.size).astype(np.int64)
             del blocked
         sel = runs  # 2 * run + is_d1, in place
         sel *= 2
         sel += h0 < self.key_d1
-        readout, background = _readouts(keys, slot, sel, self.law)
-        self.background += np.bincount(sel[background] >> 1,
-                                       minlength=n_runs)
+        outcome = _readouts(keys, slot, sel, self.law)
         sel ^= 1
-        sel *= 5
-        sel += readout
+        sel *= 10
+        sel += outcome
         self.bins += np.bincount(sel, minlength=self.bins.size)
-        return sel, background
+        return sel
 
     def counts(self, n_cycles):
         """One row ``(c13, c14, c23, c24, s1, s2, n_trials, n_background)``
         per run, over ``n_cycles`` cycles."""
         self.flush()
-        b = self.bins.reshape(-1, 10)
+        b = self.bins.reshape(-1, 2, 5, 2)  # run, is_d2, readout, background
+        r = b.sum(axis=3)
         return np.column_stack((
-            b[:, 3], b[:, 4], b[:, 8], b[:, 9], b[:, :5].sum(axis=1),
-            b[:, 5:].sum(axis=1), n_cycles * self.n_slots - self.blocked,
-            self.background))
+            r[:, :, 3:].reshape(-1, 4), r.sum(axis=2),
+            n_cycles * self.n_slots - self.blocked, b[..., 1].sum((1, 2))))
 
 
 def count_runs(master_seeds, cycle_lo, cycle_hi, n_slots, p_herald, laws,
@@ -692,30 +683,29 @@ def _count_runs(master_seeds, cycle_lo, cycle_hi, n_slots, p_herald, laws,
         # a dump draws a group's heralds at once and expands them a batch
         # of cycles at a time, in any order
         lane, slot, h0 = _join(list(pieces))
-        bins, background = tally.draw(keys[lane], runs[lane], slot, h0)
+        bins = tally.draw(keys[lane], runs[lane], slot, h0)
         flat = lane * n_slots + slot
         batch = lane // step
         del lane, slot, h0
         for c0 in range(0, keys.size, step):
             i = np.flatnonzero(batch == c0 // step)
             rows(*records_kernel(flat[i] - c0 * n_slots, bins[i],
-                                 background[i], cycle_lo + g + c0,
+                                 cycle_lo + g + c0,
                                  min(step, keys.size - c0), n_slots,
                                  skip_slots))
-        del flat, batch, bins, background  # freed before the next group
+        del flat, batch, bins  # freed before the next group
     return tally.counts(n_cycles)
 
 
-def records_kernel(flat, bins, background, cycle_lo, n_cycles, n_slots,
-                   skip_slots):
+def records_kernel(flat, bins, cycle_lo, n_cycles, n_slots, skip_slots):
     """Per-trial event arrays of cycles ``[cycle_lo, cycle_lo + n_cycles)``.
 
     ``flat`` holds the index ``(cycle - cycle_lo) * n_slots + slot`` of
-    each accepted herald of these cycles, in any order, ``bins`` and
-    ``background`` its ``_Tally.draw`` bin and background flag. Returns
-    arrays (cycle, slot, herald, readout, background) covering every
-    executed trial in order, whatever the order of the heralds. ``herald``
-    is 0/1/2 for none/D1/D2, ``readout`` 0/3/4 for none/D3/D4.
+    each accepted herald of these cycles, in any order, ``bins`` its
+    one-run ``_Tally.draw`` bin. Returns arrays (cycle, slot, outcome)
+    covering every executed trial in order, whatever the order of the
+    heralds; the outcome (uint8) is the bin plus 10, ``10 * herald + 2 *
+    readout + background`` with herald 1/2 for D1/D2, or 0 without one.
     """
     size = n_cycles * n_slots
     if skip_slots > 0 and flat.size:
@@ -732,14 +722,9 @@ def records_kernel(flat, bins, background, cycle_lo, n_cycles, n_slots,
         executed = np.flatnonzero(blocked == 0)
     else:
         executed = np.arange(size)
-    at = np.searchsorted(executed, flat)
-    her = np.zeros(executed.size, dtype=np.uint8)
-    read = np.zeros(executed.size, dtype=np.uint8)
-    bg = np.zeros(executed.size, dtype=bool)
-    her[at] = bins // 5 + 1
-    read[at] = bins % 5
-    bg[at] = background
-    return executed // n_slots + cycle_lo, executed % n_slots, her, read, bg
+    outcome = np.zeros(executed.size, dtype=np.uint8)
+    outcome[np.searchsorted(executed, flat)] = bins + 10
+    return executed // n_slots + cycle_lo, executed % n_slots, outcome
 
 
 def counts_kernel(master_seed, cycle_lo, cycle_hi, n_slots, p_herald,

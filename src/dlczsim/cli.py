@@ -36,14 +36,11 @@ from . import calibration as cal
 from . import model, montecarlo, repeater
 from .config import load_config
 from .errors import FitConvergenceError, InsufficientStatisticsError, NotBracketedError
+from .montecarlo import MAX_WORKERS
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
-
-# Upper bound on --workers: each worker is a thread, and the kernel gains
-# nothing from more threads than cores.
-MAX_WORKERS = 64
 
 # Upper bound on the points of a sweep (repeater --points, and the
 # efficiency and bell storage times, by --points or --t-ms): a sweep holds

@@ -58,6 +58,10 @@ def _floor_snapped(ratio: float) -> int:
 # where the paper's is 8 ms), a batch stays near 10-13 MiB.
 MAX_SLOTS_PER_RUN = 196_608
 
+# Upper bound on the worker threads of a run, ``n_workers``: each worker is
+# a thread, and the kernel gains nothing from more threads than cores.
+MAX_WORKERS = 64
+
 
 @dataclass(frozen=True)
 class SequenceConfig:
@@ -152,11 +156,15 @@ def _sample(cfg: SequenceConfig, sp: SourceParams, dm: DecayModel,
     The runs share every other sampler input, so each of ``n_workers``
     threads samples them all over its share of the cycles with one
     ``_kernels.count_runs`` call. ``dump``, given to a one-run call, gets
-    the header and the rows, sampled in the calling thread.
+    the header and the rows, sampled in the calling thread. ``n_workers``
+    outside [1, ``MAX_WORKERS``] raises ``ValueError`` before any sampling.
     """
     for name, v in (("write_eta", write_eta), ("read_eta", read_eta)):
         if not (0.0 <= v <= 1.0):
             raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
+    if not 1 <= n_workers <= MAX_WORKERS:
+        raise ValueError(f"n_workers must lie in [1, {MAX_WORKERS}], "
+                         f"got {n_workers}")
     n_slots = cfg.trials_per_run
     # the sampler counts a run's slots in int64, so its last cycle index
     # is inside int64 too
@@ -175,14 +183,14 @@ def _sample(cfg: SequenceConfig, sp: SourceParams, dm: DecayModel,
         cycle_ns = int(round(cfg.cycle_duration * 1e9))
         prep_ns = int(round(cfg.prep_duration * 1e9))
 
-        def rows(cyc, slot, her, read, bg):
+        def rows(cyc, slot, outcome):
             t_ns = cyc * cycle_ns + prep_ns + slot * period_ns
-            write_record_dump(dump, cyc, slot, her, read, bg, t_ns)
+            write_record_dump(dump, cyc, slot, outcome, t_ns)
 
         dump.write(DUMP_HEADER)
         n_workers = 1  # the rows are written in cycle order
 
-    step = max(1, math.ceil(n_cycles / max(1, n_workers)))
+    step = math.ceil(n_cycles / n_workers)
     starts = range(0, n_cycles, step)
 
     def count(lo):
@@ -224,7 +232,7 @@ def run_trials(cfg: SequenceConfig, sp: SourceParams, dm: DecayModel,
     header ``cycle,trial,herald,readout,background,t_ns`` and one
     ``\\n``-terminated line per executed trial, written batch by batch as
     the trials are sampled. A dumped run samples all cycles in the calling
-    thread, whatever ``n_workers``.
+    thread, whatever ``n_workers``, which must lie in [1, ``MAX_WORKERS``].
     """
     (res,) = _sample(cfg, sp, dm, write_eta, read_eta, [settings], [seed],
                      n_cycles, n_workers, dump)
@@ -277,7 +285,7 @@ _UNITS_WORDS[0] = np.frombuffer(b"\0\0\0" b"0", dtype=np.uint32)[0]
 _TEN_K = np.uint64(10_000)
 _COMMA = np.frombuffer(b",\0\0\0", dtype=np.uint32)[0]
 _NEWLINE = np.frombuffer(b"\n\0\0\0", dtype=np.uint32)[0]
-# the middle per code (herald * 5 + readout) * 2 + background
+# the middle per records_kernel outcome 10 * herald + 2 * readout + background
 _MIDDLE = np.frombuffer(b"".join(
     b"," + h + b"," + r + b"," + bg + b",\0\0\0"
     for h in (b"\0\0", b"D1", b"D2")
@@ -307,7 +315,7 @@ def _put_digits(x, words) -> None:
     words[:, 0] = table[q.view(np.intp)]
 
 
-def _record_lines(cyc, slot, her, read, bg, t_ns) -> bytes:
+def _record_lines(cyc, slot, outcome, t_ns) -> bytes:
     """The dump lines of one block of records, joined."""
     # columns: cycle | "," | trial | middle (3) | t_ns | "\n"
     c1 = _n_words(cyc)
@@ -318,8 +326,7 @@ def _record_lines(cyc, slot, her, read, bg, t_ns) -> bytes:
     _put_digits(cyc, words[:, :c1])
     words[:, c1] = _COMMA
     _put_digits(slot, words[:, c1 + 1:c2])
-    code = (her.astype(np.intp) * 5 + read) * 2 + bg
-    words[:, c2:c3] = np.take(_MIDDLE, code, axis=0)
+    words[:, c2:c3] = np.take(_MIDDLE, outcome, axis=0)
     _put_digits(t_ns, words[:, c3:c4])
     words[:, c4] = _NEWLINE
     return words.tobytes().translate(None, b"\0")
@@ -327,9 +334,9 @@ def _record_lines(cyc, slot, her, read, bg, t_ns) -> bytes:
 
 def write_record_dump(fh, *cols) -> None:
     """Write the dump lines of one batch's record columns ``cols`` (cycle,
-    slot, herald, readout, background, t_ns) to the open binary file ``fh``,
-    formatted ``DUMP_ROWS`` at a time; the bytes do not depend on that
-    block size."""
+    slot, ``_kernels.records_kernel`` outcome, t_ns) to the open binary file
+    ``fh``, formatted ``DUMP_ROWS`` at a time; the bytes do not depend on
+    that block size."""
     for lo in range(0, cols[0].size, DUMP_ROWS):
         fh.write(_record_lines(*(c[lo:lo + DUMP_ROWS] for c in cols)))
 

@@ -144,24 +144,45 @@ def test_counts_partition_invariance():
     assert np.array_equal(whole, parts)
 
 
-def _streamed(*args, **kw):
+def _records(*args, **kw):
     """counts_kernel's tuple and the row arrays it streamed, from one pass.
 
-    The arrays of every batch are joined: (cycle, slot, herald, readout,
-    background), each with the dtype of the batches.
+    The arrays of every batch are joined: (cycle, slot, outcome), each with
+    the dtype of the batches.
     """
     batches = []
     counts = _kernels.counts_kernel(*args, **kw,
                                     rows=lambda *cols: batches.append(cols))
     cols = [np.concatenate(c) for c in zip(*batches)] if batches else \
-        [np.empty(0)] * 5
+        [np.empty(0, dtype=np.int64)] * 2 + [np.empty(0, dtype=np.uint8)]
     return counts, cols
+
+
+def _decoded(outcome):
+    """The herald (0/1/2 for none/D1/D2), readout (0/3/4 for none/D3/D4)
+    and background flag of record outcomes, as the scalar oracle writes
+    them."""
+    return outcome // 10, outcome % 10 // 2, outcome % 2 == 1
+
+
+def _streamed(*args, **kw):
+    """``_records`` with the outcome column decoded: (cycle, slot, herald,
+    readout, background)."""
+    counts, (cyc, slot, outcome) = _records(*args, **kw)
+    return counts, (cyc, slot, *_decoded(outcome))
 
 
 def test_records_consistent_with_counts():
     kw = dict(p_herald=0.08, a13=0.25, a14=0.05, a23=0.05, a24=0.25,
               p_noise=5e-3, skip_slots=4)
-    counts, (cyc, slot, her, read, bg) = _streamed(55, 0, 25, 800, **kw)
+    counts, (cyc, slot, outcome) = _records(55, 0, 25, 800, **kw)
+    # the kernel's own column: no herald, or 10 * herald + 2 * readout +
+    # background
+    assert [a.dtype for a in (cyc, slot, outcome)] == [
+        np.int64, np.int64, np.uint8]
+    assert set(np.unique(outcome).tolist()) <= {
+        0, 10, 16, 17, 18, 19, 20, 26, 27, 28, 29}
+    her, read, bg = _decoded(outcome)
     c13 = int(np.sum((her == 1) & (read == 3)))
     c14 = int(np.sum((her == 1) & (read == 4)))
     c23 = int(np.sum((her == 2) & (read == 3)))
@@ -196,14 +217,12 @@ def test_records_do_not_depend_on_herald_order(window):
         _streamed(21, 0, 9, 100, **kw)
     assert len(calls) == 3  # batches of 4, 4 and 1 cycles
     rng = np.random.default_rng(0)
-    for flat, bins, background, *rest in calls:
+    for flat, bins, *rest in calls:
         assert flat.size > 1
         order = np.argsort(flat)
         shuffled = rng.permutation(flat.size)
-        for a, b in zip(kernel(flat[order], bins[order], background[order],
-                               *rest),
-                        kernel(flat[shuffled], bins[shuffled],
-                               background[shuffled], *rest)):
+        for a, b in zip(kernel(flat[order], bins[order], *rest),
+                        kernel(flat[shuffled], bins[shuffled], *rest)):
             assert np.array_equal(a, b)
 
 

@@ -155,6 +155,29 @@ class TestRunTrials:
             bell_sweep([0.0], CFG, calibrated_source(), DM, 0.15, 0.15,
                        n_cycles, SeedSpec(0))
 
+    @pytest.mark.parametrize("n_workers", [0, -1, montecarlo.MAX_WORKERS + 1])
+    def test_worker_counts_out_of_range_are_refused_before_running(
+            self, n_workers, monkeypatch):
+        # each worker is a thread: a count outside [1, MAX_WORKERS] is
+        # refused before a pool is built or a trial is sampled, by a
+        # dumped run too, before its header is written
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pool was built or a run started")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(_kernels, "count_runs", refuse)
+        args = (CFG, calibrated_source(), DM, 0.15, 0.15)
+        buf = io.BytesIO()
+        for dump in (None, buf):
+            with pytest.raises(ValueError, match="n_workers must lie in"):
+                run_trials(*args, MeasurementSettings(0, 0), 200,
+                           SeedSpec(0), dump=dump, n_workers=n_workers)
+        assert buf.getvalue() == b""
+        for sweep in (retrieval_sweep, bell_sweep):
+            with pytest.raises(ValueError, match="n_workers must lie in"):
+                sweep([0.0, 1e-3], *args, 200, SeedSpec(0),
+                      n_workers=n_workers)
+
 
 class TestEstimatorConsistency:
     def test_retrieval_estimator_tracks_decay_curve(self):
@@ -410,9 +433,13 @@ def _columns(cyc, slot, her, read, bg, t_ns):
 
 
 def _written(cols):
+    """The dump of the six reference columns, its herald, readout and
+    background coded into the one outcome column the writer takes."""
+    cyc, slot, her, read, bg, t_ns = cols
+    outcome = 10 * her + 2 * read + bg.view(np.uint8)
     buf = io.BytesIO()
     buf.write(montecarlo.DUMP_HEADER)
-    montecarlo.write_record_dump(buf, *cols)
+    montecarlo.write_record_dump(buf, cyc, slot, outcome, t_ns)
     return buf.getvalue()
 
 
@@ -465,7 +492,7 @@ class TestRecordDump:
         # two and a half blocks at the real DUMP_ROWS: every field runs
         # through every width crossing, zeros among them, at its own pace,
         # so each block mixes the widths of all three fields, and every
-        # middle code (herald * 5 + readout) * 2 + background appears
+        # outcome code 10 * herald + 2 * readout + background appears
         n = 5 * montecarlo.DUMP_ROWS // 2
         vals = np.array(WIDTH_CROSSINGS)
         k = vals.size
